@@ -183,12 +183,8 @@ def compute_efficiency(config: ExperimentConfig) -> dict:
 
 def _replication(args) -> dict:
     """One (horizon, replication) cell; module-level for pickling."""
-    (f0_json, fine_json, prior, fspec, psi_l_payload, psi0, v0, horizon,
+    (f0, f0_fine, prior, fspec, psi_l, psi0, v0, horizon,
      iters, burn_in, thin, p_j, seed) = args
-    f0 = ModelParams.from_json(f0_json)
-    f0_fine = ModelParams.from_json(fine_json)
-    psi_l = Direction(np.array(psi_l_payload["xi"]),
-                      np.array(psi_l_payload["g"]), f0.support_end)
     seq = np.random.SeedSequence(seed)
     sim_seed, chain_seed = seq.spawn(2)
     try:
@@ -228,15 +224,12 @@ def run_experiment(config: ExperimentConfig,
         efficiency = compute_efficiency(config)
     psi_l = efficiency["psi_L"]
     v0, psi0 = efficiency["v0"], efficiency["psi0"]
-    f0_json = config.f0.to_json()
-    fine_json = efficiency["f0_fine"].to_json()
-    payload = {"xi": psi_l.xi.tolist(), "g": psi_l.g.tolist()}
     seq = np.random.SeedSequence(config.seed + 1)
     jobs = []
     for horizon in config.horizons:
         for child in seq.spawn(config.replications):
-            jobs.append((f0_json, fine_json, config.prior,
-                         config.functional, payload, psi0, v0, horizon,
+            jobs.append((config.f0, efficiency["f0_fine"], config.prior,
+                         config.functional, psi_l, psi0, v0, horizon,
                          config.mcmc_iters, config.mcmc_burn_in,
                          config.mcmc_thin, config.p_j,
                          int(child.generate_state(1)[0] // 2)))

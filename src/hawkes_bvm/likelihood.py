@@ -270,13 +270,31 @@ def lan_inner_product(dir1: Direction, dir2: Direction, f0: ModelParams,
     return est.inner(dir1, dir2)
 
 
+class KernelExcitation:
+    """The nu-free part of the cached likelihood at one kernel h: each
+    mark's excitation X_k @ h_k at the distinct rows and compensator term
+    W @ h_k. terms[k] keeps mark k's log term at its two most recently
+    used rates, so evaluating the same kernel at rates that differ in one
+    mark recomputes that mark's term only."""
+
+    __slots__ = ("rows", "comp", "terms")
+
+    def __init__(self, rows: list[np.ndarray], comp: list[float]):
+        self.rows = rows
+        self.comp = comp
+        self.terms: list[dict[float, float]] = [{} for _ in rows]
+
+
 class LikelihoodCache:
     """Count-matrix cache for fast repeated likelihood evaluation on one
     stream and one grid resolution.
 
-    For each mark k, X_k[i, l*m+c] counts window events of mark l in cell
-    c at the i-th mark-k event; the compensator reduces to fixed linear
-    weights. loglik(nu, h) is then a handful of matrix products.
+    For each mark k, a row of the count matrix counts the window events
+    of each mark l in each cell c (column l*m+c) at one mark-k event.
+    Under posterior contraction few distinct rows occur, so X[k] keeps
+    the distinct rows and counts[k] their multiplicities; the compensator
+    reduces to fixed linear weights. loglik(nu, h) is then a handful of
+    matrix products whose size hardly grows with the horizon.
     """
 
     def __init__(self, stream: EventStream, K: int, n_cells: int,
@@ -287,6 +305,7 @@ class LikelihoodCache:
         times, marks = stream.times, stream.marks
         sel = (times > 0) & (times <= horizon)
         self.X: list[np.ndarray] = []
+        self.counts: list[np.ndarray] = []
         for k in range(K):
             ev = times[sel & (marks == k + 1)]
             Xk = np.zeros((ev.size, K * n_cells))
@@ -296,20 +315,45 @@ class LikelihoodCache:
                     age = t - times[j]
                     cell = min(int(age / w), n_cells - 1)
                     Xk[i, (marks[j] - 1) * n_cells + cell] += 1.0
-            self.X.append(Xk)
+            rows, counts = np.unique(Xk, axis=0, return_counts=True)
+            self.X.append(rows)
+            self.counts.append(counts.astype(float))
         # compensator weights, flattened over (l, c)
         ref = ModelParams(np.ones(K), np.zeros((K, K, n_cells)),
                           support_end)
         self.W = _compensator_weights(ref, stream, horizon).ravel()
 
-    def log_likelihood(self, nu: np.ndarray, h: np.ndarray) -> float:
-        """Linear-model log-likelihood for parameters on the cached grid."""
+    def excite(self, h: np.ndarray) -> KernelExcitation:
+        """The nu-free part of the likelihood at kernel cell values h."""
         hf = _g_flat(h)
+        return KernelExcitation(
+            [self.X[k] @ hf[:, k] for k in range(self.K)],
+            [float(self.W @ hf[:, k]) for k in range(self.K)])
+
+    def log_likelihood(self, nu: np.ndarray,
+                       h: np.ndarray | KernelExcitation) -> float:
+        """Linear-model log-likelihood for parameters on the cached grid.
+
+        h is the kernel's cell values or, to evaluate one kernel at many
+        rates, its `excite` result.
+        """
+        ex = h if isinstance(h, KernelExcitation) else self.excite(h)
         total = 0.0
         for k in range(self.K):
-            lam = nu[k] + self.X[k] @ hf[:, k]
-            if lam.size and lam.min() <= 0.0:
+            nu_k = float(nu[k])
+            seen = ex.terms[k]
+            term = seen.pop(nu_k, None)
+            if term is None:
+                lam = nu_k + ex.rows[k]
+                if lam.size and lam.min() <= 0.0:
+                    term = -np.inf
+                else:
+                    term = float(self.counts[k] @ np.log(lam))
+                if len(seen) == 2:
+                    del seen[next(iter(seen))]
+            seen[nu_k] = term
+            if term == -np.inf:
                 return -np.inf
-            total += float(np.log(lam).sum())
-            total -= float(nu[k] * self.T + self.W @ hf[:, k])
+            total += term
+            total -= float(nu_k * self.T + ex.comp[k])
         return total

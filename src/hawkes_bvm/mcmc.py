@@ -18,7 +18,7 @@ import numpy as np
 
 from .likelihood import LikelihoodCache, log_likelihood
 from .model import ModelParams
-from .priors import PriorSpec, log_prior, sample_prior
+from .priors import PriorSpec, sample_prior
 from .stream import EventStream
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -59,8 +59,33 @@ def merge_coefficients(theta: np.ndarray
     return 0.5 * (a + b), 0.5 * (a - b)
 
 
+class _Expansion:
+    """Everything the posterior needs from one (J, theta) that does not
+    depend on nu: the kernel cell values h, its model-class check
+    (hneg_sup, None outside the class), the coefficient log prior and,
+    once the likelihood asks for it, each mark's excitation."""
+
+    __slots__ = ("h", "nonneg", "hneg_sup", "theta_lp", "excitation")
+
+    def __init__(self, spec: PriorSpec, J: int, theta: np.ndarray):
+        self.h = spec.theta_to_h(J, theta)
+        self.nonneg = bool(self.h.min() >= 0.0)
+        self.hneg_sup = spec.kernel_admissible(self.h)
+        self.theta_lp = (-np.inf if self.hneg_sup is None
+                         else spec.theta_logpdf(theta))
+        self.excitation = None
+
+
 class PosteriorTarget:
-    """Cached posterior evaluation for one data stream and prior."""
+    """Cached posterior evaluation for one data stream and prior.
+
+    Each distinct (J, theta) is expanded once. The two most recently used
+    expansions are kept, keyed by content: the chain's state and its
+    pending proposal, unless two proposals in a row were rejected (the
+    state is then expanded again on its next use). A nu-move so reuses
+    the state's kernel terms and recomputes only the rate prior and the
+    moved mark's log term.
+    """
 
     def __init__(self, stream: EventStream, horizon: float,
                  spec: PriorSpec):
@@ -68,28 +93,53 @@ class PosteriorTarget:
         self.horizon = horizon
         self.spec = spec
         self._caches: dict[int, LikelihoodCache] = {}
+        self._expansions: dict[tuple, _Expansion] = {}
+
+    def _expand(self, J: int, theta: np.ndarray) -> _Expansion:
+        theta = np.asarray(theta, dtype=float)
+        key = (J, theta.shape, theta.tobytes())
+        ex = self._expansions.pop(key, None)
+        if ex is None:
+            ex = _Expansion(self.spec, J, theta)
+            if len(self._expansions) == 2:
+                del self._expansions[next(iter(self._expansions))]
+        self._expansions[key] = ex
+        return ex
 
     def log_lik(self, nu: np.ndarray, J: int,
                 theta: np.ndarray) -> float:
-        h = self.spec.theta_to_h(J, theta)
-        n_cells = h.shape[2]
-        if h.min() >= 0.0:
+        ex = self._expand(J, theta)
+        if ex.nonneg:
+            n_cells = ex.h.shape[2]
             cache = self._caches.get(n_cells)
             if cache is None:
                 cache = LikelihoodCache(self.stream, self.spec.K, n_cells,
                                         self.spec.support_end,
                                         self.horizon)
                 self._caches[n_cells] = cache
-            return cache.log_likelihood(nu, h)
+            if ex.excitation is None:
+                ex.excitation = cache.excite(ex.h)
+            return cache.log_likelihood(nu, ex.excitation)
         try:
-            params = ModelParams(nu, h, self.spec.support_end, "relu")
+            params = ModelParams(nu, ex.h, self.spec.support_end, "relu")
         except ValueError:
             return -np.inf
         return log_likelihood(params, self.stream, self.horizon)
 
     def log_pri(self, nu: np.ndarray, J: int,
                 theta: np.ndarray) -> float:
-        return log_prior(nu, J, theta, self.spec)
+        """Same value as `log_prior`, from the (J, theta) expansion."""
+        total = self.spec.dim_log_pmf(J)
+        if total == -np.inf:
+            return -np.inf
+        ex = self._expand(J, theta)
+        nu = np.asarray(nu, dtype=float)
+        if (ex.hneg_sup is None
+                or not self.spec.rates_admissible(nu, ex.hneg_sup)):
+            return -np.inf
+        total += self.spec.nu_logpdf(nu)
+        total += ex.theta_lp
+        return total
 
 
 @dataclass

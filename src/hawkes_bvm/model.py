@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,35 +11,27 @@ import numpy as np
 from .grids import GridFunction
 
 
-def spectral_radius(rho: np.ndarray, tol: float = 1e-12,
-                    max_iter: int = 10_000) -> float:
+def spectral_radius(rho: np.ndarray) -> float:
     """Largest eigenvalue modulus of a nonnegative square matrix.
 
-    Power iteration with a dense-eigenvalue fallback when the iteration
-    oscillates (e.g. permutation-like matrices).
+    Closed form for 1x1 and 2x2 matrices, whose eigenvalues are real for
+    nonnegative entries (the larger one is the Perron root); the dense
+    spectrum above that.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("rho must be a square matrix")
-    if np.any(rho < 0):
+    if (rho < 0).any():
         raise ValueError("rho must be entrywise nonnegative")
     n = rho.shape[0]
     if n == 1:
         return float(rho[0, 0])
-    if not rho.any():
-        return 0.0
-    x = np.full(n, 1.0 / np.sqrt(n))
-    lam_prev = 0.0
-    for _ in range(max_iter):
-        y = rho @ x
-        lam = float(np.linalg.norm(y))
-        if lam == 0.0:
-            return 0.0
-        x = y / lam
-        if abs(lam - lam_prev) <= tol * max(lam, 1.0):
-            return lam
-        lam_prev = lam
-    # oscillation: fall back to the full spectrum
+    if n == 2:
+        # (a + d)/2 + sqrt(((a - d)/2)^2 + bc), never forming bc, which
+        # can underflow
+        a, b, c, d = rho.ravel().tolist()
+        return 0.5 * (a + d) + math.hypot(0.5 * (a - d),
+                                          math.sqrt(b) * math.sqrt(c))
     return float(np.max(np.abs(np.linalg.eigvals(rho))))
 
 

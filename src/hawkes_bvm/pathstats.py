@@ -74,8 +74,7 @@ def max_window_count(stream: EventStream, support_end: float,
         # infinitesimally after t, i.e. events in ]t-A, t]
         lo = np.searchsorted(times, t - A, "right")
         hi = np.searchsorted(times, t, "right")
-        if t + 1e-15 <= horizon or t <= horizon:
-            best = max(best, hi - lo)
+        best = max(best, hi - lo)
     return int(best)
 
 

@@ -169,22 +169,38 @@ class PriorSpec:
         return _LINKS[self.link](series).reshape(
             self.K, self.K, basis.n_cells)
 
+    def dim_log_pmf(self, J: int) -> float:
+        """Log pmf of dimension J; -inf off the admissible dimensions."""
+        return _dim_log_pmf_table(self).get(J, -np.inf)
+
+    def kernel_admissible(self, h: np.ndarray) -> np.ndarray | None:
+        """The nu-free half of the model class: finite h whose positive
+        part is entrywise and spectrally subcritical. Returns hneg_sup,
+        the sup of the negative part over source marks and cells, which
+        each rate must exceed; None outside the class."""
+        if not np.isfinite(h).all():
+            return None
+        w = self.support_end / h.shape[2]
+        rho_plus = w * np.maximum(h, 0.0).sum(axis=2)
+        if rho_plus.max(initial=0.0) >= 1.0:
+            return None
+        if spectral_radius(rho_plus) >= 1.0:
+            return None
+        return np.maximum(-h, 0.0).max(axis=(0, 2))
+
+    @staticmethod
+    def rates_admissible(nu: np.ndarray, hneg_sup: np.ndarray) -> bool:
+        """The nu half of the model class: positive finite rates that
+        dominate the kernel's hneg_sup."""
+        return bool(((nu > 0) & np.isfinite(nu)
+                     & (nu - hneg_sup > 0)).all())
+
     def in_model_class(self, nu: np.ndarray, h: np.ndarray) -> bool:
         """Membership in the admissible class: positive rates, entrywise
         and spectrally subcritical positive part, rates dominating the
         negative-part sup."""
-        if np.any(nu <= 0) or not np.all(np.isfinite(nu)):
-            return False
-        if not np.all(np.isfinite(h)):
-            return False
-        w = self.support_end / h.shape[2]
-        rho_plus = w * np.maximum(h, 0.0).sum(axis=2)
-        if rho_plus.max(initial=0.0) >= 1.0:
-            return False
-        if spectral_radius(rho_plus) >= 1.0:
-            return False
-        hneg_sup = np.max(np.maximum(-h, 0.0), axis=(0, 2))
-        return bool(np.all(nu - hneg_sup > 0))
+        hneg_sup = self.kernel_admissible(h)
+        return hneg_sup is not None and self.rates_admissible(nu, hneg_sup)
 
     def _theta_dist(self):
         if self.theta_family == "shifted-exponential":
@@ -220,8 +236,14 @@ class PriorSpec:
         if x.min() <= 0:
             return -np.inf
         a, b = self.nu_shape, self.nu_rate
-        return float(np.sum((a - 1) * np.log(x) - b * x)
+        return float(((a - 1) * np.log(x) - b * x).sum()
                      + x.size * (a * np.log(b) - special.gammaln(a)))
+
+
+@functools.lru_cache(maxsize=None)
+def _dim_log_pmf_table(spec: "PriorSpec") -> dict[int, float]:
+    dims, logpmf = spec.j_log_pmf()
+    return dict(zip(dims.tolist(), logpmf.tolist()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -236,14 +258,12 @@ def _j_log_pmf_cached(spec: "PriorSpec") -> tuple[np.ndarray, np.ndarray]:
 def log_prior(nu: np.ndarray, J: int, theta: np.ndarray,
               spec: PriorSpec) -> float:
     """Unnormalized log prior density; -inf outside the model class."""
-    dims, logpmf = spec.j_log_pmf()
-    where = np.flatnonzero(dims == J)
-    if where.size == 0:
+    total = spec.dim_log_pmf(J)
+    if total == -np.inf:
         return -np.inf
     h = spec.theta_to_h(J, theta)
     if not spec.in_model_class(np.asarray(nu, dtype=float), h):
         return -np.inf
-    total = float(logpmf[where[0]])
     total += spec.nu_logpdf(np.asarray(nu, dtype=float))
     total += spec.theta_logpdf(theta)
     return total

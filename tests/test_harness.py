@@ -223,3 +223,15 @@ def test_cli_bad_model_exit_code(tmp_path):
     path = _write_cfg(tmp_path, {"h": "1.5"})  # supercritical
     assert cli_main(["simulate", "--config", path,
                      "--out", str(tmp_path / "o2")]) == 2
+
+
+def test_cli_bvm_report_identical_across_threads(tmp_path):
+    path = _write_cfg(tmp_path, {"mcmc_iters": "200"})
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"bvm{threads}"
+        assert cli_main(["bvm", "--config", path, "--out", str(out),
+                         "--threads", threads]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert all(r["ok"] for r in json.loads(reports[0])["replications"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hawkes_bvm.grids import Direction
 from hawkes_bvm.likelihood import (LanEstimator, LikelihoodCache,
@@ -200,3 +201,47 @@ def test_likelihood_cache_sentinel():
     cache = LikelihoodCache(s, 1, 1, 1.0, 1.0)
     assert cache.log_likelihood(np.array([0.1]),
                                 np.array([[[-0.5]]])) == -np.inf
+
+
+@st.composite
+def _stream_and_params(draw):
+    """A small stream on quarter-unit times (so ties are frequent) and a
+    linear or mixed-sign kernel in sixteenths, so that every intensity is
+    an exact float and both formulas see the same sign at each event."""
+    K = draw(st.sampled_from([1, 2]))
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 30))
+    ticks = draw(st.lists(st.integers(-4, 16), min_size=n, max_size=n))
+    marks = draw(st.lists(st.integers(1, K), min_size=n, max_size=n))
+    stream = EventStream(np.array(ticks) / 4.0, np.array(marks, dtype=int),
+                         -1.0, 4.0)
+    lowest = draw(st.sampled_from([0, -4]))
+    h = np.array(draw(st.lists(st.integers(lowest, 4), min_size=K * K * m,
+                               max_size=K * K * m))).reshape(K, K, m) / 16
+    extra = np.array(draw(st.lists(st.integers(1, 16), min_size=K,
+                                   max_size=K))) / 16
+    nu = np.maximum(-h, 0.0).max(axis=(0, 2)) + extra
+    return stream, nu, h
+
+
+@given(_stream_and_params())
+def test_deduplicated_cache_matches_exact_likelihood(case):
+    stream, nu, h = case
+    K, m, T = nu.size, h.shape[2], 4.0
+    cache = LikelihoodCache(stream, K, m, 1.0, T)
+    inside = (stream.times > 0) & (stream.times <= T)
+    for k in range(K):
+        assert cache.counts[k].sum() == np.sum(inside
+                                               & (stream.marks == k + 1))
+        assert np.unique(cache.X[k], axis=0).shape == cache.X[k].shape
+    exact = log_likelihood(ModelParams(nu, h, 1.0, "relu"), stream, T)
+    cached = cache.log_likelihood(nu, h)
+    assert (exact == -np.inf) == (cached == -np.inf)
+    if h.min() >= 0.0:  # the ReLU compensator is then the linear one
+        assert cached == pytest.approx(exact, rel=1e-10, abs=1e-12)
+    # one kernel's excitation at rates moved one mark at a time gives
+    # the fresh evaluation's value exactly
+    ex = cache.excite(h)
+    for rates in (nu, nu + np.eye(K)[0] / 8, nu, nu + np.eye(K)[-1] / 8):
+        assert cache.log_likelihood(rates, ex) == cache.log_likelihood(
+            rates, h)

@@ -6,8 +6,9 @@ from hawkes_bvm.mcmc import (ChainState, PosteriorTarget, Scales, ess,
                              run_chain, posterior_functional,
                              split_coefficients)
 from hawkes_bvm.functionals import FunctionalSpec
+from hawkes_bvm.likelihood import _compensator_weights, log_likelihood
 from hawkes_bvm.model import ModelParams
-from hawkes_bvm.priors import PriorSpec
+from hawkes_bvm.priors import PriorSpec, log_prior
 from hawkes_bvm.simulate import simulate_thinning
 
 
@@ -67,7 +68,6 @@ def test_posterior_target_matches_direct_likelihood():
     nu = np.array([0.9])
     theta = np.array([[[0.4, 0.2]]])
     h = spec.theta_to_h(2, theta)
-    from hawkes_bvm.likelihood import log_likelihood
     direct = log_likelihood(ModelParams(nu, h, 1.0), stream, T)
     assert target.log_lik(nu, 2, theta) == pytest.approx(direct, rel=1e-10)
 
@@ -200,3 +200,104 @@ def test_jump_moves_change_dimension():
     draws = run_chain(stream, T, spec, iters=4000, seed=16, p_j=0.5,
                       warn=False)
     assert len(set(draws.js)) > 1
+
+
+class _ReferenceTarget(PosteriorTarget):
+    """The evaluation without expansions: log_prior on every proposal
+    and, for a nonnegative kernel, nu + X @ h with the full count matrix
+    X (one row per event) built by a brute-force loop; other kernels take
+    the exact ReLU likelihood. Counts its -inf likelihoods."""
+
+    def __init__(self, stream, horizon, spec):
+        super().__init__(stream, horizon, spec)
+        self._full = {}
+        self.lik_rejections = 0
+
+    def _design(self, m):
+        if m not in self._full:
+            K, A, T = self.spec.K, self.spec.support_end, self.horizon
+            times, marks = self.stream.times, self.stream.marks
+            X = []
+            for k in range(K):
+                ev = times[(times > 0) & (times <= T) & (marks == k + 1)]
+                Xk = np.zeros((ev.size, K * m))
+                for i, t in enumerate(ev):
+                    for s, l in zip(times, marks):
+                        if t - A <= s < t:
+                            cell = min(int((t - s) / (A / m)), m - 1)
+                            Xk[i, (l - 1) * m + cell] += 1.0
+                X.append(Xk)
+            ref = ModelParams(np.ones(K), np.zeros((K, K, m)), A)
+            W = _compensator_weights(ref, self.stream, T).ravel()
+            self._full[m] = X, W
+        return self._full[m]
+
+    def log_pri(self, nu, J, theta):
+        return log_prior(nu, J, theta, self.spec)
+
+    def log_lik(self, nu, J, theta):
+        h = self.spec.theta_to_h(J, theta)
+        if h.min() >= 0.0:
+            K, m = self.spec.K, h.shape[2]
+            X, W = self._design(m)
+            hf = h.transpose(0, 2, 1).reshape(K * m, K)
+            total = 0.0
+            for k in range(K):
+                lam = nu[k] + X[k] @ hf[:, k]
+                if lam.size and lam.min() <= 0.0:
+                    return -np.inf
+                total += float(np.log(lam).sum())
+                total -= float(nu[k] * self.horizon + W @ hf[:, k])
+            return total
+        try:
+            params = ModelParams(nu, h, self.spec.support_end, "relu")
+        except ValueError:
+            value = -np.inf
+        else:
+            value = log_likelihood(params, self.stream, self.horizon)
+        self.lik_rejections += value == -np.inf
+        return value
+
+
+def _k2_case():
+    h = np.array([0.4, 0.2, 0.1, 0.05, 0.15, 0.1, 0.3, 0.2]).reshape(2, 2, 2)
+    f0 = ModelParams(np.array([0.6, 0.4]), h, 1.0)
+    return simulate_thinning(f0, 100.0, seed=33), 100.0, _spec(K=2), 150
+
+
+def _relu_case():
+    f0 = ModelParams(np.array([1.0]), np.array([[[-0.4, -0.2, 0.3, 0.1]]]),
+                     1.0, "relu")
+    spec = _spec(J_max=8, theta_family="gaussian", sigma=0.3)
+    return simulate_thinning(f0, 60.0, seed=34), 60.0, spec, 80
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (*_data(T=200.0), _spec(), 400),
+    _k2_case,
+    _relu_case,
+], ids=["k1-histogram", "k2-histogram", "relu-gaussian"])
+def test_chain_draws_equal_reference_evaluation(case):
+    stream, T, spec, sweeps = case()
+    paths, accepted = [], []
+    for cls in (_ReferenceTarget, PosteriorTarget):
+        target = cls(stream, T, spec)
+        rng = np.random.default_rng(17)
+        state = ChainState.initial(target, rng)
+        scales = Scales()
+        path, acc_total = [], {}
+        for _ in range(sweeps):
+            state, acc = mcmc_step(state, target, rng, scales, p_j=0.5)
+            path.append(state)
+            for key, n in acc.items():
+                acc_total[key] = acc_total.get(key, 0) + n
+        paths.append(path)
+        accepted.append(acc_total)
+        if cls is _ReferenceTarget and spec.theta_family == "gaussian":
+            assert target.lik_rejections > 0
+    assert accepted[0] == accepted[1]
+    assert accepted[0]["nu"] and accepted[0]["theta"] and accepted[0]["jump"]
+    for ref, new in zip(*paths):
+        assert ref.J == new.J
+        assert np.array_equal(ref.nu, new.nu)
+        assert np.array_equal(ref.theta, new.theta)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hawkes_bvm.model import ModelParams, spectral_radius, stationary_rates
 
@@ -22,6 +24,22 @@ def test_spectral_radius_permutation_fallback():
     # power iteration oscillates on a permutation; fallback must kick in
     rho = np.array([[0.0, 0.7], [0.7, 0.0]])
     assert spectral_radius(rho) == pytest.approx(0.7, rel=1e-10)
+
+
+_NONNEGATIVE_SQUARE = st.sampled_from([2, 3]).flatmap(
+    lambda n: arrays(float, (n, n), elements=st.floats(
+        0.0, 10.0, allow_subnormal=False)))
+
+
+@given(_NONNEGATIVE_SQUARE)
+@example(np.zeros((2, 2)))
+@example(np.zeros((3, 3)))
+@example(np.array([[0.0, 1.0], [1.0, 0.0]]))
+@example(np.array([[0.0, 0.0, 0.4], [0.4, 0.0, 0.0], [0.0, 0.4, 0.0]]))
+@example(np.array([[0.0, 1e-200], [1e-200, 0.0]]))  # bc underflows
+def test_spectral_radius_matches_dense_spectrum(rho):
+    expect = float(np.max(np.abs(np.linalg.eigvals(rho))))
+    assert abs(spectral_radius(rho) - expect) <= 1e-12 * expect
 
 
 def test_spectral_radius_rejects_negative():
