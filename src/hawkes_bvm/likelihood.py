@@ -11,25 +11,47 @@ from .simulate import simulate_thinning
 from .stream import EventStream
 
 
-def _window(times: np.ndarray, t: float, A: float) -> tuple[int, int]:
-    """Indices of events with age in (0, A] at time t."""
-    lo = int(np.searchsorted(times, t - A, "left"))
-    hi = int(np.searchsorted(times, t, "left"))
-    return lo, hi
+def _count_design(times: np.ndarray, marks: np.ndarray,
+                  queries: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  K: int, m: int, w: float) -> sparse.csr_matrix:
+    """Row q counts the events lo[q]..hi[q]-1 by mark l and age cell c
+    (column l*m + c), where the age is queries[q] - time and the cell is
+    min(int(age / w), m - 1)."""
+    n = hi - lo
+    indptr = np.concatenate(([0], np.cumsum(n)))
+    rows = np.repeat(np.arange(queries.size), n)
+    idx = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - lo, n)
+    cells = np.minimum(((queries[rows] - times[idx]) / w).astype(int),
+                       m - 1)
+    X = sparse.csr_matrix(
+        (np.ones(idx.size), (marks[idx] - 1) * m + cells, indptr),
+        shape=(queries.size, K * m))
+    # one stored count per (row, column): fewer entries for every product
+    X.sum_duplicates()
+    return X
 
 
-def _intensity_vector(params: ModelParams, stream: EventStream,
-                      t: float) -> np.ndarray:
-    A, m, w = params.support_end, params.n_cells, params.cell_width
-    lo, hi = _window(stream.times, t, A)
-    lam = params.nu.copy()
-    for i in range(lo, hi):
-        age = t - stream.times[i]
-        lam += params.h[stream.marks[i] - 1, :,
-                        min(int(age / w), m - 1)]
-    if params.kind == "relu":
-        lam = np.maximum(lam, 0.0)
-    return lam
+def window_design(times: np.ndarray, marks: np.ndarray,
+                  queries: np.ndarray, A: float, K: int,
+                  m: int) -> sparse.csr_matrix:
+    """Window-count design matrix, shape (n_query, K*m).
+
+    Entry [q, l*m + c] counts the events of mark l+1 with time in
+    [queries[q] - A, queries[q]), i.e. age in (0, A], whose age falls in
+    cell c = min(int(age / (A/m)), m - 1). times must be sorted. The
+    intensity at the queries is then nu + X @ _g_flat(h).
+    """
+    queries = np.asarray(queries, dtype=float)
+    lo = np.searchsorted(times, queries - A, "left")
+    hi = np.searchsorted(times, queries, "left")
+    return _count_design(times, marks, queries, lo, hi, K, m, A / m)
+
+
+def _design(params: ModelParams, stream: EventStream,
+            queries: np.ndarray) -> sparse.csr_matrix:
+    """The window design of a stream on the grid of params."""
+    return window_design(stream.times, stream.marks, queries,
+                         params.support_end, params.K, params.n_cells)
 
 
 def intensity_at(params: ModelParams, stream: EventStream, t: float,
@@ -37,8 +59,18 @@ def intensity_at(params: ModelParams, stream: EventStream, t: float,
     """Conditional intensity at time t; all marks, or one 1-based mark."""
     if t < stream.window_start + params.support_end or t > stream.horizon:
         raise ValueError("t outside the covered window")
-    lam = _intensity_vector(params, stream, t)
+    X = _design(params, stream, np.array([t]))
+    lam = (params.nu + X @ _g_flat(params.h))[0]
+    if params.kind == "relu":
+        lam = np.maximum(lam, 0.0)
     return lam if k is None else float(lam[k - 1])
+
+
+def _events(stream: EventStream, horizon: float) -> tuple[np.ndarray,
+                                                          np.ndarray]:
+    """Times and 0-based marks of the events in (0, T]."""
+    sel = (stream.times > 0) & (stream.times <= horizon)
+    return stream.times[sel], stream.marks[sel] - 1
 
 
 def _compensator_weights(params: ModelParams, stream: EventStream,
@@ -68,47 +100,43 @@ def _relu_sweep(params: ModelParams, stream: EventStream,
     Returns (integral of max(lambda, 0) per mark, measure of {lambda > 0}
     per mark).
     """
-    A, m, w = params.support_end, params.n_cells, params.cell_width
-    times, marks = stream.times, stream.marks
-    bps = [np.array([0.0, horizon])]
-    offs = times[:, None] + np.arange(m + 1)[None, :] * w
-    offs = offs.ravel()
-    bps.append(offs[(offs > 0) & (offs < horizon)])
-    bp = np.unique(np.concatenate(bps))
+    m, w = params.n_cells, params.cell_width
+    offs = (stream.times[:, None] + np.arange(m + 1)[None, :] * w).ravel()
+    bp = np.unique(np.concatenate(
+        ([0.0, horizon], offs[(offs > 0) & (offs < horizon)])))
     mids = 0.5 * (bp[:-1] + bp[1:])
     widths = np.diff(bp)
-    lam = np.tile(params.nu, (mids.size, 1))
-    for t_ev, mk in zip(times, marks):
-        ages = mids - t_ev
-        mask = (ages > 0) & (ages <= A)
-        if mask.any():
-            cells = np.minimum((ages[mask] / w).astype(int), m - 1)
-            lam[mask] += params.h[mk - 1, :, cells]
+    lam = params.nu + _design(params, stream, mids) @ _g_flat(params.h)
     comp = widths @ np.maximum(lam, 0.0)
     occ = widths @ (lam > 0.0)
     return comp, occ
+
+
+def _event_intensity(params: ModelParams, stream: EventStream,
+                     horizon: float) -> tuple[np.ndarray, np.ndarray,
+                                              sparse.csr_matrix]:
+    """Each event's own-mark intensity over (0, T], its 0-based mark and
+    the window design at the events."""
+    t, k = _events(stream, horizon)
+    X = _design(params, stream, t)
+    lam = params.nu + X @ _g_flat(params.h)
+    return lam[np.arange(k.size), k], k, X
 
 
 def log_likelihood(params: ModelParams, stream: EventStream,
                    horizon: float) -> float:
     """Conditional log-likelihood on (0, T]; -inf if an event has
     nonpositive intensity (MCMC rejection sentinel)."""
-    times, marks = stream.times, stream.marks
-    sel = (times > 0) & (times <= horizon)
-    total = 0.0
-    for t, mk in zip(times[sel], marks[sel]):
-        lam = _intensity_vector(params, stream, t)[mk - 1]
-        if lam <= 0.0:
-            return -np.inf
-        total += np.log(lam)
+    lam, _, _ = _event_intensity(params, stream, horizon)
+    if np.any(lam <= 0.0):
+        return -np.inf
+    total = float(np.log(lam).sum())
     if params.kind == "relu" and np.any(params.h < 0):
         comp, _ = _relu_sweep(params, stream, horizon)
-        total -= float(comp.sum())
-    else:
-        W = _compensator_weights(params, stream, horizon)
-        total -= float(params.nu.sum() * horizon
-                       + np.einsum("lc,lkc->", W, params.h))
-    return float(total)
+        return total - float(comp.sum())
+    W = _compensator_weights(params, stream, horizon)
+    return total - float(params.nu.sum() * horizon
+                         + np.einsum("lc,lkc->", W, params.h))
 
 
 def grad_loglik_nu(params: ModelParams, stream: EventStream,
@@ -116,36 +144,14 @@ def grad_loglik_nu(params: ModelParams, stream: EventStream,
     """Score with respect to nu: sum over mark-k events of 1/lambda^k,
     minus the occupation time of positive intensity (T in the linear
     model)."""
-    times, marks = stream.times, stream.marks
-    sel = (times > 0) & (times <= horizon)
-    grad = np.zeros(params.K)
-    for t, mk in zip(times[sel], marks[sel]):
-        lam = _intensity_vector(params, stream, t)[mk - 1]
-        if lam <= 0.0:
-            raise ValueError("nonpositive intensity at an event")
-        grad[mk - 1] += 1.0 / lam
+    lam, k, _ = _event_intensity(params, stream, horizon)
+    if np.any(lam <= 0.0):
+        raise ValueError("nonpositive intensity at an event")
+    grad = np.bincount(k, weights=1.0 / lam, minlength=params.K)
     if params.kind == "relu" and np.any(params.h < 0):
         _, occ = _relu_sweep(params, stream, horizon)
-        grad -= occ
-    else:
-        grad -= horizon
-    return grad
-
-
-def tilde_intensity(direction: Direction, stream: EventStream,
-                    t: float) -> np.ndarray:
-    """Perturbation intensity at t: xi_k + sum over window events of
-    g[l, k] at the age."""
-    A = direction.support_end
-    m = direction.n_cells
-    w = direction.cell_width
-    lo, hi = _window(stream.times, t, A)
-    lam = direction.xi.copy()
-    for i in range(lo, hi):
-        age = t - stream.times[i]
-        lam += direction.g[stream.marks[i] - 1, :,
-                           min(int(age / w), m - 1)]
-    return lam
+        return grad - occ
+    return grad - horizon
 
 
 def w_statistic(direction: Direction, f0: ModelParams,
@@ -156,17 +162,13 @@ def w_statistic(direction: Direction, f0: ModelParams,
     if (direction.K != f0.K or direction.n_cells != f0.n_cells
             or direction.support_end != f0.support_end):
         raise ValueError("direction grid mismatch")
-    times, marks = stream.times, stream.marks
-    sel = (times > 0) & (times <= horizon)
-    total = 0.0
-    for t, mk in zip(times[sel], marks[sel]):
-        lam = _intensity_vector(f0, stream, t)[mk - 1]
-        if lam <= 0.0:
-            raise ValueError("nonpositive intensity at an event")
-        total += tilde_intensity(direction, stream, t)[mk - 1] / lam
+    lam, k, X = _event_intensity(f0, stream, horizon)
+    if np.any(lam <= 0.0):
+        raise ValueError("nonpositive intensity at an event")
+    tilde = (direction.xi + X @ _g_flat(direction.g))[np.arange(k.size), k]
     W = _compensator_weights(f0, stream, horizon)
-    total -= float(direction.xi.sum() * horizon
-                   + np.einsum("lc,lkc->", W, direction.g))
+    total = float(np.sum(tilde / lam)) - float(
+        direction.xi.sum() * horizon + np.einsum("lc,lkc->", W, direction.g))
     return float(total / np.sqrt(horizon))
 
 
@@ -201,62 +203,43 @@ class LanEstimator:
             stream = simulate_thinning(f0, t_sim, seed=rng.integers(2**63))
         else:
             t_sim = stream.horizon
-        A, m, w, K = (f0.support_end, f0.n_cells, f0.cell_width, f0.K)
         # one point per stratum of [0, t_sim]
         strat = t_sim / n_points
         pts = (np.arange(n_points) + rng.uniform(size=n_points)) * strat
-        rows, cols = [], []
-        times, marks = stream.times, stream.marks
-        for i, t in enumerate(pts):
-            lo, hi = _window(times, t, A)
-            for j in range(lo, hi):
-                age = t - times[j]
-                cell = min(int(age / w), m - 1)
-                rows.append(i)
-                cols.append((marks[j] - 1) * m + cell)
-        data = np.ones(len(rows))
-        self.X = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(n_points, K * m))
+        self.X = _design(f0, stream, pts)
         self.lam0 = f0.nu[None, :] + self.X @ _g_flat(f0.h)
-
-    def _tilde(self, d: Direction) -> np.ndarray:
-        if (d.K != self.f0.K or d.n_cells != self.f0.n_cells
-                or d.support_end != self.f0.support_end):
-            raise ValueError("direction grid mismatch")
-        return d.xi[None, :] + self.X @ _g_flat(d.g)
-
-    def _batch_stats(self, vals: np.ndarray) -> tuple[float, float]:
-        means = vals.reshape(self.n_batches, -1).mean(axis=1)
-        est = float(means.mean())
-        se = float(means.std(ddof=1) / np.sqrt(self.n_batches))
-        return est, se
-
-    def inner(self, d1: Direction, d2: Direction) -> tuple[float, float]:
-        vals = np.sum(self._tilde(d1) * self._tilde(d2) / self.lam0, axis=1)
-        return self._batch_stats(vals)
-
-    def gram(self, dirs: list[Direction]) -> tuple[np.ndarray, np.ndarray]:
-        """LAN Gram matrix of a direction list plus batch-means SEs."""
-        D = len(dirs)
-        L = np.stack([self._tilde(d) / np.sqrt(self.lam0) for d in dirs],
-                     axis=2)  # (n_points, K, D)
-        gram = np.zeros((D, D))
-        se = np.zeros((D, D))
-        for a in range(D):
-            for b in range(a, D):
-                vals = np.sum(L[:, :, a] * L[:, :, b], axis=1)
-                gram[a, b], se[a, b] = self._batch_stats(vals)
-                gram[b, a], se[b, a] = gram[a, b], se[a, b]
-        return gram, se
 
     def gram_batches(self, dirs: list[Direction]) -> np.ndarray:
         """Per-batch LAN Gram matrices, shape (n_batches, D, D)."""
-        D = len(dirs)
-        L = np.stack([self._tilde(d) / np.sqrt(self.lam0) for d in dirs],
-                     axis=2)  # (n_points, K, D)
+        for d in dirs:
+            if (d.K != self.f0.K or d.n_cells != self.f0.n_cells
+                    or d.support_end != self.f0.support_end):
+                raise ValueError("direction grid mismatch")
+        D, K = len(dirs), self.f0.K
+        # column k*D + a: direction a's perturbation intensity of mark k,
+        # scaled by 1/sqrt(lambda0^k); all in place, as L is the largest
+        # array of a bias computation
+        G = np.stack([_g_flat(d.g) for d in dirs], axis=2)
+        L = self.X @ G.reshape(-1, K * D)
+        L += np.stack([d.xi for d in dirs], axis=1).ravel()
+        L = L.reshape(self.n_points, K, D)
+        L /= np.sqrt(self.lam0)[:, :, None]
         per_batch = self.n_points // self.n_batches
-        Lb = L.reshape(self.n_batches, per_batch, self.f0.K, D)
-        return np.einsum("bpka,bpkc->bac", Lb, Lb) / per_batch
+        Lb = L.reshape(self.n_batches, per_batch * K, D)
+        gram_b = np.matmul(Lb.transpose(0, 2, 1), Lb)
+        gram_b /= per_batch
+        # exactly symmetric, whatever order the product summed in
+        return 0.5 * (gram_b + gram_b.transpose(0, 2, 1))
+
+    def gram(self, dirs: list[Direction]) -> tuple[np.ndarray, np.ndarray]:
+        """LAN Gram matrix of a direction list plus batch-means SEs."""
+        gram_b = self.gram_batches(dirs)
+        se = gram_b.std(axis=0, ddof=1) / np.sqrt(self.n_batches)
+        return gram_b.mean(axis=0), se
+
+    def inner(self, d1: Direction, d2: Direction) -> tuple[float, float]:
+        gram, se = self.gram([d1, d2])
+        return float(gram[0, 1]), float(se[0, 1])
 
 
 def lan_inner_product(dir1: Direction, dir2: Direction, f0: ModelParams,
@@ -301,21 +284,14 @@ class LikelihoodCache:
                  support_end: float, horizon: float):
         self.K, self.m = K, n_cells
         self.A, self.T = support_end, horizon
-        w = support_end / n_cells
-        times, marks = stream.times, stream.marks
-        sel = (times > 0) & (times <= horizon)
+        t, k = _events(stream, horizon)
+        X = window_design(stream.times, stream.marks, t, support_end, K,
+                          n_cells).toarray()
         self.X: list[np.ndarray] = []
         self.counts: list[np.ndarray] = []
-        for k in range(K):
-            ev = times[sel & (marks == k + 1)]
-            Xk = np.zeros((ev.size, K * n_cells))
-            for i, t in enumerate(ev):
-                lo, hi = _window(times, t, support_end)
-                for j in range(lo, hi):
-                    age = t - times[j]
-                    cell = min(int(age / w), n_cells - 1)
-                    Xk[i, (marks[j] - 1) * n_cells + cell] += 1.0
-            rows, counts = np.unique(Xk, axis=0, return_counts=True)
+        for mark in range(K):
+            rows, counts = np.unique(X[k == mark], axis=0,
+                                     return_counts=True)
             self.X.append(rows)
             self.counts.append(counts.astype(float))
         # compensator weights, flattened over (l, c)

@@ -16,9 +16,11 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .grids import Direction
-from .likelihood import LanEstimator, _window, w_statistic
+from .likelihood import (LanEstimator, _count_design, _g_flat, window_design,
+                         w_statistic)
 from .model import ModelParams, stationary_rates
 from .simulate import simulate_thinning
 from .stream import EventStream
@@ -143,18 +145,16 @@ def load_palm(path: str) -> PalmEstimates:
         return PalmEstimates.from_json(fh.read())
 
 
-def _intensity_many(f0: ModelParams, win_t: np.ndarray, win_k: np.ndarray,
-                    ts: np.ndarray) -> np.ndarray:
-    """Intensities (len(ts), K) from a local event window."""
-    A, m0, w0 = f0.support_end, f0.n_cells, f0.cell_width
-    lam = np.tile(f0.nu, (ts.size, 1))
-    for t_ev, mk in zip(win_t, win_k):
-        ages = ts - t_ev
-        mask = (ages > 0) & (ages <= A)
-        if mask.any():
-            cells = np.minimum((ages[mask] / w0).astype(int), m0 - 1)
-            lam[mask] += f0.h[mk - 1, :, cells]
-    return lam
+def _grouped_outer(X: sparse.csr_matrix, inv: np.ndarray,
+                   group: np.ndarray, n_group: int) -> np.ndarray:
+    """out[g] = sum over rows r with group[r] == g of outer(X[r], inv[r]),
+    shape (n_group, X.shape[1], inv.shape[1])."""
+    n_col = X.shape[1]
+    coo = X.tocoo()
+    P = sparse.csr_matrix(
+        (coo.data, (group[coo.row] * n_col + coo.col, coo.row)),
+        shape=(n_group * n_col, X.shape[0]))
+    return (P @ inv).reshape(n_group, n_col, inv.shape[1])
 
 
 def estimate_palm(f0: ModelParams, n_cells: int,
@@ -180,34 +180,33 @@ def estimate_palm(f0: ModelParams, n_cells: int,
         stream = simulate_thinning(f0, horizon, seed=rng.integers(2**63))
     else:
         horizon = stream.horizon
-    w = A / n_cells
-    mids = (np.arange(n_cells) + 0.5) * w
+    m, m0 = n_cells, f0.n_cells
+    mids = (np.arange(m) + 0.5) * (A / m)
     times, marks = stream.times, stream.marks
+    hf = _g_flat(f0.h)
+
+    def inverse_intensity(queries):
+        X0 = window_design(times, marks, queries, A, K, m0)
+        return 1.0 / (f0.nu + X0 @ hf)
 
     # stationary-time tensors a and D
     if n_points % n_batches:
         n_points += n_batches - n_points % n_batches
     strat = horizon / n_points
     pts = (np.arange(n_points) + rng.uniform(size=n_points)) * strat
-    a_b = np.zeros((n_batches, K))
-    D_b = np.zeros((n_batches, K, K, n_cells))
     per_batch_pts = n_points // n_batches
-    for i, t in enumerate(pts):
-        b = i // per_batch_pts
-        lo, hi = _window(times, t, A)
-        lam = _intensity_many(f0, times[lo:hi], marks[lo:hi],
-                              np.array([t]))[0]
-        inv = 1.0 / lam
-        a_b[b] += inv
-        for j in range(lo, hi):
-            c = min(int((t - times[j]) / w), n_cells - 1)
-            D_b[b, marks[j] - 1, :, c] += inv
+    inv = inverse_intensity(pts)
+    a_b = inv.reshape(n_batches, per_batch_pts, K).sum(axis=1)
+    D_b = _grouped_outer(window_design(times, marks, pts, A, K, m), inv,
+                         np.arange(n_points) // per_batch_pts, n_batches)
+    D_b = D_b.reshape(n_batches, K, m, K).transpose(0, 1, 3, 2)
     a_b /= per_batch_pts
     D_b /= per_batch_pts
 
-    # anchored Palm tensors p and C
-    p_b = np.zeros((n_batches, K, K, n_cells))
-    C_b = np.zeros((n_batches, K, K, K, n_cells, n_cells))
+    # anchored Palm tensors p and C, at the grid midpoints after each
+    # anchor; C counts every window event but those tied with the anchor
+    p_b = np.zeros((n_batches, K, K, m))
+    C_b = np.zeros((n_batches, K, K, K, m, m))
     for l in range(K):
         anchors = times[(marks == l + 1) & (times >= 0)
                         & (times <= horizon - A)]
@@ -217,35 +216,20 @@ def estimate_palm(f0: ModelParams, n_cells: int,
         if anchors.size > n_anchors:
             idx = np.linspace(0, anchors.size - 1, n_anchors).astype(int)
             anchors = anchors[np.unique(idx)]
-        n = anchors.size
-        per_batch = np.array_split(np.arange(n), n_batches)
-        for b, idxs in enumerate(per_batch):
-            cnt = len(idxs)
-            for i in idxs:
-                t0 = anchors[i]
-                lo = np.searchsorted(times, t0 - A, "left")
-                hi = np.searchsorted(times, t0 + A, "right")
-                wt, wk = times[lo:hi], marks[lo:hi]
-                ts = t0 + mids
-                lam = _intensity_many(f0, wt, wk, ts)
-                inv = 1.0 / lam  # (n_cells, K)
-                p_b[b, l] += inv.T
-                for t_ev, mk in zip(wt, wk):
-                    if t_ev == t0:
-                        continue
-                    lags = ts - t_ev
-                    mask = (lags > 0) & (lags <= A)
-                    if not mask.any():
-                        continue
-                    cs = np.flatnonzero(mask)
-                    cps = np.minimum((lags[cs] / w).astype(int),
-                                     n_cells - 1)
-                    np.add.at(
-                        C_b[b, l, mk - 1].transpose(1, 2, 0),
-                        (cs, cps), inv[cs, :])
-            if cnt:
-                p_b[b, l] /= cnt
-                C_b[b, l] /= cnt
+        for b, batch in enumerate(np.array_split(anchors, n_batches)):
+            cnt = batch.size
+            if not cnt:
+                continue
+            queries = (batch[:, None] + mids[None, :]).ravel()
+            inv = inverse_intensity(queries)
+            p_b[b, l] = inv.reshape(cnt, m, K).sum(axis=0).T / cnt
+            tie_lo = np.repeat(np.searchsorted(times, batch, "left"), m)
+            tie_hi = np.repeat(np.searchsorted(times, batch, "right"), m)
+            X = (window_design(times, marks, queries, A, K, m)
+                 - _count_design(times, marks, queries, tie_lo, tie_hi, K,
+                                 m, A / m))
+            C = _grouped_outer(X, inv, np.arange(queries.size) % m, m)
+            C_b[b, l] = C.reshape(m, K, m, K).transpose(1, 3, 0, 2) / cnt
     return PalmEstimates(A, mu, a_b, D_b, p_b, C_b)
 
 

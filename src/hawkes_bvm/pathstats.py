@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .likelihood import _g_flat, window_design
 from .model import ModelParams
 from .stream import EventStream
 
@@ -66,16 +67,12 @@ def max_window_count(stream: EventStream, support_end: float,
     """
     A = support_end
     times = stream.times if mark is None else stream.mark_times(mark)
-    best = 0
-    for t in times:
-        if t > horizon:
-            break
-        # window ]t, t+A] ending just after t: evaluate N([u-A, u[) at u
-        # infinitesimally after t, i.e. events in ]t-A, t]
-        lo = np.searchsorted(times, t - A, "right")
-        hi = np.searchsorted(times, t, "right")
-        best = max(best, hi - lo)
-    return int(best)
+    # the window ]t, t+A] ending just after t: evaluate N([u-A, u[) at u
+    # infinitesimally after t, i.e. count the events in ]t-A, t]
+    t = times[times <= horizon]
+    lo = np.searchsorted(times, t - A, "right")
+    hi = np.searchsorted(times, t, "right")
+    return int(np.max(hi - lo, initial=0))
 
 
 def stochastic_distance_dT(f: ModelParams, f_alt: ModelParams,
@@ -86,34 +83,23 @@ def stochastic_distance_dT(f: ModelParams, f_alt: ModelParams,
     if (f.K != f_alt.K or f.n_cells != f_alt.n_cells
             or f.support_end != f_alt.support_end):
         raise ValueError("mismatched grids")
-    A, m, w, K = f.support_end, f.n_cells, f.cell_width, f.K
-    xi = f.nu - f_alt.nu
-    g = f.h - f_alt.h
+    if decomposition.segments.size == 0:
+        return 0.0
+    m, w = f.n_cells, f.cell_width
     T = decomposition.horizon
-    times, marks = stream.times, stream.marks
-    total = 0.0
-    for seg_lo, seg_hi in decomposition.segments:
-        # breakpoints: segment ends plus every event-time + cell-edge
-        # offset falling inside the segment
-        lo_idx = np.searchsorted(times, seg_lo - A, "left")
-        hi_idx = np.searchsorted(times, seg_hi, "left")
-        ev_t = times[lo_idx:hi_idx]
-        bps = [np.array([seg_lo, seg_hi])]
-        if ev_t.size:
-            offs = ev_t[:, None] + np.arange(m + 1)[None, :] * w
-            offs = offs.ravel()
-            bps.append(offs[(offs > seg_lo) & (offs < seg_hi)])
-        bp = np.unique(np.concatenate(bps))
-        mids = 0.5 * (bp[:-1] + bp[1:])
-        widths = np.diff(bp)
-        # lambda-tilde at the midpoints: xi_k + sum over window events of
-        # g[l, k, cell(age)]
-        lam = np.tile(xi, (mids.size, 1))
-        for t_ev, mk in zip(times[lo_idx:hi_idx], marks[lo_idx:hi_idx]):
-            ages = mids - t_ev
-            mask = (ages > 0) & (ages <= A)
-            if mask.any():
-                cells = np.minimum((ages[mask] / w).astype(int), m - 1)
-                lam[mask] += g[mk - 1, :, cells]
-        total += float(np.sum(widths[:, None] * lam ** 2))
-    return float(np.sqrt(total / T))
+    seg_lo, seg_hi = decomposition.segments.T
+    # breakpoints: segment ends plus every event-time + cell-edge offset;
+    # an interval between consecutive breakpoints lies in a segment when
+    # its midpoint does, and lambda-tilde is constant on it
+    offs = (stream.times[:, None] + np.arange(m + 1)[None, :] * w).ravel()
+    bp = np.unique(np.concatenate((seg_lo, seg_hi, offs)))
+    mids = 0.5 * (bp[:-1] + bp[1:])
+    seg = np.searchsorted(seg_lo, mids, "right") - 1
+    inside = (seg >= 0) & (mids < seg_hi[np.maximum(seg, 0)])
+    mids, widths = mids[inside], np.diff(bp)[inside]
+    # lambda-tilde at the midpoints: xi_k + sum over window events of
+    # g[l, k, cell(age)]
+    lam = (f.nu - f_alt.nu) + window_design(
+        stream.times, stream.marks, mids, f.support_end, f.K,
+        m) @ _g_flat(f.h - f_alt.h)
+    return float(np.sqrt(np.sum(widths[:, None] * lam ** 2) / T))
