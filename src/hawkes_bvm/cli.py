@@ -9,11 +9,12 @@ import sys
 
 import numpy as np
 
-from .harness import (_atomic_write, compute_efficiency, emit_outputs,
-                      load_config, run_experiment)
+from .harness import (compute_efficiency, emit_outputs, load_config,
+                      run_experiment)
 from .mcmc import run_chain
 from .palm import save_palm
 from .simulate import simulate_thinning
+from .stream import atomic_write
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,8 +56,8 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             stream = simulate_thinning(config.f0, config.horizons[0],
                                        seed=config.seed)
-            _atomic_write(os.path.join(out_dir, "events.csv"),
-                          stream.to_csv())
+            atomic_write(os.path.join(out_dir, "events.csv"),
+                         stream.to_csv())
             print(f"wrote {len(stream)} events to {out_dir}/events.csv")
         elif args.command == "infer":
             horizon = config.horizons[0]
@@ -67,10 +68,10 @@ def main(argv=None) -> int:
                               burn_in=config.mcmc_burn_in,
                               thin=config.mcmc_thin,
                               seed=config.seed, p_j=config.p_j)
-            _atomic_write(os.path.join(out_dir, "draws.csv"),
-                          draws.to_csv())
-            _atomic_write(os.path.join(out_dir, "chain.json"),
-                          draws.summary_json())
+            atomic_write(os.path.join(out_dir, "draws.csv"),
+                         draws.to_csv())
+            atomic_write(os.path.join(out_dir, "chain.json"),
+                         draws.summary_json())
             print(f"wrote {len(draws)} draws to {out_dir}/draws.csv")
         elif args.command == "palm":
             eff = compute_efficiency(config)
@@ -80,8 +81,8 @@ def main(argv=None) -> int:
                 "residual": eff["residual"],
                 "converged": eff["converged"],
             }
-            _atomic_write(os.path.join(out_dir, "efficiency.json"),
-                          json.dumps(summary, indent=2))
+            atomic_write(os.path.join(out_dir, "efficiency.json"),
+                         json.dumps(summary, indent=2))
             print(f"V0 = {eff['v0']:.6g} "
                   f"(residual {eff['residual']:.2e})")
             if not eff["converged"]:

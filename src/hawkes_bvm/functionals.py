@@ -79,15 +79,8 @@ def _check_indices(spec: FunctionalSpec, K: int) -> None:
 
 def eval_functional(spec: FunctionalSpec, params: ModelParams) -> float:
     """Exact grid evaluation of the functional at the parameters."""
-    _check_indices(spec, params.K)
-    if spec.kind == "background":
-        return float(params.nu[spec.k - 1])
-    h = params.h[spec.l - 1, spec.k - 1]
-    w = params.cell_width
-    if spec.kind == "squared_l2":
-        return float(w * np.sum(h ** 2))
-    a = spec._a_values(params.n_cells)
-    return float(w * np.dot(a, h))
+    return eval_functional_values(spec, params.nu, params.h,
+                                  params.support_end)
 
 
 def eval_functional_values(spec: FunctionalSpec, nu: np.ndarray,

@@ -6,7 +6,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ from .palm import (bias_term, efficient_estimate, estimate_palm,
                    info_operator_invert, optimal_variance)
 from .priors import PriorSpec, histogram_basis
 from .simulate import simulate_thinning
+from .stream import atomic_write
 
 
 def parse_config_text(text: str) -> dict:
@@ -305,7 +305,9 @@ def coverage_table(report: dict, levels=(0.90, 0.95)) -> dict:
     ok = [r for r in report["replications"] if r["ok"]]
     out = {}
     for level in levels:
-        key = "covered90" if abs(level - 0.90) < 1e-9 else "covered95"
+        key = f"covered{round(100 * level)}"
+        if any(key not in r for r in ok):
+            raise ValueError(f"no replication records {key}")
         hits = np.array([r[key] for r in ok], dtype=float)
         n = hits.size
         if n == 0:
@@ -320,18 +322,6 @@ def coverage_table(report: dict, levels=(0.90, 0.95)) -> dict:
     return out
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = tempfile.NamedTemporaryFile(
-        "w", dir=os.path.dirname(os.path.abspath(path)), delete=False)
-    try:
-        tmp.write(text)
-        tmp.close()
-        os.replace(tmp.name, path)
-    except BaseException:
-        os.unlink(tmp.name)
-        raise
-
-
 def emit_outputs(report: dict, out_dir: str) -> list[str]:
     """Write report.json, replications.csv, posterior_<r>.csv and
     plots.gp; returns the written paths."""
@@ -343,7 +333,7 @@ def emit_outputs(report: dict, out_dir: str) -> list[str]:
         {k: v for k, v in r.items() if k != "samples"}
         for r in report["replications"]]
     path = os.path.join(out_dir, "report.json")
-    _atomic_write(path, json.dumps(slim, indent=2))
+    atomic_write(path, json.dumps(slim, indent=2))
     written.append(path)
 
     lines = ["replication,horizon,ok,psi_hat,post_mean,post_sd,"
@@ -359,7 +349,7 @@ def emit_outputs(report: dict, out_dir: str) -> list[str]:
         else:
             lines.append(f"{i},{r['horizon']},0,,,,,,,")
     path = os.path.join(out_dir, "replications.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
     written.append(path)
 
     for i, r in enumerate(report["replications"]):
@@ -367,7 +357,7 @@ def emit_outputs(report: dict, out_dir: str) -> list[str]:
             continue
         body = "psi\n" + "\n".join(repr(v) for v in r["samples"]) + "\n"
         path = os.path.join(out_dir, f"posterior_{i}.csv")
-        _atomic_write(path, body)
+        atomic_write(path, body)
         written.append(path)
 
     v0 = report["v0"]
@@ -387,6 +377,6 @@ plot 'replications.csv' skip 1 using 1:9 with points title 'covered'
 unset multiplot
 """
     path = os.path.join(out_dir, "plots.gp")
-    _atomic_write(path, gp)
+    atomic_write(path, gp)
     written.append(path)
     return written

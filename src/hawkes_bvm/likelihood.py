@@ -92,6 +92,18 @@ def _compensator_weights(params: ModelParams, stream: EventStream,
     return W
 
 
+def sweep_pieces(times: np.ndarray, m: int, w: float,
+                 bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and widths of the pieces between consecutive
+    breakpoints: the bounds plus every event-time + cell-edge offset
+    (time + c*w, c = 0..m) strictly between the smallest and largest
+    bound. The window design at cell width w is constant on each piece."""
+    lo, hi = bounds.min(), bounds.max()
+    offs = (times[:, None] + np.arange(m + 1)[None, :] * w).ravel()
+    bp = np.unique(np.concatenate((bounds, offs[(offs > lo) & (offs < hi)])))
+    return 0.5 * (bp[:-1] + bp[1:]), np.diff(bp)
+
+
 def _relu_sweep(params: ModelParams, stream: EventStream,
                 horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact compensator and positive-part occupation time for the ReLU
@@ -100,12 +112,8 @@ def _relu_sweep(params: ModelParams, stream: EventStream,
     Returns (integral of max(lambda, 0) per mark, measure of {lambda > 0}
     per mark).
     """
-    m, w = params.n_cells, params.cell_width
-    offs = (stream.times[:, None] + np.arange(m + 1)[None, :] * w).ravel()
-    bp = np.unique(np.concatenate(
-        ([0.0, horizon], offs[(offs > 0) & (offs < horizon)])))
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    widths = np.diff(bp)
+    mids, widths = sweep_pieces(stream.times, params.n_cells,
+                                params.cell_width, np.array([0.0, horizon]))
     lam = params.nu + _design(params, stream, mids) @ _g_flat(params.h)
     comp = widths @ np.maximum(lam, 0.0)
     occ = widths @ (lam > 0.0)
@@ -178,6 +186,27 @@ def _g_flat(g: np.ndarray) -> np.ndarray:
     return g.transpose(0, 2, 1).reshape(K * m, K)
 
 
+def stratified_points(horizon: float, n_points: int, n_batches: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """One uniform point per stratum of [0, horizon], with n_points
+    rounded up to a multiple of n_batches so that consecutive points
+    split into equal batches."""
+    if n_points % n_batches:
+        n_points += n_batches - n_points % n_batches
+    return (np.arange(n_points) + rng.uniform(size=n_points)) * (
+        horizon / n_points)
+
+
+def batch_means(values_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over the leading batch axis and its batch-means standard
+    error std(ddof=1) / sqrt(B); the error is 0 with one batch."""
+    mean = values_b.mean(axis=0)
+    n_batches = values_b.shape[0]
+    if n_batches < 2:
+        return mean, np.zeros_like(mean)
+    return mean, values_b.std(axis=0, ddof=1) / np.sqrt(n_batches)
+
+
 class LanEstimator:
     """Ergodic estimator of the LAN inner product at a fixed truth f0.
 
@@ -193,19 +222,15 @@ class LanEstimator:
                  stream: EventStream | None = None):
         if f0.kind != "linear":
             raise ValueError("LAN estimator requires the linear model")
-        if n_points % n_batches:
-            n_points += n_batches - n_points % n_batches
         self.f0 = f0
-        self.n_points = n_points
         self.n_batches = n_batches
         rng = np.random.default_rng(seed)
         if stream is None:
             stream = simulate_thinning(f0, t_sim, seed=rng.integers(2**63))
         else:
             t_sim = stream.horizon
-        # one point per stratum of [0, t_sim]
-        strat = t_sim / n_points
-        pts = (np.arange(n_points) + rng.uniform(size=n_points)) * strat
+        pts = stratified_points(t_sim, n_points, n_batches, rng)
+        self.n_points = pts.size
         self.X = _design(f0, stream, pts)
         self.lam0 = f0.nu[None, :] + self.X @ _g_flat(f0.h)
 
@@ -233,9 +258,7 @@ class LanEstimator:
 
     def gram(self, dirs: list[Direction]) -> tuple[np.ndarray, np.ndarray]:
         """LAN Gram matrix of a direction list plus batch-means SEs."""
-        gram_b = self.gram_batches(dirs)
-        se = gram_b.std(axis=0, ddof=1) / np.sqrt(self.n_batches)
-        return gram_b.mean(axis=0), se
+        return batch_means(self.gram_batches(dirs))
 
     def inner(self, d1: Direction, d2: Direction) -> tuple[float, float]:
         gram, se = self.gram([d1, d2])

@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .grids import Direction
-from .likelihood import (LanEstimator, _count_design, _g_flat, window_design,
-                         w_statistic)
+from .likelihood import (LanEstimator, _count_design, _g_flat, batch_means,
+                         stratified_points, window_design, w_statistic)
 from .model import ModelParams, stationary_rates
 from .simulate import simulate_thinning
-from .stream import EventStream
+from .stream import EventStream, atomic_write
 
 # an operator image (xi', g') has the same shape as a direction
 OperatorImage = Direction
@@ -81,9 +79,7 @@ class PalmEstimates:
 
     @property
     def p_se(self) -> np.ndarray:
-        if self.n_batches < 2:
-            return np.zeros_like(self.p)
-        return self.p_b.std(axis=0, ddof=1) / np.sqrt(self.n_batches)
+        return batch_means(self.p_b)[1]
 
     @classmethod
     def poisson(cls, nu: np.ndarray, support_end: float,
@@ -129,15 +125,7 @@ def palm_cache_key(f0: ModelParams, n_cells: int, horizon: float,
 
 
 def save_palm(palm: PalmEstimates, path: str) -> None:
-    tmp = tempfile.NamedTemporaryFile(
-        "w", dir=os.path.dirname(os.path.abspath(path)), delete=False)
-    try:
-        tmp.write(palm.to_json())
-        tmp.close()
-        os.replace(tmp.name, path)
-    except BaseException:
-        os.unlink(tmp.name)
-        raise
+    atomic_write(path, palm.to_json())
 
 
 def load_palm(path: str) -> PalmEstimates:
@@ -190,15 +178,12 @@ def estimate_palm(f0: ModelParams, n_cells: int,
         return 1.0 / (f0.nu + X0 @ hf)
 
     # stationary-time tensors a and D
-    if n_points % n_batches:
-        n_points += n_batches - n_points % n_batches
-    strat = horizon / n_points
-    pts = (np.arange(n_points) + rng.uniform(size=n_points)) * strat
-    per_batch_pts = n_points // n_batches
+    pts = stratified_points(horizon, n_points, n_batches, rng)
+    per_batch_pts = pts.size // n_batches
     inv = inverse_intensity(pts)
     a_b = inv.reshape(n_batches, per_batch_pts, K).sum(axis=1)
     D_b = _grouped_outer(window_design(times, marks, pts, A, K, m), inv,
-                         np.arange(n_points) // per_batch_pts, n_batches)
+                         np.arange(pts.size) // per_batch_pts, n_batches)
     D_b = D_b.reshape(n_batches, K, m, K).transpose(0, 1, 3, 2)
     a_b /= per_batch_pts
     D_b /= per_batch_pts
@@ -241,12 +226,18 @@ def apply_palm_zeta(palm: PalmEstimates, g: np.ndarray) -> np.ndarray:
     return np.einsum("ljkcd,d->ljkc", palm.C, g)
 
 
+def _palm_image(mu, a, D, p, C, xi: np.ndarray,
+                g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma(xi, g) from the tensors; a, D, p and C may carry leading
+    batch axes, which the image (xi', g') then carries too."""
+    xi_out = xi * a + np.einsum("...lkc,lkc->...k", D, g)
+    zeta = np.einsum("...ljkcd,jkd->...lkc", C, g)
+    g_out = mu[:, None, None] * (xi[None, :, None] * p + g * p + zeta)
+    return xi_out, g_out
+
+
 def _apply_tensors(mu, a, D, p, C, d: Direction) -> Direction:
-    xi_out = d.xi * a + np.einsum("lkc,lkc->k", D, d.g)
-    zeta = np.einsum("ljkcd,jkd->lkc", C, d.g)
-    g_out = mu[:, None, None] * (
-        d.xi[None, :, None] * p + d.g * p + zeta)
-    return Direction(xi_out, g_out, d.support_end)
+    return Direction(*_palm_image(mu, a, D, p, C, d.xi, d.g), d.support_end)
 
 
 def info_operator_apply(palm: PalmEstimates,
@@ -260,19 +251,11 @@ def info_operator_apply(palm: PalmEstimates,
 def info_operator_apply_batched(palm: PalmEstimates, d: Direction
                                 ) -> tuple[OperatorImage, OperatorImage]:
     """Gamma(d) plus a batch-means SE image."""
-    images = [_apply_tensors(palm.mu, palm.a_b[b], palm.D_b[b],
-                             palm.p_b[b], palm.C_b[b], d)
-              for b in range(palm.n_batches)]
-    xi_all = np.stack([im.xi for im in images])
-    g_all = np.stack([im.g for im in images])
-    B = palm.n_batches
-    mean = Direction(xi_all.mean(axis=0), g_all.mean(axis=0),
-                     d.support_end)
-    if B < 2:
-        return mean, Direction.zero(d.K, d.support_end, d.n_cells)
-    se = Direction(xi_all.std(axis=0, ddof=1) / np.sqrt(B),
-                   g_all.std(axis=0, ddof=1) / np.sqrt(B), d.support_end)
-    return mean, se
+    xi_b, g_b = _palm_image(palm.mu, palm.a_b, palm.D_b, palm.p_b,
+                            palm.C_b, d.xi, d.g)
+    (xi, xi_se), (g, g_se) = batch_means(xi_b), batch_means(g_b)
+    return (Direction(xi, g, d.support_end),
+            Direction(xi_se, g_se, d.support_end))
 
 
 def info_operator_invert(palm: PalmEstimates, target: OperatorImage,
@@ -331,8 +314,8 @@ def efficient_estimate(psi_at_f0: float, f0: ModelParams,
                        psi_L: Direction, stream: EventStream,
                        horizon: float) -> float:
     """Oracle efficient estimator: psi(f0) + W_T(psi_L)/sqrt(T)."""
-    return psi_at_f0 + w_statistic(psi_L, f0, stream, horizon) / np.sqrt(
-        horizon)
+    return float(psi_at_f0 + w_statistic(psi_L, f0, stream, horizon)
+                 / np.sqrt(horizon))
 
 
 def bias_term(basis_dirs: list[Direction], f_dir: Direction,
@@ -359,12 +342,8 @@ def bias_term(basis_dirs: list[Direction], f_dir: Direction,
     g_bp = G[:nb, nb + 1]
     alpha = np.linalg.solve(G_bb, g_bf)
     beta = np.linalg.solve(G_bb, g_bp)
-    B = gram_b.shape[0]
-    vals = np.empty(B)
-    for b in range(B):
-        Gb = gram_b[b]
-        vals[b] = (Gb[nb, nb + 1] - alpha @ Gb[:nb, nb + 1]
-                   - beta @ Gb[:nb, nb] + alpha @ Gb[:nb, :nb] @ beta)
-    bj = -float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(B)) if B > 1 else 0.0
-    return bj, se, flagged
+    vals = np.array([Gb[nb, nb + 1] - alpha @ Gb[:nb, nb + 1]
+                     - beta @ Gb[:nb, nb] + alpha @ Gb[:nb, :nb] @ beta
+                     for Gb in gram_b])
+    bj, se = batch_means(vals)
+    return -float(bj), float(se), flagged

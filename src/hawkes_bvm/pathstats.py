@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import _g_flat, window_design
+from .likelihood import _g_flat, sweep_pieces, window_design
 from .model import ModelParams
 from .stream import EventStream
 
@@ -39,22 +39,16 @@ def renewal_decomposition(stream: EventStream, support_end: float,
     a gap of at least A (no event in ]t*, t*+A]), with tau <= horizon."""
     A = support_end
     times = stream.times
-    taus = []
-    for i, t in enumerate(times):
-        nxt = times[i + 1] if i + 1 < times.size else np.inf
-        tau = t + A
-        if nxt > tau and tau <= horizon:
-            taus.append(tau)
-    taus = np.array(taus)
-    segments = []
-    for n in range(taus.size - 1):
-        tau, tau_next = taus[n], taus[n + 1]
-        after = times[np.searchsorted(times, tau, "right"):]
-        chi = after[1] if after.size >= 2 else np.inf
-        chi = min(chi, tau_next)
-        segments.append((tau, chi))
-    segments = (np.array(segments).reshape(-1, 2)
-                if segments else np.empty((0, 2)))
+    tau = times + A
+    gap = tau <= horizon
+    gap[:-1] &= times[1:] > tau[:-1]
+    taus = tau[gap]
+    # chi: the second event after each renewal time but the last
+    second = np.searchsorted(times, taus[:-1], "right") + 1
+    chi = np.full(second.size, np.inf)
+    has = second < times.size
+    chi[has] = times[second[has]]
+    segments = np.column_stack((taus[:-1], np.minimum(chi, taus[1:])))
     return RenewalDecomposition(taus, segments, A, horizon)
 
 
@@ -85,21 +79,19 @@ def stochastic_distance_dT(f: ModelParams, f_alt: ModelParams,
         raise ValueError("mismatched grids")
     if decomposition.segments.size == 0:
         return 0.0
-    m, w = f.n_cells, f.cell_width
     T = decomposition.horizon
     seg_lo, seg_hi = decomposition.segments.T
-    # breakpoints: segment ends plus every event-time + cell-edge offset;
-    # an interval between consecutive breakpoints lies in a segment when
-    # its midpoint does, and lambda-tilde is constant on it
-    offs = (stream.times[:, None] + np.arange(m + 1)[None, :] * w).ravel()
-    bp = np.unique(np.concatenate((seg_lo, seg_hi, offs)))
-    mids = 0.5 * (bp[:-1] + bp[1:])
+    # lambda-tilde is constant on each piece between the segment ends and
+    # the event-time + cell-edge offsets; a piece lies in a segment when
+    # its midpoint does
+    mids, widths = sweep_pieces(stream.times, f.n_cells, f.cell_width,
+                                decomposition.segments.ravel())
     seg = np.searchsorted(seg_lo, mids, "right") - 1
     inside = (seg >= 0) & (mids < seg_hi[np.maximum(seg, 0)])
-    mids, widths = mids[inside], np.diff(bp)[inside]
+    mids, widths = mids[inside], widths[inside]
     # lambda-tilde at the midpoints: xi_k + sum over window events of
     # g[l, k, cell(age)]
     lam = (f.nu - f_alt.nu) + window_design(
         stream.times, stream.marks, mids, f.support_end, f.K,
-        m) @ _g_flat(f.h - f_alt.h)
+        f.n_cells) @ _g_flat(f.h - f_alt.h)
     return float(np.sqrt(np.sum(widths[:, None] * lam ** 2) / T))

@@ -3,11 +3,27 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+import os
+import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
 _JITTER = 1e-13
+
+
+def atomic_write(path: str, text: str) -> None:
+    """Write text to path through a temporary file in the same
+    directory, so a reader never sees a partial file."""
+    tmp = tempfile.NamedTemporaryFile(
+        "w", dir=os.path.dirname(os.path.abspath(path)), delete=False)
+    try:
+        tmp.write(text)
+        tmp.close()
+        os.replace(tmp.name, path)
+    except BaseException:
+        os.unlink(tmp.name)
+        raise
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import fftconvolve
 
+from .likelihood import batch_means
 from .model import ModelParams, spectral_radius, stationary_rates
 from .stream import EventStream
 
@@ -76,39 +77,30 @@ def solve_moment_density(f0: ModelParams, n_grid: int = 512,
     mu = stationary_rates(f0)
     h = f0.h  # (l, k, c)
 
-    # trapezoid weights of the piecewise-constant kernel at s-nodes
-    # 0..n_grid: interior cell edges average the two adjacent values
-    wts = np.zeros((n_grid + 1, K, K))
+    # the h-cell of each s-node 0..n_grid
+    cells = np.minimum(np.arange(n_grid + 1) // p, m - 1)
+    # trapezoid weights of the piecewise-constant kernel at the s-nodes:
+    # a cell edge averages the two adjacent cells (zero outside [0, A])
     hc = h.transpose(2, 0, 1)  # (c, l, k)
-    for c in range(m):
-        lo, hi = c * p, (c + 1) * p + 1
-        wts[lo] += 0.5 * delta * hc[c]
-        wts[hi - 1] += 0.5 * delta * hc[c]
-        wts[lo + 1:hi - 1] += delta * hc[c]
-
-    # first (source) term at the nodes: h^T(t_j) D(mu)
-    def source(n_nodes: int) -> np.ndarray:
-        src = np.zeros((n_nodes, K, K))
-        for j in range(min(n_nodes, n_grid + 1)):
-            cell = min(j // p, m - 1)
-            src[j] = h[:, :, cell].T * mu[None, :]
-        return src
+    wts = delta * hc[cells]
+    half = np.pad(0.5 * delta * hc, ((1, 1), (0, 0), (0, 0)))
+    wts[::p] = half[:-1] + half[1:]
+    # first (source) term at the nodes 0..n_grid: h^T(t_j) D(mu)
+    head = h.transpose(2, 1, 0)[cells] * mu[None, None, :]
 
     t_max = max(10.0 * A, 2.0 * A)
     while True:
         N = int(round(t_max / delta))
-        src = source(N + 1)
+        src = np.zeros((N + 1, K, K))
+        src[:n_grid + 1] = head[:N + 1]
         U = src.copy()
         for _ in range(max_iter):
             # extended node values on [-t_max, t_max]
             E = np.concatenate(
                 [U[:0:-1].transpose(0, 2, 1), U], axis=0)  # (2N+1, K, K)
-            conv = np.zeros((N + 1, K, K))
-            for a in range(K):
-                for l in range(K):
-                    for k in range(K):
-                        full = fftconvolve(E[:, a, k], wts[:, a, l])
-                        conv[:, l, k] += full[N:2 * N + 1]
+            # conv[t, l, k] = sum_a (wts[:, a, l] * E[:, a, k])(t)
+            full = fftconvolve(E[:, :, None, :], wts[:, :, :, None], axes=0)
+            conv = full[N:2 * N + 1].sum(axis=1)
             U_new = src + conv
             change = float(np.max(np.abs(U_new - U)))
             U = U_new
@@ -138,26 +130,27 @@ def empirical_pair_density(stream: EventStream, K: int, lag_max: float,
     width = edges[1] - edges[0]
     m_hat = np.zeros((K, K, n_bins))
     se = np.zeros((K, K, n_bins))
-    times, marks = stream.times, stream.marks
+    keep = stream.marks <= K  # events of other marks are not counted
+    times, marks = stream.times[keep], stream.marks[keep]
     for l in range(K):
         anchors = times[(marks == l + 1) & (times >= t_lo)
                         & (times <= t_hi)]
         n = anchors.size
         if n < 2 * n_batches:
             raise ValueError("too few anchors for batching")
-        per_anchor = np.zeros((n, K, n_bins))
-        for k in range(K):
-            tk = times[marks == k + 1]
-            for i, t0 in enumerate(anchors):
-                lags = tk[np.searchsorted(tk, t0, "right"):
-                          np.searchsorted(tk, t0 + lag_max, "right")] - t0
-                if lags.size:
-                    idx = np.minimum((lags / width).astype(int), n_bins - 1)
-                    np.add.at(per_anchor[i, k], idx, 1.0)
-        per_anchor /= width
+        # every event in ]t0, t0 + lag_max] after each anchor t0
+        lo = np.searchsorted(times, anchors, "right")
+        cnt = np.searchsorted(times, anchors + lag_max, "right") - lo
+        anchor = np.repeat(np.arange(n), cnt)
+        # event index: the anchor's first event plus the rank after it
+        ev = np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+        idx = np.minimum(((times[ev] - anchors[anchor]) / width).astype(int),
+                         n_bins - 1)
+        per_anchor = np.bincount(
+            (anchor * K + marks[ev] - 1) * n_bins + idx,
+            minlength=n * K * n_bins).reshape(n, K, n_bins) / width
         cut = n - n % n_batches
         batched = per_anchor[:cut].reshape(n_batches, -1, K, n_bins)
-        bm = batched.mean(axis=1)
         m_hat[l] = per_anchor.mean(axis=0)
-        se[l] = bm.std(axis=0, ddof=1) / np.sqrt(n_batches)
+        se[l] = batch_means(batched.mean(axis=1))[1]
     return edges, m_hat, se

@@ -129,6 +129,17 @@ def test_coverage_table_counts():
     assert cov["0.90"]["se"] == pytest.approx(expect_se)
 
 
+def test_coverage_table_reads_the_key_of_each_level():
+    report = _fake_report()
+    for i, r in enumerate(report["replications"][:10]):
+        r["covered80"] = i < 7
+    cov = coverage_table(report, (0.80, 0.90))
+    assert cov["0.80"]["coverage"] == pytest.approx(0.7)
+    assert cov["0.90"]["coverage"] == pytest.approx(0.9)
+    with pytest.raises(ValueError):
+        coverage_table(_fake_report(), (0.80,))
+
+
 def test_coverage_table_empty():
     cov = coverage_table({"replications": []})
     assert cov["0.90"]["coverage"] is None
@@ -166,6 +177,19 @@ def test_run_experiment_smoke_and_determinism():
     assert r1["v0"] > 0
     assert "1" in r1["bias"]
     assert r1["palm_converged"]
+
+
+def test_replications_csv_fields_are_numbers(tmp_path):
+    config = config_from_dict(dict(BASE_CFG, mcmc_iters="200"))
+    report = run_experiment(config)
+    assert all(r["ok"] for r in report["replications"])
+    emit_outputs(report, str(tmp_path))
+    lines = (tmp_path / "replications.csv").read_text().splitlines()
+    assert len(lines) == 1 + config.replications
+    for line in lines[1:]:
+        for value in line.split(","):
+            if value:
+                float(value)
 
 
 def test_compute_efficiency_poisson_oracle():

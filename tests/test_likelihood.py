@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,7 +7,8 @@ from hypothesis import given, strategies as st
 from hawkes_bvm.grids import Direction
 from hawkes_bvm.likelihood import (LanEstimator, LikelihoodCache,
                                    grad_loglik_nu, intensity_at,
-                                   log_likelihood, w_statistic)
+                                   lan_inner_product, log_likelihood,
+                                   w_statistic)
 from hawkes_bvm.model import ModelParams
 from hawkes_bvm.simulate import simulate_thinning
 from hawkes_bvm.stream import EventStream
@@ -116,6 +119,18 @@ def test_lan_inner_poisson_background_direction():
     # E xi^2 / nu summed over marks: 1/2 + 1/0.5, exact (no randomness)
     assert val == pytest.approx(2.5, abs=1e-12)
     assert se == pytest.approx(0.0, abs=1e-12)
+
+
+def test_lan_inner_product_one_window_has_zero_se():
+    # one batch carries no batch-means error: the SE is 0, not nan
+    p = ModelParams(np.array([1.0]), np.array([[[0.3, 0.2]]]), 1.0)
+    d = Direction(np.array([0.5]), np.array([[[1.0, -0.5]]]), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, se = lan_inner_product(d, d, p, n_windows=1, t_sim=200.0,
+                                    seed=3)
+    assert np.isfinite(val) and val > 0
+    assert se == 0.0
 
 
 def test_gram_symmetric_and_consistent_with_inner():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hawkes_bvm.model import ModelParams
 from hawkes_bvm.pathstats import (max_window_count, renewal_decomposition,
@@ -32,6 +33,35 @@ def test_renewal_empty_stream():
     dec = renewal_decomposition(s, 1.0, 5.0)
     assert dec.taus.size == 0
     assert dec.total_length == 0.0
+
+
+def _loop_renewal(times, A, horizon):
+    """Renewal times and segments, one event and one renewal at a time."""
+    taus = []
+    for i, t in enumerate(times):
+        nxt = times[i + 1] if i + 1 < times.size else np.inf
+        if nxt > t + A and t + A <= horizon:
+            taus.append(t + A)
+    segments = []
+    for n in range(len(taus) - 1):
+        after = times[np.searchsorted(times, taus[n], "right"):]
+        chi = after[1] if after.size >= 2 else np.inf
+        segments.append((taus[n], min(chi, taus[n + 1])))
+    return np.array(taus), np.array(segments).reshape(-1, 2)
+
+
+@given(st.lists(st.integers(0, 40), max_size=30),
+       st.sampled_from([0.5, 1.0, 1.25]), st.integers(0, 48))
+@example([], 1.0, 40)
+@example([0, 4, 8, 9, 9, 20], 1.0, 40)  # gaps of exactly A, a tie
+def test_renewal_decomposition_matches_loop(ticks, A, horizon):
+    # quarter-unit times, so that gaps of exactly A occur often
+    times = np.sort(np.array(ticks, dtype=float)) / 4.0
+    s = EventStream(times, np.ones(times.size, dtype=int), 0.0, 12.0)
+    dec = renewal_decomposition(s, A, horizon / 4.0)
+    taus, segments = _loop_renewal(s.times, A, horizon / 4.0)
+    assert np.array_equal(dec.taus, taus)
+    assert np.array_equal(dec.segments, segments)
 
 
 def test_max_window_count():

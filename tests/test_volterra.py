@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hawkes_bvm.model import ModelParams, stationary_rates
 from hawkes_bvm.simulate import simulate_thinning
+from hawkes_bvm.stream import EventStream
 from hawkes_bvm.volterra import empirical_pair_density, solve_moment_density
 
 
@@ -93,3 +95,55 @@ def test_empirical_rejects_thin_streams():
     s = simulate_thinning(_reference(), 10.0, seed=21)
     with pytest.raises(ValueError):
         empirical_pair_density(s, 1, 1.0, 4, 0.0, 10.0, n_batches=50)
+
+
+def _loop_pair_density(stream, K, lag_max, n_bins, t_lo, t_hi, n_batches):
+    """The pair-density histogram, one anchor and one mark at a time."""
+    edges = np.linspace(0.0, lag_max, n_bins + 1)
+    width = edges[1] - edges[0]
+    m_hat = np.zeros((K, K, n_bins))
+    se = np.zeros((K, K, n_bins))
+    times, marks = stream.times, stream.marks
+    for l in range(K):
+        anchors = times[(marks == l + 1) & (times >= t_lo)
+                        & (times <= t_hi)]
+        n = anchors.size
+        if n < 2 * n_batches:
+            raise ValueError("too few anchors for batching")
+        per_anchor = np.zeros((n, K, n_bins))
+        for k in range(K):
+            tk = times[marks == k + 1]
+            for i, t0 in enumerate(anchors):
+                for t in tk[(tk > t0) & (tk <= t0 + lag_max)]:
+                    per_anchor[i, k, min(int((t - t0) / width),
+                                         n_bins - 1)] += 1.0
+        per_anchor /= width
+        cut = n - n % n_batches
+        bm = per_anchor[:cut].reshape(n_batches, -1, K, n_bins).mean(axis=1)
+        m_hat[l] = per_anchor.mean(axis=0)
+        se[l] = bm.std(axis=0, ddof=1) / np.sqrt(n_batches)
+    return edges, m_hat, se
+
+
+@given(st.lists(st.tuples(st.integers(0, 60), st.integers(1, 3)),
+                max_size=60),
+       st.integers(1, 3), st.sampled_from([0.5, 1.0, 1.5]),
+       st.integers(1, 6), st.sampled_from([2, 3]))
+@example([], 1, 1.0, 4, 2)
+@example([(t, 1 + t % 2) for t in range(0, 40, 2)] + [(8, 2), (9, 3)],
+         2, 1.0, 4, 2)
+def test_empirical_pair_density_matches_loop(events, K, lag_max, n_bins,
+                                             n_batches):
+    # quarter-unit times: lags on bin edges and ties (jittered) occur often
+    times = np.array([t for t, _ in events], dtype=float) / 4.0
+    marks = np.array([k for _, k in events], dtype=int)
+    s = EventStream(times, marks, 0.0, 16.0)
+    args = (K, lag_max, n_bins, 1.0, 14.0, n_batches)
+    try:
+        expect = _loop_pair_density(s, *args)
+    except ValueError:
+        with pytest.raises(ValueError):
+            empirical_pair_density(s, *args)
+        return
+    for got, want in zip(empirical_pair_density(s, *args), expect):
+        assert np.array_equal(got, want)
