@@ -291,6 +291,17 @@ class KernelExcitation:
         self.terms: list[dict[float, float]] = [{} for _ in rows]
 
 
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array in lexicographic order and their
+    multiplicities: np.unique(X, axis=0, return_counts=True), from one
+    lexsort over the columns and a row-change mask."""
+    Xs = X[np.lexsort(X.T[::-1])]
+    new = np.ones(len(Xs), dtype=bool)
+    new[1:] = (Xs[1:] != Xs[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return Xs[starts], np.diff(starts, append=len(Xs))
+
+
 class LikelihoodCache:
     """Count-matrix cache for fast repeated likelihood evaluation on one
     stream and one grid resolution.
@@ -313,8 +324,7 @@ class LikelihoodCache:
         self.X: list[np.ndarray] = []
         self.counts: list[np.ndarray] = []
         for mark in range(K):
-            rows, counts = np.unique(X[k == mark], axis=0,
-                                     return_counts=True)
+            rows, counts = _distinct_rows(X[k == mark])
             self.X.append(rows)
             self.counts.append(counts.astype(float))
         # compensator weights, flattened over (l, c)

@@ -214,7 +214,7 @@ def mcmc_step(state: ChainState, target: PosteriorTarget,
         acc["jump_n"] += 1
         dims = set(spec.admissible_dims().tolist())
         histogram = spec.basis_kind == "histogram"
-        kind = rng.choice(["step", "scale"]) if histogram else "scale"
+        kind = ("step", "scale")[rng.integers(2)] if histogram else "scale"
         j = state.J
         if kind == "step":
             j_new = j + 1 if rng.uniform() < 0.5 else j - 1

@@ -7,6 +7,10 @@ return events on [-A, T] and are reproducible given a seed.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
+
 import numpy as np
 
 from .model import ModelParams, spectral_radius, stationary_rates
@@ -29,6 +33,17 @@ def simulate_thinning(params: ModelParams, horizon: float,
 
     burn_in defaults to 50*A; the finite-memory process forgets its
     initial (empty) condition exponentially fast.
+
+    The loop runs on Python floats but keeps numpy's arithmetic order
+    and the generator's draws, so the streams are those of a loop on
+    numpy arrays: the bound adds one precomputed float(hbar[k, :, c].sum())
+    per window event; lambda adds the rows h[k, :, c] elementwise in
+    window order; the total is summed left to right, which is numpy's
+    order below 8 terms (numpy sums 8 or more pairwise, so K >= 8 keeps a
+    numpy sum); the acceptance draw is rng.random(), which equals
+    rng.uniform() = 0 + 1 * u bit for bit; and the mark is drawn by
+    rng.choice(K, p=lam/lam_tot)'s own recipe: one rng.random() bisected
+    into the cumulative sum of p divided by its last entry.
     """
     A = params.support_end
     if burn_in is None:
@@ -38,9 +53,15 @@ def simulate_thinning(params: ModelParams, horizon: float,
     rng = np.random.default_rng(seed)
     K, m, w = params.K, params.n_cells, params.cell_width
     hbar = _dominating_kernels(params)
-    h = params.h
-    nu = params.nu
-    nu_total = float(nu.sum())
+    # per (mark k, cell c): the bound's increment and the row h[k, :, c]
+    bound_inc = [[float(hbar[k, :, c].sum()) for c in range(m)]
+                 for k in range(K)]
+    h_rows = [[params.h[k, :, c].tolist() for c in range(m)]
+              for k in range(K)]
+    nu = params.nu.tolist()
+    nu_total = float(params.nu.sum())
+    relu = params.kind == "relu"
+    exponential, random = rng.exponential, rng.random
 
     t = -A - burn_in
     times: list[float] = []
@@ -60,26 +81,33 @@ def simulate_thinning(params: ModelParams, horizon: float,
             head = 0
         bound = nu_total
         for i in range(head, len(win_t)):
-            age = t - win_t[i]
-            cell = int(age / w)
+            cell = int((t - win_t[i]) / w)
             if cell < m:
-                bound += float(hbar[win_k[i], :, cell].sum())
-        if not np.isfinite(bound) or bound > 1e12:
+                bound += bound_inc[win_k[i]][cell]
+        if not math.isfinite(bound) or bound > 1e12:
             raise OverflowError("thinning bound overflow; model unstable?")
-        t = t + rng.exponential(1.0 / bound)
+        t = t + exponential(1.0 / bound)
         if t > horizon:
             break
         # intensities at the candidate time
-        lam = nu.copy()
+        lam = nu
         for i in range(head, len(win_t)):
             age = t - win_t[i]
             if 0.0 < age <= A:
-                lam = lam + h[win_k[i], :, min(int(age / w), m - 1)]
-        if params.kind == "relu":
-            lam = np.maximum(lam, 0.0)
-        lam_tot = float(lam.sum())
-        if rng.uniform() * bound <= lam_tot:
-            k = int(rng.choice(K, p=lam / lam_tot))
+                row = h_rows[win_k[i]][min(int(age / w), m - 1)]
+                lam = [a + b for a, b in zip(lam, row)]
+        if relu:
+            lam = [x if x >= 0.0 else 0.0 for x in lam]
+        if K < 8:  # numpy's order; it sums 8 or more terms pairwise
+            lam_tot = 0.0
+            for x in lam:
+                lam_tot += x
+        else:
+            lam_tot = float(np.sum(lam))
+        if random() * bound <= lam_tot:
+            cdf = list(itertools.accumulate([x / lam_tot for x in lam]))
+            last = cdf[-1]
+            k = bisect.bisect_right([c / last for c in cdf], random())
             win_t.append(t)
             win_k.append(k)
             if t >= -A:

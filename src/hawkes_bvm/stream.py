@@ -31,7 +31,9 @@ class EventStream:
     """Marked event times on [window_start, horizon], strictly increasing.
 
     Marks are 1-based (1..K). Exact time ties are broken by a recorded
-    sub-nanosecond jitter so sweeps can assume strict ordering.
+    sub-nanosecond jitter so sweeps can assume strict ordering; ties at
+    the horizon are jittered back below it, so the times stay in the
+    window and the CSV round trip holds.
     """
 
     times: np.ndarray
@@ -60,6 +62,16 @@ class EventStream:
             while dup.size:
                 times[dup + 1] = np.nextafter(times[dup] + _JITTER, np.inf)
                 dup = np.flatnonzero(np.diff(times) <= 0.0)
+            if times[-1] > self.horizon:
+                # ties at the horizon: move the jittered run back below it
+                times[-1] = self.horizon
+                i = times.size - 2
+                while i >= 0 and times[i] >= times[i + 1]:
+                    times[i] = np.nextafter(times[i + 1] - _JITTER, -np.inf)
+                    i -= 1
+                if times[0] < self.window_start:
+                    raise ValueError("tied event times do not fit in "
+                                     "[window_start, horizon]")
         times.flags.writeable = False
         marks.flags.writeable = False
         object.__setattr__(self, "times", times)

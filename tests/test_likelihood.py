@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from hawkes_bvm.grids import Direction
 from hawkes_bvm.likelihood import (LanEstimator, LikelihoodCache,
-                                   grad_loglik_nu, intensity_at,
-                                   lan_inner_product, log_likelihood,
-                                   w_statistic)
+                                   _distinct_rows, grad_loglik_nu,
+                                   intensity_at, lan_inner_product,
+                                   log_likelihood, w_statistic)
 from hawkes_bvm.model import ModelParams
 from hawkes_bvm.simulate import simulate_thinning
 from hawkes_bvm.stream import EventStream
@@ -260,3 +260,14 @@ def test_deduplicated_cache_matches_exact_likelihood(case):
     for rates in (nu, nu + np.eye(K)[0] / 8, nu, nu + np.eye(K)[-1] / 8):
         assert cache.log_likelihood(rates, ex) == cache.log_likelihood(
             rates, h)
+
+
+@given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(0, 3), min_size=cols, max_size=cols),
+    max_size=40).map(lambda rows: np.array(rows, dtype=float)
+                     .reshape(len(rows), cols))))
+def test_distinct_rows_equal_numpy_unique(X):
+    rows, counts = _distinct_rows(X)
+    ref_rows, ref_counts = np.unique(X, axis=0, return_counts=True)
+    assert np.array_equal(rows, ref_rows)
+    assert np.array_equal(counts, ref_counts)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hawkes_bvm.mcmc import (ChainState, PosteriorTarget, Scales, ess,
                              mcmc_step, merge_coefficients, project_bins,
@@ -40,6 +42,63 @@ def test_merge_then_split_identity():
     parent, u = merge_coefficients(child)
     assert np.allclose(split_coefficients(parent, u), child,
                        rtol=0, atol=1e-15)
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _coefficient_pair(draw):
+    K = draw(st.integers(1, 3))
+    J = draw(st.integers(1, 5))
+    return (draw(arrays(float, (K, K, J), elements=_finite)),
+            draw(arrays(float, (K, K, J), elements=_finite)))
+
+
+def _rounding(x, y):
+    """A few ulps of |x| + |y|, and one subnormal step, which halving an
+    odd multiple of the smallest subnormal loses."""
+    info = np.finfo(float)
+    return 4 * info.eps * (np.abs(x) + np.abs(y)) + info.smallest_subnormal
+
+
+_SUBNORMAL = (np.full((1, 1, 1), 5e-324), np.zeros((1, 1, 1)))
+
+
+@given(_coefficient_pair())
+@example(_SUBNORMAL)
+def test_merge_after_split_is_identity(pair):
+    theta, u = pair
+    parent, rec_u = merge_coefficients(split_coefficients(theta, u))
+    tol = _rounding(theta, u)
+    assert np.all(np.abs(parent - theta) <= tol)
+    assert np.all(np.abs(rec_u - u) <= tol)
+
+
+@given(_coefficient_pair())
+@example(_SUBNORMAL)
+def test_split_after_merge_is_identity(pair):
+    a, b = pair
+    child = np.empty(a.shape[:2] + (2 * a.shape[2],))
+    child[:, :, 0::2], child[:, :, 1::2] = a, b
+    parent, u = merge_coefficients(child)
+    back = split_coefficients(parent, u)
+    tol = _rounding(a, b)
+    assert np.all(np.abs(back[:, :, 0::2] - a) <= tol)
+    assert np.all(np.abs(back[:, :, 1::2] - b) <= tol)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_jump_kind_draw_equals_rng_choice(seed):
+    # mcmc_step draws the jump kind with rng.integers(2); it returns the
+    # value rng.choice(["step", "scale"]) returns and leaves the same
+    # generator state, so the chains' draws are those of rng.choice
+    a = np.random.default_rng(seed)
+    b = np.random.default_rng(seed)
+    for _ in range(2000):
+        assert a.choice(["step", "scale"]) == ("step", "scale")[
+            b.integers(2)]
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_project_bins_exact_cases():

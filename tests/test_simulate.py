@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from hawkes_bvm import simulate
 from hawkes_bvm.model import ModelParams, stationary_rates
-from hawkes_bvm.simulate import simulate_cluster, simulate_thinning
+from hawkes_bvm.simulate import (_dominating_kernels, simulate_cluster,
+                                 simulate_thinning)
+from hawkes_bvm.stream import EventStream
 
 
 def _rate(stream, horizon, mark=None):
@@ -81,3 +84,82 @@ def test_two_mark_cross_excitation():
     assert _rate(s, 3000.0, 1) == pytest.approx(mu[0], rel=0.06)
     assert _rate(s, 3000.0, 2) == pytest.approx(mu[1], rel=0.06)
     assert mu[1] > 0.2
+
+
+def _reference_thinning(params, horizon, seed):
+    """The thinning loop on numpy arrays (a numpy sum per window event for
+    the bound, a vector add per window event for lambda, rng.choice for
+    the mark); simulate_thinning must reproduce its streams exactly."""
+    A = params.support_end
+    rng = np.random.default_rng(seed)
+    K, m, w = params.K, params.n_cells, params.cell_width
+    hbar = _dominating_kernels(params)
+    h, nu = params.h, params.nu
+    nu_total = float(nu.sum())
+    t = -A - 50.0 * A
+    times, marks, win_t, win_k = [], [], [], []
+    head = 0
+    while True:
+        while head < len(win_t) and win_t[head] < t - A:
+            head += 1
+        bound = nu_total
+        for i in range(head, len(win_t)):
+            cell = int((t - win_t[i]) / w)
+            if cell < m:
+                bound += float(hbar[win_k[i], :, cell].sum())
+        t = t + rng.exponential(1.0 / bound)
+        if t > horizon:
+            break
+        lam = nu.copy()
+        for i in range(head, len(win_t)):
+            age = t - win_t[i]
+            if 0.0 < age <= A:
+                lam = lam + h[win_k[i], :, min(int(age / w), m - 1)]
+        if params.kind == "relu":
+            lam = np.maximum(lam, 0.0)
+        lam_tot = float(lam.sum())
+        if rng.uniform() * bound <= lam_tot:
+            k = int(rng.choice(K, p=lam / lam_tot))
+            win_t.append(t)
+            win_k.append(k)
+            if t >= -A:
+                times.append(t)
+                marks.append(k + 1)
+    return EventStream(np.array(times), np.array(marks), -A, horizon)
+
+
+@pytest.mark.parametrize("A", [0.5, 1.0])
+@pytest.mark.parametrize("kind", ["linear", "relu"])
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("K", [1, 2, 3, 8])
+def test_thinning_matches_reference_loop(K, m, kind, A):
+    # kernel values in sixteenths, mixed in sign for ReLU; every row sum
+    # of rho_+ stays below 1 and nu dominates the inhibition
+    rng = np.random.default_rng(100 * K + 10 * m + int(4 * A))
+    top = min(15, int(15 // (K * A)))
+    low = -top if kind == "relu" else 0
+    h = rng.integers(low, top + 1, size=(K, K, m)) / 16.0
+    nu = rng.integers(16, 33, size=K) / 16.0
+    params = ModelParams(nu, h, A, kind)
+    horizon = 4.0 if K == 8 else 20.0
+    for seed in (1, 2, 3):
+        got = simulate_thinning(params, horizon, seed=seed)
+        ref = _reference_thinning(params, horizon, seed)
+        assert len(got) > 0
+        assert np.array_equal(got.times, ref.times)
+        assert np.array_equal(got.marks, ref.marks)
+
+
+def test_thinning_event_budget(monkeypatch):
+    monkeypatch.setattr(simulate, "_MAX_EVENTS", 10)
+    p = ModelParams(np.array([2.0]), np.zeros((1, 1, 1)), 1.0)
+    with pytest.raises(OverflowError, match="event budget"):
+        simulate_thinning(p, 100.0, seed=1)
+
+
+def test_thinning_bound_overflow():
+    # rho = 1e13 * 1e-14 = 0.1 is stable, but one event in the window
+    # puts the bound above 1e12
+    p = ModelParams(np.array([1.0]), np.array([[[1e13]]]), 1e-14)
+    with pytest.raises(OverflowError, match="bound overflow"):
+        simulate_thinning(p, 100.0, seed=1)

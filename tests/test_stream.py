@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hawkes_bvm.stream import EventStream
 
@@ -49,6 +50,39 @@ def test_out_of_window_rejected():
 def test_csv_round_trip():
     s = EventStream(np.array([-0.25, 0.1234567890123, 0.9]),
                     np.array([1, 2, 1]), -1.0, 1.0)
+    t = EventStream.from_csv(s.to_csv(), -1.0, 1.0)
+    assert np.array_equal(t.times, s.times)
+    assert np.array_equal(t.marks, s.marks)
+
+
+def test_ties_at_the_horizon_stay_inside():
+    s = EventStream(np.array([1.0, 1.0]), np.array([1, 2]), 0.0, 1.0)
+    assert s.n_jittered == 1
+    assert s.times[-1] <= 1.0
+    assert np.all(np.diff(s.times) > 0)
+    assert list(s.marks) == [1, 2]
+    t = EventStream.from_csv(s.to_csv(), 0.0, 1.0)
+    assert np.array_equal(t.times, s.times)
+    assert np.array_equal(t.marks, s.marks)
+
+
+def test_ties_that_cannot_fit_are_rejected():
+    with pytest.raises(ValueError):
+        EventStream(np.array([1.0, 1.0]), np.array([1, 1]), 1.0, 1.0)
+
+
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3)),
+                max_size=30))
+@example([(-4, 1), (-4, 2), (-4, 1), (4, 2), (4, 1), (4, 3)])
+@example([(4, 1), (4, 2), (3, 1)])
+def test_csv_round_trip_with_ties(events):
+    # quarter-unit times on the window [-1, 1], ties at both ends allowed
+    times = np.array([q / 4.0 for q, _ in events], dtype=float)
+    marks = np.array([k for _, k in events], dtype=int)
+    s = EventStream(times, marks, -1.0, 1.0)
+    assert np.all(np.diff(s.times) > 0)
+    if len(s):
+        assert -1.0 <= s.times[0] and s.times[-1] <= 1.0
     t = EventStream.from_csv(s.to_csv(), -1.0, 1.0)
     assert np.array_equal(t.times, s.times)
     assert np.array_equal(t.marks, s.marks)
