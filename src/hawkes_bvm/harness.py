@@ -15,7 +15,8 @@ from .functionals import (FunctionalSpec, eval_functional,
                           parse_functional, riesz_representor)
 from .grids import Direction
 from .likelihood import LanEstimator
-from .mcmc import posterior_functional, run_chain
+from .mcmc import (equal_tailed_interval, ess, posterior_functional,
+                   run_chain)
 from .model import ModelParams
 from .palm import (bias_term, efficient_estimate, estimate_palm,
                    info_operator_invert, optimal_variance)
@@ -194,14 +195,14 @@ def _replication(args) -> dict:
                           seed=int(chain_seed.generate_state(1)[0] // 2),
                           p_j=p_j, warn=False)
         post = posterior_functional(draws, fspec, level=0.90)
-        post95 = posterior_functional(draws, fspec, level=0.95)
+        samples = post["samples"]
         center = efficient_estimate(psi0, f0_fine, psi_l, stream, horizon)
-        if post["samples"].size >= 100:
-            ks = bvm_distance(post["samples"], center, horizon, v0)
+        if samples.size >= 100:
+            ks = bvm_distance(samples, center, horizon, v0)
         else:
             ks = None  # too few draws for a meaningful KS distance
         lo, hi = post["ci"]
-        lo95, hi95 = post95["ci"]
+        lo95, hi95 = equal_tailed_interval(samples, 0.95)
         return {
             "ok": True, "horizon": horizon,
             "psi_hat": center,
@@ -210,8 +211,10 @@ def _replication(args) -> dict:
             "covered90": bool(lo <= psi0 <= hi),
             "covered95": bool(lo95 <= psi0 <= hi95),
             "ks": ks,
+            # ESS of the functional's draws; ess needs at least 10
+            "ess": ess(samples) if samples.size >= 10 else None,
             "acceptance": draws.acceptance,
-            "samples": post["samples"].tolist(),
+            "samples": samples.tolist(),
         }
     except Exception as exc:  # noqa: BLE001 - replication isolation
         return {"ok": False, "horizon": horizon, "reason": repr(exc)}

@@ -69,10 +69,14 @@ class _Expansion:
 
     def __init__(self, spec: PriorSpec, J: int, theta: np.ndarray):
         self.h = spec.theta_to_h(J, theta)
-        self.nonneg = bool(self.h.min() >= 0.0)
         self.hneg_sup = spec.kernel_admissible(self.h)
-        self.theta_lp = (-np.inf if self.hneg_sup is None
-                         else spec.theta_logpdf(theta))
+        if self.hneg_sup is None:
+            self.nonneg = bool(self.h.min() >= 0.0)
+            self.theta_lp = -np.inf
+        else:
+            # a finite h is nonnegative when no mark has a negative part
+            self.nonneg = max(self.hneg_sup) == 0.0
+            self.theta_lp = spec.theta_logpdf(theta)
         self.excitation = None
 
 
@@ -177,7 +181,7 @@ def _try_accept(target: PosteriorTarget, state: ChainState,
     if ll == -np.inf:
         return state, False
     log_alpha = (ll + lp) - (state.log_lik + state.log_pri) + extra
-    if np.log(rng.uniform()) <= log_alpha:
+    if np.log(rng.random()) <= log_alpha:
         return ChainState(nu, J, theta, ll, lp), True
     return state, False
 
@@ -210,14 +214,14 @@ def mcmc_step(state: ChainState, target: PosteriorTarget,
             acc["theta"] += ok
             acc["theta_n"] += 1
 
-    if rng.uniform() < p_j:
+    if rng.random() < p_j:
         acc["jump_n"] += 1
         dims = set(spec.admissible_dims().tolist())
         histogram = spec.basis_kind == "histogram"
         kind = ("step", "scale")[rng.integers(2)] if histogram else "scale"
         j = state.J
         if kind == "step":
-            j_new = j + 1 if rng.uniform() < 0.5 else j - 1
+            j_new = j + 1 if rng.random() < 0.5 else j - 1
             if j_new in dims:
                 base = project_bins(state.theta, j_new)
                 theta = base + scales.dither * rng.standard_normal(
@@ -229,7 +233,7 @@ def mcmc_step(state: ChainState, target: PosteriorTarget,
                                         theta, extra, rng)
                 acc["jump"] += ok
         else:
-            up = rng.uniform() < 0.5
+            up = rng.random() < 0.5
             if up and 2 * j in dims:
                 if histogram:
                     u = scales.innovation * rng.standard_normal(
@@ -373,11 +377,17 @@ def posterior_functional(draws: PosteriorDraws, fspec,
     samples = np.array([
         eval_functional_values(fspec, draws.nus[i], draws.h_values(i), A)
         for i in range(len(draws))])
-    alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(samples, [alpha, 1.0 - alpha])
     return {"samples": samples, "mean": float(samples.mean()),
             "sd": float(samples.std(ddof=1)) if len(samples) > 1 else 0.0,
-            "ci": (float(lo), float(hi)), "level": level}
+            "ci": equal_tailed_interval(samples, level), "level": level}
+
+
+def equal_tailed_interval(samples: np.ndarray,
+                          level: float) -> tuple[float, float]:
+    """The equal-tailed credible interval of a posterior sample."""
+    alpha = (1.0 - level) / 2.0
+    lo, hi = np.quantile(samples, [alpha, 1.0 - alpha])
+    return float(lo), float(hi)
 
 
 def ess(samples: np.ndarray) -> float:

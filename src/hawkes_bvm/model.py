@@ -21,15 +21,18 @@ def spectral_radius(rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("rho must be a square matrix")
-    if (rho < 0).any():
+    # the checks and the closed forms run on Python floats: the prior's
+    # model-class check calls this on every coefficient proposal
+    entries = rho.ravel().tolist()
+    if any(v < 0 for v in entries):
         raise ValueError("rho must be entrywise nonnegative")
     n = rho.shape[0]
     if n == 1:
-        return float(rho[0, 0])
+        return entries[0]
     if n == 2:
         # (a + d)/2 + sqrt(((a - d)/2)^2 + bc), never forming bc, which
         # can underflow
-        a, b, c, d = rho.ravel().tolist()
+        a, b, c, d = entries
         return 0.5 * (a + d) + math.hypot(0.5 * (a - d),
                                           math.sqrt(b) * math.sqrt(c))
     return float(np.max(np.abs(np.linalg.eigvals(rho))))

@@ -1,9 +1,28 @@
 """Random-series priors on (nu, h): basis families, link, coefficient and
-dimension priors, L2 projection and the contraction-rate schedule."""
+dimension priors, L2 projection and the contraction-rate schedule.
+
+The terms a chain evaluates on every proposal (`PriorSpec.nu_logpdf`,
+`theta_logpdf`, `kernel_admissible` and `rates_admissible`) run on Python
+floats: they see from one to a few hundred numbers per call, and on
+arrays that small numpy's per-call overhead costs several times the
+arithmetic. They keep numpy's arithmetic bit for bit, so that a chain's
+draws do not depend on how the terms are written:
+
+- every log is numpy's own on the Python float (`math.log` differs from
+  `np.log` in the last bit on some inputs);
+- every sum adds its terms in the order `np.sum` uses (`_np_sum`), not
+  left to right, which differs from 8 terms on;
+- every expression keeps the operation order of the array form, and a
+  constant hoisted out of it is computed by the same expression.
+
+`tests/test_priors.py` keeps the array forms as the reference and
+requires equal results.
+"""
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -106,6 +125,49 @@ def _basis_cached(kind: str, J: int, support_end: float) -> BasisFamily:
     return haar_basis(resolution, support_end)
 
 
+def _np_sum(x: list) -> float:
+    """Sum of a list of floats in the order of `np.sum` over a contiguous
+    float64 array: left to right below 8 terms; up to 128 terms 8
+    interleaved accumulators combined pairwise, then the remainder in
+    order; above 128 the two halves, the first a multiple of 8 long,
+    summed alike. numpy adds the result to its identity 0.0, so a sum of
+    zeros is +0.0; the empty sum is 0.0."""
+    n = len(x)
+    if n < 8:
+        res = 0.0
+        for v in x:
+            res += v
+        return res
+    if n > 128:
+        n2 = n // 2
+        n2 -= n2 % 8
+        return _np_sum(x[:n2]) + _np_sum(x[n2:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = x[:8]
+    m = n - n % 8
+    for i in range(8, m, 8):
+        r0 += x[i]
+        r1 += x[i + 1]
+        r2 += x[i + 2]
+        r3 += x[i + 3]
+        r4 += x[i + 4]
+        r5 += x[i + 5]
+        r6 += x[i + 6]
+        r7 += x[i + 7]
+    res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for i in range(m, n):
+        res += x[i]
+    return 0.0 + res
+
+
+def _rejects_below(x: list, bound: float, strict: bool) -> bool:
+    """`x.min() < bound` (or `<=`) as numpy decides it: a nan anywhere
+    makes the minimum nan, which rejects nothing."""
+    lo = min(x)
+    if not (lo < bound if strict else lo <= bound):
+        return False
+    return not any(v != v for v in x)
+
+
 def softplus(x):
     return np.logaddexp(0.0, x)
 
@@ -160,40 +222,70 @@ class PriorSpec:
         return _j_log_pmf_cached(self)
 
     def theta_to_h(self, J: int, theta: np.ndarray) -> np.ndarray:
-        """Kernel cell values phi(theta^T B_J), shape (K, K, n_cells)."""
+        """Kernel cell values phi(theta^T B_J), shape (K, K, n_cells).
+
+        A histogram basis is the identity matrix, so its series is theta
+        itself, not the product with the identity. For finite theta the
+        values are equal (a zero may differ in sign); where theta is
+        infinite the product gave nan."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.K, self.K, J):
             raise ValueError("theta must have shape (K, K, J)")
         basis = self.basis(J)
-        series = theta.reshape(-1, J) @ basis.matrix
+        if basis.kind == "histogram":
+            # a new array, as the product gave, not a view of theta
+            series = theta.reshape(-1, J).copy()
+        else:
+            series = theta.reshape(-1, J) @ basis.matrix
         return _LINKS[self.link](series).reshape(
             self.K, self.K, basis.n_cells)
 
     def dim_log_pmf(self, J: int) -> float:
         """Log pmf of dimension J; -inf off the admissible dimensions."""
-        return _dim_log_pmf_table(self).get(J, -np.inf)
+        return self._dim_log_pmf.get(J, -np.inf)
 
-    def kernel_admissible(self, h: np.ndarray) -> np.ndarray | None:
+    @functools.cached_property
+    def _dim_log_pmf(self) -> dict[int, float]:
+        dims, logpmf = self.j_log_pmf()
+        return dict(zip(dims.tolist(), logpmf.tolist()))
+
+    def kernel_admissible(self, h: np.ndarray) -> list[float] | None:
         """The nu-free half of the model class: finite h whose positive
         part is entrywise and spectrally subcritical. Returns hneg_sup,
-        the sup of the negative part over source marks and cells, which
-        each rate must exceed; None outside the class."""
-        if not np.isfinite(h).all():
+        for each target mark the sup of the negative part over source
+        marks and cells, which its rate must exceed; None outside the
+        class."""
+        K, n = h.shape[0], h.shape[2]
+        flat = h.ravel().tolist()
+        if not all(map(math.isfinite, flat)):
             return None
-        w = self.support_end / h.shape[2]
-        rho_plus = w * np.maximum(h, 0.0).sum(axis=2)
-        if rho_plus.max(initial=0.0) >= 1.0:
+        w = self.support_end / n
+        rho_plus = []
+        hneg_sup = [0.0] * K
+        for i in range(0, len(flat), n):  # the cells of slot (l, k)
+            row = flat[i:i + n]
+            rho_plus.append(w * _np_sum([v if v > 0.0 else 0.0
+                                         for v in row]))
+            k = i // n % K
+            hneg_sup[k] = max(hneg_sup[k], -min(row))
+        if max(rho_plus) >= 1.0:
             return None
-        if spectral_radius(rho_plus) >= 1.0:
+        if spectral_radius([rho_plus[l * K:(l + 1) * K]
+                            for l in range(K)]) >= 1.0:
             return None
-        return np.maximum(-h, 0.0).max(axis=(0, 2))
+        return hneg_sup
 
     @staticmethod
-    def rates_admissible(nu: np.ndarray, hneg_sup: np.ndarray) -> bool:
+    def rates_admissible(nu: np.ndarray, hneg_sup) -> bool:
         """The nu half of the model class: positive finite rates that
         dominate the kernel's hneg_sup."""
-        return bool(((nu > 0) & np.isfinite(nu)
-                     & (nu - hneg_sup > 0)).all())
+        rates = np.asarray(nu, dtype=float).tolist()
+        if len(rates) != len(hneg_sup):
+            raise ValueError("need one rate per mark")
+        for v, s in zip(rates, hneg_sup):
+            if not (0.0 < v < math.inf and v - s > 0):
+                return False
+        return True
 
     def in_model_class(self, nu: np.ndarray, h: np.ndarray) -> bool:
         """Membership in the admissible class: positive rates, entrywise
@@ -213,37 +305,45 @@ class PriorSpec:
     def _nu_dist(self):
         return stats.gamma(self.nu_shape, scale=1.0 / self.nu_rate)
 
-    def theta_logpdf(self, theta: np.ndarray) -> float:
-        x = np.asarray(theta, dtype=float)
+    @functools.cached_property
+    def _theta_log_norm(self) -> float:
+        """The per-coefficient constant of the coefficient log density."""
         if self.theta_family == "shifted-exponential":
-            if x.min() < self.kappa:
-                return -np.inf
-            return float(x.size * np.log(self.rate)
-                         - self.rate * np.sum(x - self.kappa))
+            return float(np.log(self.rate))
+        c = np.log(self.sigma) + 0.5 * np.log(2 * np.pi)
         if self.theta_family == "truncated-gaussian":
-            if x.min() < self.kappa:
+            c += float(stats.norm.logsf(self.kappa / self.sigma))
+        return float(c)
+
+    @functools.cached_property
+    def _nu_log_norm(self) -> float:
+        """The per-rate constant of the Gamma log density."""
+        a, b = self.nu_shape, self.nu_rate
+        return float(a * np.log(b) - special.gammaln(a))
+
+    def theta_logpdf(self, theta: np.ndarray) -> float:
+        x = np.asarray(theta, dtype=float).ravel().tolist()
+        c = self._theta_log_norm
+        if self.theta_family == "shifted-exponential":
+            if _rejects_below(x, self.kappa, strict=True):
                 return -np.inf
-            log_z = float(stats.norm.logsf(self.kappa / self.sigma))
-            return float(-0.5 * np.sum((x / self.sigma) ** 2)
-                         - x.size * (np.log(self.sigma)
-                                     + 0.5 * np.log(2 * np.pi) + log_z))
-        return float(-0.5 * np.sum((x / self.sigma) ** 2)
-                     - x.size * (np.log(self.sigma)
-                                 + 0.5 * np.log(2 * np.pi)))
+            kappa = self.kappa
+            return len(x) * c - self.rate * _np_sum([v - kappa for v in x])
+        if (self.theta_family == "truncated-gaussian"
+                and _rejects_below(x, self.kappa, strict=True)):
+            return -np.inf
+        sigma = self.sigma
+        z = [v / sigma for v in x]
+        # t * t is numpy's `** 2` on an array (np.square)
+        return -0.5 * _np_sum([t * t for t in z]) - len(x) * c
 
     def nu_logpdf(self, nu: np.ndarray) -> float:
-        x = np.asarray(nu, dtype=float)
-        if x.min() <= 0:
+        x = np.asarray(nu, dtype=float).ravel().tolist()
+        if _rejects_below(x, 0.0, strict=False):
             return -np.inf
-        a, b = self.nu_shape, self.nu_rate
-        return float(((a - 1) * np.log(x) - b * x).sum()
-                     + x.size * (a * np.log(b) - special.gammaln(a)))
-
-
-@functools.lru_cache(maxsize=None)
-def _dim_log_pmf_table(spec: "PriorSpec") -> dict[int, float]:
-    dims, logpmf = spec.j_log_pmf()
-    return dict(zip(dims.tolist(), logpmf.tolist()))
+        a1, b = self.nu_shape - 1, self.nu_rate
+        return (_np_sum([a1 * float(np.log(v)) - b * v for v in x])
+                + len(x) * self._nu_log_norm)
 
 
 @functools.lru_cache(maxsize=None)

@@ -21,12 +21,19 @@ from .stream import EventStream
 
 @dataclass(frozen=True)
 class MomentDensity:
-    """Upsilon on the node grid {0, delta, ..., t_max} plus the rates."""
+    """Upsilon on the node grid {0, delta, ..., t_max} plus the rates.
+
+    converged: the Picard iteration met its tolerance on the last
+    horizon; tail_capped: the horizon stopped at the 400·A cap with the
+    tail mass still above its tolerance.
+    """
 
     node_times: np.ndarray
     upsilon: np.ndarray  # (n_nodes, K, K)
     mu: np.ndarray
     support_end: float
+    converged: bool
+    tail_capped: bool
 
     @property
     def delta(self) -> float:
@@ -63,7 +70,10 @@ def solve_moment_density(f0: ModelParams, n_grid: int = 512,
                          max_iter: int = 10_000) -> MomentDensity:
     """Solve the two-sided Volterra equation on a uniform node grid of
     width A/n_grid (n_grid a multiple of the h-grid), with the horizon
-    extended until the relative tail mass drops below tail_tol."""
+    extended until the relative tail mass drops below tail_tol or the
+    horizon reaches 400·A. The result's `converged` and `tail_capped`
+    flags say whether the last Picard iteration met tol within max_iter
+    and whether the cap, not the tail, ended the extension."""
     if f0.kind != "linear":
         raise ValueError("moment density requires the linear model")
     r = spectral_radius(f0.rho())
@@ -94,6 +104,7 @@ def solve_moment_density(f0: ModelParams, n_grid: int = 512,
         src = np.zeros((N + 1, K, K))
         src[:n_grid + 1] = head[:N + 1]
         U = src.copy()
+        converged = False
         for _ in range(max_iter):
             # extended node values on [-t_max, t_max]
             E = np.concatenate(
@@ -105,14 +116,16 @@ def solve_moment_density(f0: ModelParams, n_grid: int = 512,
             change = float(np.max(np.abs(U_new - U)))
             U = U_new
             if change <= tol * max(1.0, float(np.max(np.abs(U)))):
+                converged = True
                 break
         tail = float(np.max(np.abs(U[-p:]))) if U.size else 0.0
         peak = float(np.max(np.abs(U))) if U.size else 0.0
-        if peak == 0.0 or tail <= tail_tol * peak or t_max >= 400.0 * A:
+        tail_capped = not (peak == 0.0 or tail <= tail_tol * peak)
+        if not tail_capped or t_max >= 400.0 * A:
             break
         t_max *= 2.0
     nodes = np.arange(N + 1) * delta
-    return MomentDensity(nodes, U, mu, A)
+    return MomentDensity(nodes, U, mu, A, converged, tail_capped)
 
 
 def empirical_pair_density(stream: EventStream, K: int, lag_max: float,

@@ -192,6 +192,17 @@ def test_replications_csv_fields_are_numbers(tmp_path):
                 float(value)
 
 
+def test_replication_reports_ess():
+    report = run_experiment(config_from_dict(dict(BASE_CFG)))
+    for r in report["replications"]:
+        assert r["ok"]
+        assert np.isfinite(r["ess"]) and 0 < r["ess"]
+    # 40 iterations, burn-in 8, thin 5: 7 draws, too few for an ESS
+    short = run_experiment(config_from_dict(
+        dict(BASE_CFG, mcmc_iters="40", mcmc_thin="5")))
+    assert [r["ess"] for r in short["replications"]] == [None, None]
+
+
 def test_compute_efficiency_poisson_oracle():
     # background functional in the Poisson model: V0 = nu (1 + nu A)
     from hawkes_bvm.harness import compute_efficiency

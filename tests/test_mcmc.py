@@ -101,6 +101,18 @@ def test_jump_kind_draw_equals_rng_choice(seed):
     assert a.bit_generator.state == b.bit_generator.state
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_draw_equals_rng_uniform(seed):
+    # the sweep draws its uniforms (acceptance, p_j, step direction,
+    # scale up/down) with rng.random(); uniform() is 0 + 1 * random(), so
+    # the values and the generator state are those of rng.uniform()
+    a = np.random.default_rng(seed)
+    b = np.random.default_rng(seed)
+    for _ in range(2000):
+        assert a.uniform() == b.random()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_project_bins_exact_cases():
     theta = np.array([[[1.0, 3.0, 5.0, 7.0]]])
     down = project_bins(theta, 2)

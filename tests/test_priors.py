@@ -1,11 +1,17 @@
+import math
+import struct
+
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import special, stats
 
 from hawkes_bvm.grids import GridFunction
-from hawkes_bvm.priors import (PriorSpec, haar_basis, histogram_basis,
-                               log_prior, project_L2, rate_schedule,
-                               sample_prior, softplus)
+from hawkes_bvm.model import spectral_radius
+from hawkes_bvm.priors import (PriorSpec, _np_sum, haar_basis,
+                               histogram_basis, log_prior, project_L2,
+                               rate_schedule, sample_prior, softplus)
 
 
 def test_histogram_gram_is_diagonal():
@@ -186,3 +192,187 @@ def test_rate_schedule_guards():
         rate_schedule(1.0, 2.0)
     with pytest.warns(UserWarning):
         rate_schedule(0.4, 1e4)
+
+
+# -- the per-proposal terms on Python floats --------------------------------
+
+def _same_float(a, b):
+    """Equal bit for bit, the sign of zero included; two nans match."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+_sum_terms = st.one_of(
+    st.floats(allow_nan=False),  # every magnitude, signed zeros, infinities
+    st.floats(-1e3, 1e3),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+)
+
+
+@given(st.integers(0, 300).flatmap(
+    lambda n: st.lists(_sum_terms, min_size=n, max_size=n)))
+@example([])
+@example([-0.0] * 3)
+@example([-0.0] * 9)
+@example([-0.0] * 200)
+@example([math.inf] + [1.0] * 15 + [-math.inf])
+def test_np_sum_matches_numpy_bit_for_bit(x):
+    with np.errstate(all="ignore"):
+        expect = float(np.sum(np.array(x, dtype=float)))
+    assert _same_float(_np_sum(x), expect)
+
+
+def test_np_sum_matches_numpy_at_every_length():
+    rng = np.random.default_rng(40)
+    assert _same_float(_np_sum([]), 0.0)
+    for n in range(301):
+        for _ in range(10):
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+            assert _same_float(_np_sum(x.tolist()), float(np.sum(x)))
+
+
+# The array forms these terms had before they moved to Python floats; the
+# rewritten methods must return equal values, -inf and None included.
+
+def _ref_theta_to_h(spec, J, theta):
+    basis = spec.basis(J)
+    series = theta.reshape(-1, J) @ basis.matrix
+    if spec.link == "softplus":
+        series = softplus(series)
+    return series.reshape(spec.K, spec.K, basis.n_cells)
+
+
+def _ref_kernel_admissible(spec, h):
+    if not np.isfinite(h).all():
+        return None
+    w = spec.support_end / h.shape[2]
+    rho_plus = w * np.maximum(h, 0.0).sum(axis=2)
+    if rho_plus.max(initial=0.0) >= 1.0:
+        return None
+    if spectral_radius(rho_plus) >= 1.0:
+        return None
+    return np.maximum(-h, 0.0).max(axis=(0, 2))
+
+
+def _ref_rates_admissible(nu, hneg_sup):
+    return bool(((nu > 0) & np.isfinite(nu) & (nu - hneg_sup > 0)).all())
+
+
+def _ref_theta_logpdf(spec, theta):
+    x = np.asarray(theta, dtype=float)
+    if spec.theta_family == "shifted-exponential":
+        if x.min() < spec.kappa:
+            return -np.inf
+        return float(x.size * np.log(spec.rate)
+                     - spec.rate * np.sum(x - spec.kappa))
+    if spec.theta_family == "truncated-gaussian":
+        if x.min() < spec.kappa:
+            return -np.inf
+        log_z = float(stats.norm.logsf(spec.kappa / spec.sigma))
+        return float(-0.5 * np.sum((x / spec.sigma) ** 2)
+                     - x.size * (np.log(spec.sigma)
+                                 + 0.5 * np.log(2 * np.pi) + log_z))
+    return float(-0.5 * np.sum((x / spec.sigma) ** 2)
+                 - x.size * (np.log(spec.sigma) + 0.5 * np.log(2 * np.pi)))
+
+
+def _ref_nu_logpdf(spec, nu):
+    x = np.asarray(nu, dtype=float)
+    if x.min() <= 0:
+        return -np.inf
+    a, b = spec.nu_shape, spec.nu_rate
+    return float(((a - 1) * np.log(x) - b * x).sum()
+                 + x.size * (a * np.log(b) - special.gammaln(a)))
+
+
+def _ref_log_prior(nu, J, theta, spec):
+    dims, logpmf = spec.j_log_pmf()
+    if J not in dims.tolist():
+        return -np.inf
+    total = float(logpmf[dims.tolist().index(J)])
+    hneg_sup = _ref_kernel_admissible(spec, _ref_theta_to_h(spec, J, theta))
+    if hneg_sup is None or not _ref_rates_admissible(nu, hneg_sup):
+        return -np.inf
+    return total + _ref_nu_logpdf(spec, nu) + _ref_theta_logpdf(spec, theta)
+
+
+_coefficient = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-3, 1e-3),
+                         st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _prior_case(draw):
+    K = draw(st.integers(1, 3))
+    haar = draw(st.booleans())
+    J = draw(st.sampled_from([2, 4, 8, 16]) if haar else st.integers(1, 16))
+    spec = PriorSpec(
+        K=K, basis_kind="haar" if haar else "histogram", J_max=16,
+        theta_family=draw(st.sampled_from(
+            ["shifted-exponential", "truncated-gaussian", "gaussian"])),
+        kappa=draw(st.sampled_from([0.0, -0.2, 0.05])),
+        rate=draw(st.floats(0.5, 4.0)), sigma=draw(st.floats(0.1, 2.0)),
+        nu_shape=draw(st.floats(0.5, 4.0)),
+        nu_rate=draw(st.floats(0.2, 3.0)),
+        link=draw(st.sampled_from(["identity", "softplus"])),
+        support_end=draw(st.sampled_from([0.5, 1.0, 2.0])))
+    # small scales put the kernel inside the class, large ones outside
+    scale = draw(st.sampled_from([1.0, 0.1, 0.01]))
+    theta = scale * draw(arrays(float, (K, K, J), elements=_coefficient))
+    if draw(st.booleans()):  # inside the support of every family
+        theta = np.abs(theta) + spec.kappa
+    if draw(st.sampled_from(range(6))) == 5:
+        theta[draw(st.integers(0, K - 1)), draw(st.integers(0, K - 1)),
+              draw(st.integers(0, J - 1))] = draw(
+            st.sampled_from([math.inf, -math.inf, math.nan]))
+    return spec, J, theta
+
+
+def _rate(data, floor):
+    """A rate above, at or just below its floor hneg_sup, or an invalid
+    one."""
+    above = st.floats(0.01, 5.0).map(lambda d: floor + d)
+    return data.draw(st.one_of(
+        above, above, above,
+        st.just(floor), st.just(np.nextafter(floor, -np.inf)),
+        st.sampled_from([0.0, -0.0, -1.0, math.inf, math.nan])))
+
+
+def test_rates_admissible_equals_array_reference():
+    floors = np.array([0.0, 0.3])
+    rates = [0.5, 0.3, np.nextafter(0.3, 0.0), 0.0, -0.0, -1.0, 1e-300,
+             math.inf, -math.inf, math.nan]
+    for a in rates:
+        for b in rates:
+            nu = np.array([a, b])
+            for sup in (floors, floors[::-1], np.zeros(2)):
+                assert (PriorSpec.rates_admissible(nu, sup.tolist())
+                        == _ref_rates_admissible(nu, sup))
+    with pytest.raises(ValueError):
+        PriorSpec.rates_admissible(np.array([1.0]), [0.0, 0.0])
+
+
+@settings(max_examples=300)
+@given(_prior_case(), st.data())
+def test_prior_terms_equal_array_reference(case, data):
+    spec, J, theta = case
+    with np.errstate(all="ignore"):
+        h = spec.theta_to_h(J, theta)
+        if np.isfinite(theta).all():
+            assert np.array_equal(h, _ref_theta_to_h(spec, J, theta))
+        got_sup = spec.kernel_admissible(h)
+        ref_sup = _ref_kernel_admissible(spec, h)
+        assert (got_sup is None) == (ref_sup is None)
+        if ref_sup is not None:
+            assert got_sup == ref_sup.tolist()
+        floors = ref_sup if ref_sup is not None else np.zeros(spec.K)
+        nu = np.array([_rate(data, f) for f in floors])
+        if ref_sup is not None:
+            assert (spec.rates_admissible(nu, got_sup)
+                    == _ref_rates_admissible(nu, ref_sup))
+        assert _same_float(spec.nu_logpdf(nu), _ref_nu_logpdf(spec, nu))
+        assert _same_float(spec.theta_logpdf(theta),
+                           _ref_theta_logpdf(spec, theta))
+        assert _same_float(log_prior(nu, J, theta, spec),
+                           _ref_log_prior(nu, J, theta, spec))

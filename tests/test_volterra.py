@@ -80,6 +80,40 @@ def test_grid_multiple_required():
         solve_moment_density(p, n_grid=64)
 
 
+def _k2_cross():
+    h = np.zeros((2, 2, 2))
+    h[0, 1, 0] = 0.6
+    h[1, 0, 1] = 0.2
+    h[0, 0, 0] = 0.3
+    return ModelParams(np.array([1.0, 0.7]), h, 1.0)
+
+
+@pytest.mark.parametrize("model, n_grid", [
+    (_reference, 512),  # criteria 2a and 2b
+    (_k2_cross, 64),
+], ids=["reference", "k2-cross"])
+def test_solver_flags_on_converged_cases(model, n_grid):
+    dens = solve_moment_density(model(), n_grid=n_grid)
+    assert dens.converged
+    assert not dens.tail_capped
+
+
+def test_solver_reports_iteration_cap():
+    dens = solve_moment_density(_reference(), n_grid=64, max_iter=1)
+    assert not dens.converged
+
+
+def test_solver_reports_horizon_cap():
+    # ||h|| = 0.995: the tail decays by about exp(-0.01) per support
+    # length, so at the 400·A cap it still holds about 1e-3 of the peak;
+    # the loose tol keeps the Picard iteration short
+    p = ModelParams(np.array([1.0]), np.array([[[0.995]]]), 1.0)
+    dens = solve_moment_density(p, n_grid=1, tol=1e-6)
+    assert dens.tail_capped
+    assert dens.converged
+    assert dens.node_times[-1] >= 400.0
+
+
 def test_empirical_pair_density_matches_solver():
     p = _reference()
     dens = solve_moment_density(p, n_grid=256)
