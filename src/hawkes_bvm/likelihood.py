@@ -1,6 +1,13 @@
-"""Intensity evaluation, conditional log-likelihood and LAN statistics."""
+"""Intensity evaluation, conditional log-likelihood and LAN statistics.
+
+`LikelihoodCache` is the one evaluator of the intensity at the events and
+of the compensator, for linear and ReLU kernels alike; `log_likelihood`,
+`grad_loglik_nu` and `w_statistic` are one-shot calls on it.
+"""
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy import sparse
@@ -47,49 +54,17 @@ def window_design(times: np.ndarray, marks: np.ndarray,
     return _count_design(times, marks, queries, lo, hi, K, m, A / m)
 
 
-def _design(params: ModelParams, stream: EventStream,
-            queries: np.ndarray) -> sparse.csr_matrix:
-    """The window design of a stream on the grid of params."""
-    return window_design(stream.times, stream.marks, queries,
-                         params.support_end, params.K, params.n_cells)
-
-
 def intensity_at(params: ModelParams, stream: EventStream, t: float,
                  k: int | None = None):
     """Conditional intensity at time t; all marks, or one 1-based mark."""
     if t < stream.window_start + params.support_end or t > stream.horizon:
         raise ValueError("t outside the covered window")
-    X = _design(params, stream, np.array([t]))
+    X = window_design(stream.times, stream.marks, np.array([t]),
+                      params.support_end, params.K, params.n_cells)
     lam = (params.nu + X @ _g_flat(params.h))[0]
     if params.kind == "relu":
         lam = np.maximum(lam, 0.0)
     return lam if k is None else float(lam[k - 1])
-
-
-def _events(stream: EventStream, horizon: float) -> tuple[np.ndarray,
-                                                          np.ndarray]:
-    """Times and 0-based marks of the events in (0, T]."""
-    sel = (stream.times > 0) & (stream.times <= horizon)
-    return stream.times[sel], stream.marks[sel] - 1
-
-
-def _compensator_weights(params: ModelParams, stream: EventStream,
-                         horizon: float) -> np.ndarray:
-    """W[l, c] = total time cell c of an event of mark l overlaps [0, T],
-    so that int_0^T lambda^k dt = nu_k T + sum_{l,c} W[l,c] h[l,k,c]."""
-    K, m, w = params.K, params.n_cells, params.cell_width
-    W = np.zeros((K, m))
-    times, marks = stream.times, stream.marks
-    sel = times + params.support_end > 0
-    sel &= times < horizon
-    edges = np.arange(m + 1) * w
-    for l in range(K):
-        tt = times[sel & (marks == l + 1)]
-        if tt.size == 0:
-            continue
-        clipped = np.clip(tt[:, None] + edges[None, :], 0.0, horizon)
-        W[l] = np.diff(clipped, axis=1).sum(axis=0)
-    return W
 
 
 def sweep_pieces(times: np.ndarray, m: int, w: float,
@@ -104,47 +79,13 @@ def sweep_pieces(times: np.ndarray, m: int, w: float,
     return 0.5 * (bp[:-1] + bp[1:]), np.diff(bp)
 
 
-def _relu_sweep(params: ModelParams, stream: EventStream,
-                horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact compensator and positive-part occupation time for the ReLU
-    model, by splitting [0, T] at every event-time + cell-edge offset.
-
-    Returns (integral of max(lambda, 0) per mark, measure of {lambda > 0}
-    per mark).
-    """
-    mids, widths = sweep_pieces(stream.times, params.n_cells,
-                                params.cell_width, np.array([0.0, horizon]))
-    lam = params.nu + _design(params, stream, mids) @ _g_flat(params.h)
-    comp = widths @ np.maximum(lam, 0.0)
-    occ = widths @ (lam > 0.0)
-    return comp, occ
-
-
-def _event_intensity(params: ModelParams, stream: EventStream,
-                     horizon: float) -> tuple[np.ndarray, np.ndarray,
-                                              sparse.csr_matrix]:
-    """Each event's own-mark intensity over (0, T], its 0-based mark and
-    the window design at the events."""
-    t, k = _events(stream, horizon)
-    X = _design(params, stream, t)
-    lam = params.nu + X @ _g_flat(params.h)
-    return lam[np.arange(k.size), k], k, X
-
-
 def log_likelihood(params: ModelParams, stream: EventStream,
                    horizon: float) -> float:
     """Conditional log-likelihood on (0, T]; -inf if an event has
     nonpositive intensity (MCMC rejection sentinel)."""
-    lam, _, _ = _event_intensity(params, stream, horizon)
-    if np.any(lam <= 0.0):
-        return -np.inf
-    total = float(np.log(lam).sum())
-    if params.kind == "relu" and np.any(params.h < 0):
-        comp, _ = _relu_sweep(params, stream, horizon)
-        return total - float(comp.sum())
-    W = _compensator_weights(params, stream, horizon)
-    return total - float(params.nu.sum() * horizon
-                         + np.einsum("lc,lkc->", W, params.h))
+    cache = LikelihoodCache(stream, params.K, params.n_cells,
+                            params.support_end, horizon)
+    return cache.log_likelihood(params.nu, params.h)
 
 
 def grad_loglik_nu(params: ModelParams, stream: EventStream,
@@ -152,14 +93,18 @@ def grad_loglik_nu(params: ModelParams, stream: EventStream,
     """Score with respect to nu: sum over mark-k events of 1/lambda^k,
     minus the occupation time of positive intensity (T in the linear
     model)."""
-    lam, k, _ = _event_intensity(params, stream, horizon)
-    if np.any(lam <= 0.0):
-        raise ValueError("nonpositive intensity at an event")
-    grad = np.bincount(k, weights=1.0 / lam, minlength=params.K)
-    if params.kind == "relu" and np.any(params.h < 0):
-        _, occ = _relu_sweep(params, stream, horizon)
-        return grad - occ
-    return grad - horizon
+    cache = LikelihoodCache(stream, params.K, params.n_cells,
+                            params.support_end, horizon)
+    ex = cache.excite(params.h)
+    grad = np.empty(params.K)
+    for k, nu_k in enumerate(params.nu.tolist()):
+        lam = nu_k + ex.rows[k]
+        if lam.size and lam.min() <= 0.0:
+            raise ValueError("nonpositive intensity at an event")
+        occ = horizon if ex.pieces is None else (
+            cache._pieces[1] @ (nu_k + ex.pieces[k] > 0.0))
+        grad[k] = cache.counts[k] @ (1.0 / lam) - occ
+    return grad
 
 
 def w_statistic(direction: Direction, f0: ModelParams,
@@ -170,13 +115,16 @@ def w_statistic(direction: Direction, f0: ModelParams,
     if (direction.K != f0.K or direction.n_cells != f0.n_cells
             or direction.support_end != f0.support_end):
         raise ValueError("direction grid mismatch")
-    lam, k, X = _event_intensity(f0, stream, horizon)
-    if np.any(lam <= 0.0):
-        raise ValueError("nonpositive intensity at an event")
-    tilde = (direction.xi + X @ _g_flat(direction.g))[np.arange(k.size), k]
-    W = _compensator_weights(f0, stream, horizon)
-    total = float(np.sum(tilde / lam)) - float(
-        direction.xi.sum() * horizon + np.einsum("lc,lkc->", W, direction.g))
+    cache = LikelihoodCache(stream, f0.K, f0.n_cells, f0.support_end,
+                            horizon)
+    # the perturbation enters the intensity linearly, whatever its sign
+    ex, tilde = cache.excite(f0.h), cache.excite(direction.g, linear=True)
+    total = 0.0
+    for k in range(f0.K):
+        xi_k = float(direction.xi[k])
+        total += float(cache.counts[k] @ ((xi_k + tilde.rows[k])
+                                          / (f0.nu[k] + ex.rows[k])))
+        total -= xi_k * horizon + tilde.comp[k]
     return float(total / np.sqrt(horizon))
 
 
@@ -231,7 +179,8 @@ class LanEstimator:
             t_sim = stream.horizon
         pts = stratified_points(t_sim, n_points, n_batches, rng)
         self.n_points = pts.size
-        self.X = _design(f0, stream, pts)
+        self.X = window_design(stream.times, stream.marks, pts,
+                               f0.support_end, f0.K, f0.n_cells)
         self.lam0 = f0.nu[None, :] + self.X @ _g_flat(f0.h)
 
     def gram_batches(self, dirs: list[Direction]) -> np.ndarray:
@@ -278,70 +227,120 @@ def lan_inner_product(dir1: Direction, dir2: Direction, f0: ModelParams,
 
 class KernelExcitation:
     """The nu-free part of the cached likelihood at one kernel h: each
-    mark's excitation X_k @ h_k at the distinct rows and compensator term
-    W @ h_k. terms[k] keeps mark k's log term at its two most recently
-    used rates, so evaluating the same kernel at rates that differ in one
-    mark recomputes that mark's term only."""
+    mark's excitation X_k @ h_k at the distinct rows, compensator term
+    W @ h_k and, for a ReLU kernel, excitation at the distinct pieces
+    (else None). terms[k] keeps mark k's log term (with the ReLU
+    correction) at its two most recently used rates, so evaluating the
+    same kernel at rates that differ in one mark recomputes that mark's
+    term only."""
 
-    __slots__ = ("rows", "comp", "terms")
+    __slots__ = ("rows", "comp", "pieces", "terms")
 
-    def __init__(self, rows: list[np.ndarray], comp: list[float]):
+    def __init__(self, rows: list[np.ndarray], comp: list[float],
+                 pieces: list[np.ndarray] | None):
         self.rows = rows
         self.comp = comp
+        self.pieces = pieces
         self.terms: list[dict[float, float]] = [{} for _ in rows]
 
 
-def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-d array in lexicographic order and their
-    multiplicities: np.unique(X, axis=0, return_counts=True), from one
-    lexsort over the columns and a row-change mask."""
-    Xs = X[np.lexsort(X.T[::-1])]
+def _distinct_rows(X: np.ndarray,
+                   weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array in lexicographic order, as
+    np.unique(X, axis=0) gives them, and the summed weights of each
+    row's copies (with unit weights, its multiplicity); from one lexsort
+    over the columns and a row-change mask."""
+    order = np.lexsort(X.T[::-1])
+    Xs = X[order]
     new = np.ones(len(Xs), dtype=bool)
     new[1:] = (Xs[1:] != Xs[:-1]).any(axis=1)
     starts = np.flatnonzero(new)
-    return Xs[starts], np.diff(starts, append=len(Xs))
+    return Xs[starts], np.add.reduceat(weights[order], starts)
 
 
 class LikelihoodCache:
-    """Count-matrix cache for fast repeated likelihood evaluation on one
-    stream and one grid resolution.
+    """The evaluator of the conditional likelihood (the intensity at the
+    events and the compensator) on one stream and one grid resolution,
+    for kernels of either sign.
 
     For each mark k, a row of the count matrix counts the window events
     of each mark l in each cell c (column l*m+c) at one mark-k event.
     Under posterior contraction few distinct rows occur, so X[k] keeps
-    the distinct rows and counts[k] their multiplicities; the compensator
-    reduces to fixed linear weights. loglik(nu, h) is then a handful of
-    matrix products whose size hardly grows with the horizon.
+    the distinct rows and counts[k] their multiplicities; the linear
+    compensator reduces to fixed weights W. loglik(nu, h) is then a
+    handful of matrix products whose size hardly grows with the horizon.
+
+    A kernel with a negative cell has the ReLU compensator, the integral
+    of max(nu_k + X(t) @ h_k, 0): the linear one minus the integral of
+    min(nu_k + X(t) @ h_k, 0). X(t) is constant on the pieces of [0, T]
+    between event-time + cell-edge breakpoints, so that integral is a
+    sum over their distinct rows, weighted by summed widths, built on
+    first use.
     """
 
     def __init__(self, stream: EventStream, K: int, n_cells: int,
                  support_end: float, horizon: float):
         self.K, self.m = K, n_cells
         self.A, self.T = support_end, horizon
-        t, k = _events(stream, horizon)
-        X = window_design(stream.times, stream.marks, t, support_end, K,
+        self.stream = stream
+        times, marks = stream.times, stream.marks
+        sel = (times > 0) & (times <= horizon)
+        X = window_design(times, marks, times[sel], support_end, K,
                           n_cells).toarray()
+        k = marks[sel] - 1
         self.X: list[np.ndarray] = []
         self.counts: list[np.ndarray] = []
         for mark in range(K):
-            rows, counts = _distinct_rows(X[k == mark])
+            Xk = X[k == mark]
+            rows, counts = _distinct_rows(Xk, np.ones(len(Xk)))
             self.X.append(rows)
-            self.counts.append(counts.astype(float))
-        # compensator weights, flattened over (l, c)
-        ref = ModelParams(np.ones(K), np.zeros((K, K, n_cells)),
-                          support_end)
-        self.W = _compensator_weights(ref, stream, horizon).ravel()
+            self.counts.append(counts)
+        # W[l*m + c]: the total time cell c of a mark-(l+1) event
+        # overlaps [0, T], so that the linear compensator is
+        # nu_k T + W @ h_k
+        edges = np.arange(n_cells + 1) * (support_end / n_cells)
+        live = (times + support_end > 0) & (times < horizon)
+        W = np.zeros((K, n_cells))
+        for l in range(K):
+            clipped = np.clip(times[live & (marks == l + 1)][:, None]
+                              + edges[None, :], 0.0, horizon)
+            W[l] = np.diff(clipped, axis=1).sum(axis=0)
+        self.W = W.ravel()
 
-    def excite(self, h: np.ndarray) -> KernelExcitation:
-        """The nu-free part of the likelihood at kernel cell values h."""
+    @functools.cached_property
+    def _pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct design rows of the pieces of [0, T] and the
+        summed widths of each row's pieces."""
+        times = self.stream.times
+        mids, widths = sweep_pieces(times, self.m, self.A / self.m,
+                                    np.array([0.0, self.T]))
+        P = window_design(times, self.stream.marks, mids, self.A, self.K,
+                          self.m).toarray()
+        return _distinct_rows(P, widths)
+
+    def excite(self, h: np.ndarray,
+               linear: bool | None = None) -> KernelExcitation:
+        """The nu-free part of the likelihood at kernel cell values h.
+
+        linear says whether nu + X @ h is the intensity itself, as it is
+        for a kernel with no negative cell (read from h when not given);
+        otherwise the excitation at the pieces is added for the ReLU
+        compensator.
+        """
         hf = _g_flat(h)
+        if linear is None:
+            linear = bool(h.min() >= 0.0)
+        pieces = None
+        if not linear:
+            pieces = [self._pieces[0] @ hf[:, k] for k in range(self.K)]
         return KernelExcitation(
             [self.X[k] @ hf[:, k] for k in range(self.K)],
-            [float(self.W @ hf[:, k]) for k in range(self.K)])
+            [float(self.W @ hf[:, k]) for k in range(self.K)], pieces)
 
     def log_likelihood(self, nu: np.ndarray,
                        h: np.ndarray | KernelExcitation) -> float:
-        """Linear-model log-likelihood for parameters on the cached grid.
+        """Log-likelihood for parameters on the cached grid, with the
+        ReLU compensator for a kernel with a negative cell.
 
         h is the kernel's cell values or, to evaluate one kernel at many
         rates, its `excite` result.
@@ -358,6 +357,9 @@ class LikelihoodCache:
                     term = -np.inf
                 else:
                     term = float(self.counts[k] @ np.log(lam))
+                    if ex.pieces is not None:
+                        term += float(self._pieces[1] @ np.minimum(
+                            nu_k + ex.pieces[k], 0.0))
                 if len(seen) == 2:
                     del seen[next(iter(seen))]
             seen[nu_k] = term

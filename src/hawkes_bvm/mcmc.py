@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .likelihood import LikelihoodCache, log_likelihood
+from .likelihood import LikelihoodCache
 from .model import ModelParams
 from .priors import PriorSpec, sample_prior
 from .stream import EventStream
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_START_TRIES = 1000
 
 
 def _log_normal(x: np.ndarray, sigma: float) -> float:
@@ -70,13 +71,11 @@ class _Expansion:
     def __init__(self, spec: PriorSpec, J: int, theta: np.ndarray):
         self.h = spec.theta_to_h(J, theta)
         self.hneg_sup = spec.kernel_admissible(self.h)
-        if self.hneg_sup is None:
-            self.nonneg = bool(self.h.min() >= 0.0)
-            self.theta_lp = -np.inf
-        else:
-            # a finite h is nonnegative when no mark has a negative part
-            self.nonneg = max(self.hneg_sup) == 0.0
-            self.theta_lp = spec.theta_logpdf(theta)
+        # a finite h is nonnegative when no mark has a negative part; the
+        # likelihood is never evaluated outside the class
+        self.nonneg = self.hneg_sup is not None and max(self.hneg_sup) == 0.0
+        self.theta_lp = (-np.inf if self.hneg_sup is None
+                         else spec.theta_logpdf(theta))
         self.excitation = None
 
 
@@ -113,22 +112,15 @@ class PosteriorTarget:
     def log_lik(self, nu: np.ndarray, J: int,
                 theta: np.ndarray) -> float:
         ex = self._expand(J, theta)
-        if ex.nonneg:
-            n_cells = ex.h.shape[2]
-            cache = self._caches.get(n_cells)
-            if cache is None:
-                cache = LikelihoodCache(self.stream, self.spec.K, n_cells,
-                                        self.spec.support_end,
-                                        self.horizon)
-                self._caches[n_cells] = cache
-            if ex.excitation is None:
-                ex.excitation = cache.excite(ex.h)
-            return cache.log_likelihood(nu, ex.excitation)
-        try:
-            params = ModelParams(nu, ex.h, self.spec.support_end, "relu")
-        except ValueError:
-            return -np.inf
-        return log_likelihood(params, self.stream, self.horizon)
+        n_cells = ex.h.shape[2]
+        cache = self._caches.get(n_cells)
+        if cache is None:
+            cache = LikelihoodCache(self.stream, self.spec.K, n_cells,
+                                    self.spec.support_end, self.horizon)
+            self._caches[n_cells] = cache
+        if ex.excitation is None:
+            ex.excitation = cache.excite(ex.h, ex.nonneg)
+        return cache.log_likelihood(nu, ex.excitation)
 
     def log_pri(self, nu: np.ndarray, J: int,
                 theta: np.ndarray) -> float:
@@ -157,9 +149,16 @@ class ChainState:
     @classmethod
     def initial(cls, target: PosteriorTarget,
                 rng: np.random.Generator) -> "ChainState":
-        nu, J, theta = sample_prior(target.spec, rng)
-        return cls(nu, J, theta, target.log_lik(nu, J, theta),
-                   target.log_pri(nu, J, theta))
+        """A prior draw with finite log-likelihood: a chain started at
+        -inf, with every nearby proposal also -inf, would never move."""
+        for _ in range(_START_TRIES):
+            nu, J, theta = sample_prior(target.spec, rng)
+            log_lik = target.log_lik(nu, J, theta)
+            if np.isfinite(log_lik):
+                return cls(nu, J, theta, log_lik,
+                           target.log_pri(nu, J, theta))
+        raise RuntimeError(
+            f"no prior draw with finite likelihood in {_START_TRIES} tries")
 
 
 @dataclass

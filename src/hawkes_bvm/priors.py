@@ -219,7 +219,8 @@ class PriorSpec:
 
     def j_log_pmf(self) -> tuple[np.ndarray, np.ndarray]:
         """(dims, normalized log pmf) of the dimension prior."""
-        return _j_log_pmf_cached(self)
+        table = self._dim_log_pmf
+        return np.array(list(table)), np.array(list(table.values()))
 
     def theta_to_h(self, J: int, theta: np.ndarray) -> np.ndarray:
         """Kernel cell values phi(theta^T B_J), shape (K, K, n_cells).
@@ -246,8 +247,11 @@ class PriorSpec:
 
     @functools.cached_property
     def _dim_log_pmf(self) -> dict[int, float]:
-        dims, logpmf = self.j_log_pmf()
-        return dict(zip(dims.tolist(), logpmf.tolist()))
+        dims = self.admissible_dims()
+        logw = -self.c1 * dims * np.log(dims)
+        logw = logw - (np.log(np.sum(np.exp(logw - logw.max())))
+                       + logw.max())
+        return dict(zip(dims.tolist(), logw.tolist()))
 
     def kernel_admissible(self, h: np.ndarray) -> list[float] | None:
         """The nu-free half of the model class: finite h whose positive
@@ -344,15 +348,6 @@ class PriorSpec:
         a1, b = self.nu_shape - 1, self.nu_rate
         return (_np_sum([a1 * float(np.log(v)) - b * v for v in x])
                 + len(x) * self._nu_log_norm)
-
-
-@functools.lru_cache(maxsize=None)
-def _j_log_pmf_cached(spec: "PriorSpec") -> tuple[np.ndarray, np.ndarray]:
-    dims = spec.admissible_dims()
-    logw = -spec.c1 * dims * np.log(dims)
-    logw = logw - (np.log(np.sum(np.exp(logw - logw.max())))
-                   + logw.max())
-    return dims, logw
 
 
 def log_prior(nu: np.ndarray, J: int, theta: np.ndarray,

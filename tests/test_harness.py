@@ -270,3 +270,14 @@ def test_cli_bvm_report_identical_across_threads(tmp_path):
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
     assert all(r["ok"] for r in json.loads(reports[0])["replications"])
+
+
+def test_cli_bvm_exit_code_when_inversion_not_converged(tmp_path):
+    # a zero tolerance is never met: the outputs are written, exit code 3
+    path = _write_cfg(tmp_path, {"mcmc_iters": "200", "R": "1",
+                                 "invert_tol": "0"})
+    out = tmp_path / "bvm"
+    assert cli_main(["bvm", "--config", path, "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["palm_converged"] is False
+    assert all(r["ok"] for r in report["replications"])

@@ -12,6 +12,7 @@ from hawkes_bvm.likelihood import (LanEstimator, LikelihoodCache,
 from hawkes_bvm.model import ModelParams
 from hawkes_bvm.simulate import simulate_thinning
 from hawkes_bvm.stream import EventStream
+from test_window_design import _loop_loglik
 
 
 def _simple_stream():
@@ -100,6 +101,21 @@ def test_w_statistic_hand_computed():
     # tilde at events: 0 and 1; compensator of tilde: 1.0 + 0.7
     expect = (1.0 / 1.5 - 1.7) / np.sqrt(1.5)
     assert w_statistic(d, p, s, 1.5) == pytest.approx(expect, rel=1e-12)
+
+
+def test_w_statistic_never_builds_the_piece_design(monkeypatch):
+    # the direction enters the intensity linearly: its negative cells must
+    # not trigger the ReLU piece design, which is large on long streams
+    import hawkes_bvm.likelihood as likelihood
+
+    def no_pieces(*args):
+        raise AssertionError("piece design built")
+
+    monkeypatch.setattr(likelihood, "sweep_pieces", no_pieces)
+    p = ModelParams(np.array([1.0]), np.array([[[0.4, 0.2]]]), 1.0)
+    s = simulate_thinning(p, 100.0, seed=4)
+    d = Direction(np.array([0.3]), np.array([[[0.2, -0.5]]]), 1.0)
+    assert np.isfinite(w_statistic(d, p, s, 100.0))
 
 
 def test_lan_inner_poisson_closed_form():
@@ -206,9 +222,9 @@ def test_likelihood_cache_matches_direct():
     for _ in range(5):
         nu = rng.uniform(0.5, 1.5, size=2)
         hh = rng.uniform(0.0, 0.4, size=(2, 2, 2))
-        direct = log_likelihood(ModelParams(nu, hh, 1.0), s, 80.0)
+        loop = _loop_loglik(ModelParams(nu, hh, 1.0), s, 80.0)
         assert cache.log_likelihood(nu, hh) == pytest.approx(
-            direct, rel=1e-10)
+            loop, rel=1e-10)
 
 
 def test_likelihood_cache_sentinel():
@@ -249,11 +265,11 @@ def test_deduplicated_cache_matches_exact_likelihood(case):
         assert cache.counts[k].sum() == np.sum(inside
                                                & (stream.marks == k + 1))
         assert np.unique(cache.X[k], axis=0).shape == cache.X[k].shape
-    exact = log_likelihood(ModelParams(nu, h, 1.0, "relu"), stream, T)
+    loop = _loop_loglik(ModelParams(nu, h, 1.0, "relu"), stream, T)
     cached = cache.log_likelihood(nu, h)
-    assert (exact == -np.inf) == (cached == -np.inf)
-    if h.min() >= 0.0:  # the ReLU compensator is then the linear one
-        assert cached == pytest.approx(exact, rel=1e-10, abs=1e-12)
+    assert (loop == -np.inf) == (cached == -np.inf)
+    if loop != -np.inf:
+        assert cached == pytest.approx(loop, rel=1e-10, abs=1e-12)
     # one kernel's excitation at rates moved one mark at a time gives
     # the fresh evaluation's value exactly
     ex = cache.excite(h)
@@ -267,7 +283,13 @@ def test_deduplicated_cache_matches_exact_likelihood(case):
     max_size=40).map(lambda rows: np.array(rows, dtype=float)
                      .reshape(len(rows), cols))))
 def test_distinct_rows_equal_numpy_unique(X):
-    rows, counts = _distinct_rows(X)
-    ref_rows, ref_counts = np.unique(X, axis=0, return_counts=True)
+    rows, counts = _distinct_rows(X, np.ones(len(X)))
+    ref_rows, inverse, ref_counts = np.unique(
+        X, axis=0, return_inverse=True, return_counts=True)
     assert np.array_equal(rows, ref_rows)
     assert np.array_equal(counts, ref_counts)
+    # weights add up per distinct row, as piece widths do
+    weights = np.arange(len(X)) + 0.5
+    _, sums = _distinct_rows(X, weights)
+    assert np.array_equal(sums, np.bincount(inverse.ravel(), weights,
+                                            minlength=len(ref_rows)))

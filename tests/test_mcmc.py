@@ -8,10 +8,12 @@ from hawkes_bvm.mcmc import (ChainState, PosteriorTarget, Scales, ess,
                              run_chain, posterior_functional,
                              split_coefficients)
 from hawkes_bvm.functionals import FunctionalSpec
-from hawkes_bvm.likelihood import _compensator_weights, log_likelihood
+from hawkes_bvm.likelihood import log_likelihood
 from hawkes_bvm.model import ModelParams
 from hawkes_bvm.priors import PriorSpec, log_prior
 from hawkes_bvm.simulate import simulate_thinning
+from hawkes_bvm.stream import EventStream
+from test_window_design import _loop_loglik
 
 
 def _data(T=300.0, seed=30):
@@ -141,6 +143,18 @@ def test_posterior_target_matches_direct_likelihood():
     h = spec.theta_to_h(2, theta)
     direct = log_likelihood(ModelParams(nu, h, 1.0), stream, T)
     assert target.log_lik(nu, 2, theta) == pytest.approx(direct, rel=1e-10)
+
+
+def test_posterior_target_relu_compensator():
+    # after the events at 1.0 and 1.1 the linear intensity 1 - 2 * 0.6 is
+    # negative on (1.1, 2.0]; the ReLU compensator counts 0 there
+    stream = EventStream(np.array([1.0, 1.1, 3.0]), np.array([1, 1, 1]),
+                         -1.0, 4.0)
+    target = PosteriorTarget(stream, 4.0, _spec(
+        J_max=1, theta_family="gaussian", sigma=0.3))
+    expect = np.log(0.4) - (1.0 + 0.04 + 0.04 + 0.9 + 0.4)
+    assert target.log_lik(np.array([1.0]), 1, np.array([[[-0.6]]])) == (
+        pytest.approx(expect, rel=1e-12))
 
 
 def test_chain_deterministic():
@@ -273,11 +287,38 @@ def test_jump_moves_change_dimension():
     assert len(set(draws.js)) > 1
 
 
+def test_chain_starts_at_finite_likelihood():
+    # this prior's first draw (Haar, identity link) has an event with
+    # nonpositive intensity; a chain started there accepted no move
+    p = ModelParams(np.array([1.0]), np.array([[[0.5]]]), 1.0)
+    stream, T = simulate_thinning(p, 300.0, seed=2), 300.0
+    spec = _spec(basis_kind="haar", J_max=8, theta_family="gaussian",
+                 sigma=0.3)
+    state = ChainState.initial(PosteriorTarget(stream, T, spec),
+                               np.random.default_rng(3))
+    assert np.isfinite(state.log_lik)
+    draws = run_chain(stream, T, spec, iters=300, seed=3, warn=False)
+    assert draws.acceptance["nu"] > 0 and draws.acceptance["theta"] > 0
+
+
+def test_chain_start_raises_when_no_draw_is_finite():
+    stream, T = _data(T=50.0)
+
+    class _NoLikelihood(PosteriorTarget):
+        def log_lik(self, nu, J, theta):
+            return -np.inf
+
+    with pytest.raises(RuntimeError, match="finite likelihood"):
+        ChainState.initial(_NoLikelihood(stream, T, _spec()),
+                           np.random.default_rng(0))
+
+
 class _ReferenceTarget(PosteriorTarget):
-    """The evaluation without expansions: log_prior on every proposal
-    and, for a nonnegative kernel, nu + X @ h with the full count matrix
-    X (one row per event) built by a brute-force loop; other kernels take
-    the exact ReLU likelihood. Counts its -inf likelihoods."""
+    """The evaluation without expansions or row deduplication: log_prior
+    on every proposal and, for a nonnegative kernel, nu + X @ h with the
+    full count matrix X (one row per event) and the compensator weights W
+    built by brute-force loops; other kernels take the loop reference
+    of the ReLU likelihood. Counts its -inf likelihoods."""
 
     def __init__(self, stream, horizon, spec):
         super().__init__(stream, horizon, spec)
@@ -298,8 +339,12 @@ class _ReferenceTarget(PosteriorTarget):
                             cell = min(int((t - s) / (A / m)), m - 1)
                             Xk[i, (l - 1) * m + cell] += 1.0
                 X.append(Xk)
-            ref = ModelParams(np.ones(K), np.zeros((K, K, m)), A)
-            W = _compensator_weights(ref, self.stream, T).ravel()
+            W = np.zeros(K * m)
+            for s, l in zip(times, marks):
+                for c in range(m):
+                    lo, hi = (min(max(s + j * A / m, 0.0), T)
+                              for j in (c, c + 1))
+                    W[(l - 1) * m + c] += hi - lo
             self._full[m] = X, W
         return self._full[m]
 
@@ -320,12 +365,8 @@ class _ReferenceTarget(PosteriorTarget):
                 total += float(np.log(lam).sum())
                 total -= float(nu[k] * self.horizon + W @ hf[:, k])
             return total
-        try:
-            params = ModelParams(nu, h, self.spec.support_end, "relu")
-        except ValueError:
-            value = -np.inf
-        else:
-            value = log_likelihood(params, self.stream, self.horizon)
+        params = ModelParams(nu, h, self.spec.support_end, "relu")
+        value = _loop_loglik(params, self.stream, self.horizon)
         self.lik_rejections += value == -np.inf
         return value
 
