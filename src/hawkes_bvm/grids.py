@@ -3,7 +3,7 @@ perturbation directions (xi, g)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,14 +38,6 @@ class GridFunction:
     @property
     def cell_width(self) -> float:
         return self.support_end / self.values.size
-
-    @classmethod
-    def zeros(cls, support_end: float, n_cells: int) -> "GridFunction":
-        return cls(support_end, np.zeros(n_cells))
-
-    @classmethod
-    def constant(cls, c: float, support_end: float, n_cells: int = 1) -> "GridFunction":
-        return cls(support_end, np.full(n_cells, float(c)))
 
     def cell_index(self, x: float | np.ndarray) -> np.ndarray:
         """Index of the cell containing x, for x in [0, A]."""
@@ -145,13 +137,6 @@ class Direction:
     @property
     def cell_width(self) -> float:
         return self.support_end / self.n_cells
-
-    @classmethod
-    def zero(cls, K: int, support_end: float, n_cells: int) -> "Direction":
-        return cls(np.zeros(K), np.zeros((K, K, n_cells)), support_end)
-
-    def g_grid(self, l: int, k: int) -> GridFunction:
-        return GridFunction(self.support_end, self.g[l, k])
 
     def l2_inner(self, other: "Direction") -> float:
         """Canonical inner product: xi.xi' + sum_{l,k} int g g'."""

@@ -115,6 +115,9 @@ def config_from_dict(cfg: dict, seed_override: int | None = None
     if seed_override is not None:
         seed = seed_override
     burn = cfg.get("mcmc_burn_in")
+    thin = int(cfg.get("mcmc_thin", "5"))
+    if thin < 1:
+        raise ValueError("mcmc_thin must be >= 1")
     return ExperimentConfig(
         f0=f0,
         functional=parse_functional(cfg.get("functional", "background 1")),
@@ -123,7 +126,7 @@ def config_from_dict(cfg: dict, seed_override: int | None = None
         replications=int(cfg.get("R", "100")),
         mcmc_iters=int(cfg.get("mcmc_iters", "20000")),
         mcmc_burn_in=int(burn) if burn is not None else None,
-        mcmc_thin=int(cfg.get("mcmc_thin", "5")),
+        mcmc_thin=thin,
         p_j=float(cfg.get("p_j", "0.2")),
         palm_cells=int(cfg.get("palm_cells", "16")),
         palm_anchors=int(cfg.get("palm_anchors", "2000")),
@@ -271,6 +274,7 @@ def run_experiment(config: ExperimentConfig,
     }
     report["coverage"] = coverage_table(report, (0.90, 0.95))
     ok = [r for r in results if r["ok"]]
+    report["mean_sd_sqrtT"] = report["median_ks"] = None
     if ok:
         sds = np.array([r["post_sd"] for r in ok])
         ts = np.array([r["horizon"] for r in ok])
@@ -364,18 +368,22 @@ def emit_outputs(report: dict, out_dir: str) -> list[str]:
         written.append(path)
 
     v0 = report["v0"]
+    ok = [i for i, r in enumerate(report["replications"]) if r["ok"]]
     gp = f"""# gnuplot script: posterior vs the BvM normal limit
 set terminal pngcairo size 900,400
 set output 'bvm.png'
-set multiplot layout 1,2
-set title 'centered-scaled posterior vs N(0, V0)'
+set multiplot layout 1,{1 + bool(ok)}
+"""
+    if ok:
+        gp += f"""set title 'centered-scaled posterior vs N(0, V0)'
 binwidth = 0.2
 bin(x) = binwidth*floor(x/binwidth) + binwidth/2.0
 normal(x) = exp(-x*x/(2*{v0!r}))/sqrt(2*pi*{v0!r})
-plot 'posterior_0.csv' skip 1 using (bin($1)):(1.0) \\
+plot 'posterior_{ok[0]}.csv' skip 1 using (bin($1)):(1.0) \\
      smooth freq with boxes title 'posterior', \\
      normal(x) with lines title 'N(0,V0)'
-set title 'coverage (column 9 of replications.csv)'
+"""
+    gp += """set title 'coverage (column 9 of replications.csv)'
 plot 'replications.csv' skip 1 using 1:9 with points title 'covered'
 unset multiplot
 """

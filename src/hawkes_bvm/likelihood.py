@@ -229,19 +229,15 @@ class KernelExcitation:
     """The nu-free part of the cached likelihood at one kernel h: each
     mark's excitation X_k @ h_k at the distinct rows, compensator term
     W @ h_k and, for a ReLU kernel, excitation at the distinct pieces
-    (else None). terms[k] keeps mark k's log term (with the ReLU
-    correction) at its two most recently used rates, so evaluating the
-    same kernel at rates that differ in one mark recomputes that mark's
-    term only."""
+    (else None)."""
 
-    __slots__ = ("rows", "comp", "pieces", "terms")
+    __slots__ = ("rows", "comp", "pieces")
 
     def __init__(self, rows: list[np.ndarray], comp: list[float],
                  pieces: list[np.ndarray] | None):
         self.rows = rows
         self.comp = comp
         self.pieces = pieces
-        self.terms: list[dict[float, float]] = [{} for _ in rows]
 
 
 def _distinct_rows(X: np.ndarray,
@@ -275,7 +271,8 @@ class LikelihoodCache:
     min(nu_k + X(t) @ h_k, 0). X(t) is constant on the pieces of [0, T]
     between event-time + cell-edge breakpoints, so that integral is a
     sum over their distinct rows, weighted by summed widths, built on
-    first use.
+    first use; nothing else is kept between evaluations. A caller that
+    evaluates one kernel at many rates keeps its `excite` result.
     """
 
     def __init__(self, stream: EventStream, K: int, n_cells: int,
@@ -349,22 +346,13 @@ class LikelihoodCache:
         total = 0.0
         for k in range(self.K):
             nu_k = float(nu[k])
-            seen = ex.terms[k]
-            term = seen.pop(nu_k, None)
-            if term is None:
-                lam = nu_k + ex.rows[k]
-                if lam.size and lam.min() <= 0.0:
-                    term = -np.inf
-                else:
-                    term = float(self.counts[k] @ np.log(lam))
-                    if ex.pieces is not None:
-                        term += float(self._pieces[1] @ np.minimum(
-                            nu_k + ex.pieces[k], 0.0))
-                if len(seen) == 2:
-                    del seen[next(iter(seen))]
-            seen[nu_k] = term
-            if term == -np.inf:
+            lam = nu_k + ex.rows[k]
+            if lam.size and lam.min() <= 0.0:
                 return -np.inf
+            term = float(self.counts[k] @ np.log(lam))
+            if ex.pieces is not None:
+                term += float(self._pieces[1] @ np.minimum(
+                    nu_k + ex.pieces[k], 0.0))
             total += term
             total -= float(nu_k * self.T + ex.comp[k])
         return total

@@ -87,7 +87,7 @@ class PosteriorTarget:
     pending proposal, unless two proposals in a row were rejected (the
     state is then expanded again on its next use). A nu-move so reuses
     the state's kernel terms and recomputes only the rate prior and the
-    moved mark's log term.
+    marks' log terms.
     """
 
     def __init__(self, stream: EventStream, horizon: float,
@@ -355,7 +355,8 @@ def run_chain(stream: EventStream, horizon: float, spec: PriorSpec,
     rates = {}
     for name in ("nu", "theta", "jump"):
         n = totals[name + "_n"]
-        rates[name] = totals[name] / n if n else float("nan")
+        # null in JSON, which has no nan: a move type never proposed
+        rates[name] = totals[name] / n if n else None
         if warn and n and not 0.1 <= rates[name] <= 0.6:
             _warnings.warn(
                 f"{name} acceptance rate {rates[name]:.2f} outside "

@@ -127,8 +127,5 @@ def stationary_rates(params: ModelParams) -> np.ndarray:
     """Mean event rates mu solving (I - rho^T) mu = nu, linear model."""
     if params.kind != "linear":
         raise ValueError("stationary rates require the linear model")
-    rho = params.rho()
-    if spectral_radius(rho) >= 1.0:
-        raise ValueError("no stationary regime: spectral radius >= 1")
-    K = params.K
-    return np.linalg.solve(np.eye(K) - rho.T, params.nu)
+    # rho is rho_plus here, whose spectral radius ModelParams bounds below 1
+    return np.linalg.solve(np.eye(params.K) - params.rho().T, params.nu)

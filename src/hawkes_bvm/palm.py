@@ -259,14 +259,14 @@ def info_operator_apply_batched(palm: PalmEstimates, d: Direction
 
 
 def info_operator_invert(palm: PalmEstimates, target: OperatorImage,
-                         tol: float = 1e-8, max_iter: int = 10_000,
-                         omega: float = 0.5
+                         tol: float = 1e-8
                          ) -> tuple[Direction, float, bool]:
     """Invert Gamma by the displayed fixed point with under-relaxation.
 
     Returns (direction, sup-norm residual of Gamma(result) - target,
-    converged flag). The relaxation factor is halved when the sup-change
-    increases twice in a row.
+    converged flag) after at most 10,000 iterations. The relaxation
+    factor starts at 0.5 and is halved when the sup-change increases
+    twice in a row.
     """
     if target.n_cells != palm.n_cells or target.K != palm.K:
         raise ValueError("target does not match the Palm grid")
@@ -277,7 +277,8 @@ def info_operator_invert(palm: PalmEstimates, target: OperatorImage,
     prev_change = np.inf
     n_increase = 0
     converged = False
-    for _ in range(max_iter):
+    omega = 0.5
+    for _ in range(10_000):
         zeta = np.einsum("ljkcd,jkd->lkc", C, g)
         g_new = ((target.g - mu[:, None, None] * zeta)
                  / (mu[:, None, None] * p) - xi[None, :, None])
@@ -319,8 +320,7 @@ def efficient_estimate(psi_at_f0: float, f0: ModelParams,
 
 
 def bias_term(basis_dirs: list[Direction], f_dir: Direction,
-              psi_L: Direction, lan: LanEstimator,
-              ridge: float = 1e-10
+              psi_L: Direction, lan: LanEstimator
               ) -> tuple[float, float, bool]:
     """Projection bias B_J = -<f - Pf, psi_L - P psi_L>_L with the
     LAN-orthogonal projection P onto span(basis_dirs).
@@ -336,7 +336,7 @@ def bias_term(basis_dirs: list[Direction], f_dir: Direction,
     G_bb = G[:nb, :nb]
     flagged = False
     if np.linalg.cond(G_bb) > 1e12:
-        G_bb = G_bb + ridge * np.eye(nb)
+        G_bb = G_bb + 1e-10 * np.eye(nb)
         flagged = True
     g_bf = G[:nb, nb]
     g_bp = G[:nb, nb + 1]

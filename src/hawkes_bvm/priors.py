@@ -207,6 +207,9 @@ class PriorSpec:
             raise ValueError("unknown basis kind")
         if self.c1 <= 0 or self.J_max < 1:
             raise ValueError("need c1 > 0 and J_max >= 1")
+        for name in ("sigma", "rate", "nu_shape", "nu_rate"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     def basis(self, J: int) -> BasisFamily:
         return _basis_cached(self.basis_kind, J, self.support_end)
@@ -365,17 +368,17 @@ def log_prior(nu: np.ndarray, J: int, theta: np.ndarray,
 
 
 def sample_prior(spec: PriorSpec,
-                 rng: np.random.Generator | int = 0,
-                 max_tries: int = 10_000
+                 rng: np.random.Generator | int = 0
                  ) -> tuple[np.ndarray, int, np.ndarray]:
-    """Rejection-sample (nu, J, theta) from the restricted prior."""
+    """Rejection-sample (nu, J, theta) from the restricted prior, with at
+    most 10,000 draws."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     dims, logpmf = spec.j_log_pmf()
     pmf = np.exp(logpmf)
     pmf /= pmf.sum()
     nu_dist, th_dist = spec._nu_dist(), spec._theta_dist()
-    for _ in range(max_tries):
+    for _ in range(10_000):
         J = int(rng.choice(dims, p=pmf))
         nu = nu_dist.rvs(size=spec.K, random_state=rng)
         theta = th_dist.rvs(size=(spec.K, spec.K, J), random_state=rng)

@@ -27,12 +27,11 @@ def _dominating_kernels(params: ModelParams) -> np.ndarray:
 
 
 def simulate_thinning(params: ModelParams, horizon: float,
-                      burn_in: float | None = None,
                       seed: int | np.random.SeedSequence = 0) -> EventStream:
-    """Ogata thinning on [-A - burn_in, horizon], keeping [-A, horizon].
+    """Ogata thinning on [-51*A, horizon], keeping [-A, horizon].
 
-    burn_in defaults to 50*A; the finite-memory process forgets its
-    initial (empty) condition exponentially fast.
+    The burn-in of 50*A before -A is fixed: the finite-memory process
+    forgets its initial (empty) condition exponentially fast.
 
     The loop runs on Python floats but keeps numpy's arithmetic order
     and the generator's draws, so the streams are those of a loop on
@@ -46,10 +45,6 @@ def simulate_thinning(params: ModelParams, horizon: float,
     into the cumulative sum of p divided by its last entry.
     """
     A = params.support_end
-    if burn_in is None:
-        burn_in = 50.0 * A
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
     rng = np.random.default_rng(seed)
     K, m, w = params.K, params.n_cells, params.cell_width
     hbar = _dominating_kernels(params)
@@ -63,7 +58,7 @@ def simulate_thinning(params: ModelParams, horizon: float,
     relu = params.kind == "relu"
     exponential, random = rng.exponential, rng.random
 
-    t = -A - burn_in
+    t = -A - 50.0 * A
     times: list[float] = []
     marks: list[int] = []
     # rolling window of events within A of the current time; head is the
@@ -131,8 +126,6 @@ def simulate_cluster(params: ModelParams, horizon: float,
     A = params.support_end
     rho = params.rho()
     r = spectral_radius(rho)
-    if r >= 1.0:
-        raise ValueError("subcritical model required")
     rng = np.random.default_rng(seed)
     K, m, w = params.K, params.n_cells, params.cell_width
 

@@ -164,6 +164,29 @@ def test_emit_outputs_files(tmp_path):
     assert not os.path.exists(os.path.join(out, "posterior_10.csv"))
 
 
+def test_emit_outputs_plots_the_first_ok_posterior(tmp_path):
+    report = _fake_report()
+    report["replications"].insert(0, {"ok": False, "horizon": 100.0,
+                                      "reason": "x"})
+    report["coverage"] = coverage_table(report)
+    emit_outputs(report, str(tmp_path / "some"))
+    gp = (tmp_path / "some" / "plots.gp").read_text()
+    assert "'posterior_1.csv'" in gp and "posterior_0" not in gp
+    assert (tmp_path / "some" / "posterior_1.csv").exists()
+    # with no ok replication there is no histogram panel
+    report["replications"] = [r for r in report["replications"]
+                              if not r["ok"]]
+    emit_outputs(report, str(tmp_path / "none"))
+    gp = (tmp_path / "none" / "plots.gp").read_text()
+    assert "posterior_" not in gp and "layout 1,1" in gp
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"{path.name} holds {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_run_experiment_smoke_and_determinism():
     config = config_from_dict(dict(BASE_CFG))
     r1 = run_experiment(config)
@@ -281,3 +304,46 @@ def test_cli_bvm_exit_code_when_inversion_not_converged(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["palm_converged"] is False
     assert all(r["ok"] for r in report["replications"])
+
+
+def test_cli_infer_chain_json_strict_without_jump_proposals(tmp_path):
+    path = _write_cfg(tmp_path, {"mcmc_iters": "100", "p_j": "0"})
+    out = tmp_path / "inf"
+    assert cli_main(["infer", "--config", path, "--out", str(out)]) == 0
+    summary = _strict_json(out / "chain.json")
+    assert summary["acceptance"]["jump"] is None
+    assert summary["acceptance"]["nu"] > 0
+
+
+def test_cli_bvm_report_strict_without_jump_proposals(tmp_path):
+    path = _write_cfg(tmp_path, {"mcmc_iters": "200", "R": "1",
+                                 "p_j": "0"})
+    out = tmp_path / "bvm"
+    assert cli_main(["bvm", "--config", path, "--out", str(out)]) == 0
+    report = _strict_json(out / "report.json")
+    assert report["replications"][0]["acceptance"]["jump"] is None
+
+
+def test_cli_bvm_report_strict_when_no_replication_ok(tmp_path):
+    # a burn-in as long as the chain leaves no draws: every replication
+    # fails, and the outputs are still written (exit code 3)
+    path = _write_cfg(tmp_path, {"mcmc_iters": "50", "mcmc_burn_in": "50"})
+    out = tmp_path / "bvm"
+    assert cli_main(["bvm", "--config", path, "--out", str(out)]) == 3
+    report = _strict_json(out / "report.json")
+    assert not any(r["ok"] for r in report["replications"])
+    assert report["mean_sd_sqrtT"] is None
+    assert report["median_ks"] is None
+    assert "posterior_" not in (out / "plots.gp").read_text()
+
+
+@pytest.mark.parametrize("extra", [
+    {"prior_theta": "gaussian", "prior_sigma": "0"},
+    {"prior_nu_rate": "0"},
+    {"prior_rate": "0"},
+    {"mcmc_thin": "0"},
+])
+def test_cli_infer_bad_prior_or_thin_exit_code(tmp_path, extra):
+    path = _write_cfg(tmp_path, {"mcmc_iters": "100", **extra})
+    assert cli_main(["infer", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2

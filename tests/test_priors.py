@@ -151,6 +151,13 @@ def test_log_prior_composition():
     assert log_prior(np.array([-1.0]), 2, theta, spec) == -np.inf
 
 
+@pytest.mark.parametrize("name", ["sigma", "rate", "nu_shape", "nu_rate"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+def test_prior_spec_rejects_nonpositive_or_nonfinite_scale(name, value):
+    with pytest.raises(ValueError, match=name):
+        PriorSpec(**{name: value})
+
+
 def test_sample_prior_in_class_and_deterministic():
     spec = PriorSpec(J_max=4)
     nu, J, theta = sample_prior(spec, rng=0)
