@@ -98,6 +98,14 @@ class GridFunction:
     __rmul__ = __mul__
 
 
+def check_same_grid(a, b) -> None:
+    """Raise ValueError unless a and b (each a ModelParams, Direction or
+    PalmEstimates) have the same K, cell count and support end."""
+    if (a.K != b.K or a.n_cells != b.n_cells
+            or a.support_end != b.support_end):
+        raise ValueError("grid mismatch")
+
+
 @dataclass(frozen=True)
 class Direction:
     """A perturbation (xi, g) of the Hawkes parameters.
@@ -140,24 +148,19 @@ class Direction:
 
     def l2_inner(self, other: "Direction") -> float:
         """Canonical inner product: xi.xi' + sum_{l,k} int g g'."""
-        self._check(other)
+        check_same_grid(self, other)
         return float(np.dot(self.xi, other.xi)
                      + self.cell_width * np.sum(self.g * other.g))
 
     def l2_norm(self) -> float:
         return float(np.sqrt(self.l2_inner(self)))
 
-    def _check(self, other: "Direction"):
-        if (other.K != self.K or other.n_cells != self.n_cells
-                or other.support_end != self.support_end):
-            raise ValueError("direction grid mismatch")
-
     def __add__(self, other: "Direction") -> "Direction":
-        self._check(other)
+        check_same_grid(self, other)
         return Direction(self.xi + other.xi, self.g + other.g, self.support_end)
 
     def __sub__(self, other: "Direction") -> "Direction":
-        self._check(other)
+        check_same_grid(self, other)
         return Direction(self.xi - other.xi, self.g - other.g, self.support_end)
 
     def __mul__(self, c: float) -> "Direction":

@@ -115,10 +115,7 @@ def config_from_dict(cfg: dict, seed_override: int | None = None
     if seed_override is not None:
         seed = seed_override
     burn = cfg.get("mcmc_burn_in")
-    thin = int(cfg.get("mcmc_thin", "5"))
-    if thin < 1:
-        raise ValueError("mcmc_thin must be >= 1")
-    return ExperimentConfig(
+    config = ExperimentConfig(
         f0=f0,
         functional=parse_functional(cfg.get("functional", "background 1")),
         prior=prior,
@@ -126,7 +123,7 @@ def config_from_dict(cfg: dict, seed_override: int | None = None
         replications=int(cfg.get("R", "100")),
         mcmc_iters=int(cfg.get("mcmc_iters", "20000")),
         mcmc_burn_in=int(burn) if burn is not None else None,
-        mcmc_thin=thin,
+        mcmc_thin=int(cfg.get("mcmc_thin", "5")),
         p_j=float(cfg.get("p_j", "0.2")),
         palm_cells=int(cfg.get("palm_cells", "16")),
         palm_anchors=int(cfg.get("palm_anchors", "2000")),
@@ -144,6 +141,16 @@ def config_from_dict(cfg: dict, seed_override: int | None = None
         out_dir=cfg.get("out_dir", "out"),
         raw=dict(cfg),
     )
+    for name in ("mcmc_thin", "palm_cells", "palm_points", "palm_batches",
+                 "lan_points"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be >= 1")
+    for t in config.horizons + (config.lan_tsim,):
+        if not 0.0 < t < np.inf:
+            raise ValueError("T and lan_tsim must be positive and finite")
+    if not 0.0 <= config.p_j <= 1.0:
+        raise ValueError("p_j must be in [0, 1]")
+    return config
 
 
 def bvm_distance(posterior_samples: np.ndarray, center: float,
@@ -167,12 +174,11 @@ def compute_efficiency(config: ExperimentConfig) -> dict:
     if config.palm_cells % f0.n_cells:
         raise ValueError("palm_cells must refine the model grid")
     factor = config.palm_cells // f0.n_cells
-    rng = np.random.SeedSequence(config.seed)
-    kids = rng.spawn(2)
     palm = estimate_palm(
         f0, config.palm_cells, n_anchors=config.palm_anchors,
         n_points=config.palm_points, n_batches=config.palm_batches,
-        seed=kids[0], horizon=config.palm_horizon)
+        seed=np.random.SeedSequence(config.seed).spawn(1)[0],
+        horizon=config.palm_horizon)
     psi2 = riesz_representor(fspec, f0).refine(factor)
     psi_l, residual, converged = info_operator_invert(
         palm, psi2, tol=config.invert_tol)
@@ -372,15 +378,21 @@ def emit_outputs(report: dict, out_dir: str) -> list[str]:
     gp = f"""# gnuplot script: posterior vs the BvM normal limit
 set terminal pngcairo size 900,400
 set output 'bvm.png'
+set datafile separator ','
 set multiplot layout 1,{1 + bool(ok)}
 """
     if ok:
+        first = report["replications"][ok[0]]
         gp += f"""set title 'centered-scaled posterior vs N(0, V0)'
+T = {first['horizon']!r}
+psi_hat = {first['psi_hat']!r}
+n = {len(first['samples'])}
 binwidth = 0.2
 bin(x) = binwidth*floor(x/binwidth) + binwidth/2.0
 normal(x) = exp(-x*x/(2*{v0!r}))/sqrt(2*pi*{v0!r})
-plot 'posterior_{ok[0]}.csv' skip 1 using (bin($1)):(1.0) \\
-     smooth freq with boxes title 'posterior', \\
+plot 'posterior_{ok[0]}.csv' skip 1 \\
+     using (bin(sqrt(T)*($1 - psi_hat))):(1.0/(n*binwidth)) \\
+     smooth freq with boxes title 'posterior density', \\
      normal(x) with lines title 'N(0,V0)'
 """
     gp += """set title 'coverage (column 9 of replications.csv)'

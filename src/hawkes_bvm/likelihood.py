@@ -8,11 +8,12 @@ of the compensator, for linear and ReLU kernels alike; `log_likelihood`,
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .grids import Direction
+from .grids import Direction, check_same_grid
 from .model import ModelParams
 from .simulate import simulate_thinning
 from .stream import EventStream
@@ -45,8 +46,7 @@ def window_design(times: np.ndarray, marks: np.ndarray,
 
     Entry [q, l*m + c] counts the events of mark l+1 with time in
     [queries[q] - A, queries[q]), i.e. age in (0, A], whose age falls in
-    cell c = min(int(age / (A/m)), m - 1). times must be sorted. The
-    intensity at the queries is then nu + X @ _g_flat(h).
+    cell c = min(int(age / (A/m)), m - 1). times must be sorted.
     """
     queries = np.asarray(queries, dtype=float)
     lo = np.searchsorted(times, queries - A, "left")
@@ -54,14 +54,23 @@ def window_design(times: np.ndarray, marks: np.ndarray,
     return _count_design(times, marks, queries, lo, hi, K, m, A / m)
 
 
+def linear_intensity(stream: EventStream, queries: np.ndarray,
+                     nu: np.ndarray, h: np.ndarray,
+                     A: float) -> np.ndarray:
+    """nu + sum over the window events of h[l, k, cell(age)] at each
+    query, shape (n_query, K): the linear intensity, before any ReLU."""
+    K, _, m = h.shape
+    X = window_design(stream.times, stream.marks, queries, A, K, m)
+    return nu + X @ _g_flat(h)
+
+
 def intensity_at(params: ModelParams, stream: EventStream, t: float,
                  k: int | None = None):
     """Conditional intensity at time t; all marks, or one 1-based mark."""
     if t < stream.window_start + params.support_end or t > stream.horizon:
         raise ValueError("t outside the covered window")
-    X = window_design(stream.times, stream.marks, np.array([t]),
-                      params.support_end, params.K, params.n_cells)
-    lam = (params.nu + X @ _g_flat(params.h))[0]
+    lam = linear_intensity(stream, np.array([t]), params.nu, params.h,
+                           params.support_end)[0]
     if params.kind == "relu":
         lam = np.maximum(lam, 0.0)
     return lam if k is None else float(lam[k - 1])
@@ -112,9 +121,7 @@ def w_statistic(direction: Direction, f0: ModelParams,
     """W_T: the normalized LAN score of a direction against the truth."""
     if f0.kind != "linear":
         raise ValueError("W_T requires the linear model")
-    if (direction.K != f0.K or direction.n_cells != f0.n_cells
-            or direction.support_end != f0.support_end):
-        raise ValueError("direction grid mismatch")
+    check_same_grid(direction, f0)
     cache = LikelihoodCache(stream, f0.K, f0.n_cells, f0.support_end,
                             horizon)
     # the perturbation enters the intensity linearly, whatever its sign
@@ -186,9 +193,7 @@ class LanEstimator:
     def gram_batches(self, dirs: list[Direction]) -> np.ndarray:
         """Per-batch LAN Gram matrices, shape (n_batches, D, D)."""
         for d in dirs:
-            if (d.K != self.f0.K or d.n_cells != self.f0.n_cells
-                    or d.support_end != self.f0.support_end):
-                raise ValueError("direction grid mismatch")
+            check_same_grid(d, self.f0)
         D, K = len(dirs), self.f0.K
         # column k*D + a: direction a's perturbation intensity of mark k,
         # scaled by 1/sqrt(lambda0^k); all in place, as L is the largest
@@ -225,19 +230,16 @@ def lan_inner_product(dir1: Direction, dir2: Direction, f0: ModelParams,
     return est.inner(dir1, dir2)
 
 
+@dataclass(slots=True)
 class KernelExcitation:
     """The nu-free part of the cached likelihood at one kernel h: each
     mark's excitation X_k @ h_k at the distinct rows, compensator term
     W @ h_k and, for a ReLU kernel, excitation at the distinct pieces
     (else None)."""
 
-    __slots__ = ("rows", "comp", "pieces")
-
-    def __init__(self, rows: list[np.ndarray], comp: list[float],
-                 pieces: list[np.ndarray] | None):
-        self.rows = rows
-        self.comp = comp
-        self.pieces = pieces
+    rows: list[np.ndarray]
+    comp: list[float]
+    pieces: list[np.ndarray] | None
 
 
 def _distinct_rows(X: np.ndarray,

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
+from .functionals import eval_functional_values
 from .likelihood import LikelihoodCache
 from .model import ModelParams
 from .priors import PriorSpec, sample_prior
@@ -215,7 +217,7 @@ def mcmc_step(state: ChainState, target: PosteriorTarget,
 
     if rng.random() < p_j:
         acc["jump_n"] += 1
-        dims = set(spec.admissible_dims().tolist())
+        dims = spec._dim_log_pmf  # keyed by the admissible dimensions
         histogram = spec.basis_kind == "histogram"
         kind = ("step", "scale")[rng.integers(2)] if histogram else "scale"
         j = state.J
@@ -324,8 +326,6 @@ def run_chain(stream: EventStream, horizon: float, spec: PriorSpec,
               warn: bool = True) -> PosteriorDraws:
     """Run one chain; proposal scales adapt toward 0.3 acceptance during
     burn-in only (Robbins-Monro) and are frozen afterwards."""
-    import warnings as _warnings
-
     if burn_in is None:
         burn_in = iters // 5
     rng = np.random.default_rng(seed)
@@ -358,7 +358,7 @@ def run_chain(stream: EventStream, horizon: float, spec: PriorSpec,
         # null in JSON, which has no nan: a move type never proposed
         rates[name] = totals[name] / n if n else None
         if warn and n and not 0.1 <= rates[name] <= 0.6:
-            _warnings.warn(
+            warnings.warn(
                 f"{name} acceptance rate {rates[name]:.2f} outside "
                 "[0.1, 0.6]", stacklevel=2)
     return PosteriorDraws(nus, js, thetas, rates, seed, iters, burn_in,
@@ -369,8 +369,6 @@ def posterior_functional(draws: PosteriorDraws, fspec,
                          level: float = 0.90) -> dict:
     """Posterior sample of a functional with mean, sd and equal-tailed
     credible interval."""
-    from .functionals import eval_functional_values
-
     if len(draws) == 0:
         raise ValueError("no draws")
     A = draws.spec.support_end

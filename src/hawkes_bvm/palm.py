@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .grids import Direction
-from .likelihood import (LanEstimator, _count_design, _g_flat, batch_means,
-                         stratified_points, window_design, w_statistic)
+from .grids import Direction, check_same_grid
+from .likelihood import (LanEstimator, _count_design, batch_means,
+                         linear_intensity, stratified_points, window_design,
+                         w_statistic)
 from .model import ModelParams, stationary_rates
 from .simulate import simulate_thinning
 from .stream import EventStream, atomic_write
@@ -168,19 +169,14 @@ def estimate_palm(f0: ModelParams, n_cells: int,
         stream = simulate_thinning(f0, horizon, seed=rng.integers(2**63))
     else:
         horizon = stream.horizon
-    m, m0 = n_cells, f0.n_cells
+    m = n_cells
     mids = (np.arange(m) + 0.5) * (A / m)
     times, marks = stream.times, stream.marks
-    hf = _g_flat(f0.h)
-
-    def inverse_intensity(queries):
-        X0 = window_design(times, marks, queries, A, K, m0)
-        return 1.0 / (f0.nu + X0 @ hf)
 
     # stationary-time tensors a and D
     pts = stratified_points(horizon, n_points, n_batches, rng)
     per_batch_pts = pts.size // n_batches
-    inv = inverse_intensity(pts)
+    inv = 1.0 / linear_intensity(stream, pts, f0.nu, f0.h, A)
     a_b = inv.reshape(n_batches, per_batch_pts, K).sum(axis=1)
     D_b = _grouped_outer(window_design(times, marks, pts, A, K, m), inv,
                          np.arange(pts.size) // per_batch_pts, n_batches)
@@ -206,7 +202,7 @@ def estimate_palm(f0: ModelParams, n_cells: int,
             if not cnt:
                 continue
             queries = (batch[:, None] + mids[None, :]).ravel()
-            inv = inverse_intensity(queries)
+            inv = 1.0 / linear_intensity(stream, queries, f0.nu, f0.h, A)
             p_b[b, l] = inv.reshape(cnt, m, K).sum(axis=0).T / cnt
             tie_lo = np.repeat(np.searchsorted(times, batch, "left"), m)
             tie_hi = np.repeat(np.searchsorted(times, batch, "right"), m)
@@ -243,8 +239,7 @@ def _apply_tensors(mu, a, D, p, C, d: Direction) -> Direction:
 def info_operator_apply(palm: PalmEstimates,
                         d: Direction) -> OperatorImage:
     """The information operator Gamma at the truth: (xi, g) -> (xi', g')."""
-    if d.n_cells != palm.n_cells or d.K != palm.K:
-        raise ValueError("direction does not match the Palm grid")
+    check_same_grid(d, palm)
     return _apply_tensors(palm.mu, palm.a, palm.D, palm.p, palm.C, d)
 
 
@@ -268,8 +263,7 @@ def info_operator_invert(palm: PalmEstimates, target: OperatorImage,
     factor starts at 0.5 and is halved when the sup-change increases
     twice in a row.
     """
-    if target.n_cells != palm.n_cells or target.K != palm.K:
-        raise ValueError("target does not match the Palm grid")
+    check_same_grid(target, palm)
     K, m, A = palm.K, palm.n_cells, palm.support_end
     mu, a, D, p, C = palm.mu, palm.a, palm.D, palm.p, palm.C
     xi = np.zeros(K)

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import _g_flat, sweep_pieces, window_design
+from .grids import check_same_grid
+from .likelihood import linear_intensity, sweep_pieces
 from .model import ModelParams
 from .stream import EventStream
 
@@ -74,9 +75,7 @@ def stochastic_distance_dT(f: ModelParams, f_alt: ModelParams,
                            decomposition: RenewalDecomposition) -> float:
     """d_T(f, f') where d_T^2 = (1/T) sum_k sum_n int_{tau_n}^{chi_n}
     lambda-tilde_t^k(f_k - f'_k)^2 dt, exact on the grid."""
-    if (f.K != f_alt.K or f.n_cells != f_alt.n_cells
-            or f.support_end != f_alt.support_end):
-        raise ValueError("mismatched grids")
+    check_same_grid(f, f_alt)
     if decomposition.segments.size == 0:
         return 0.0
     T = decomposition.horizon
@@ -91,7 +90,6 @@ def stochastic_distance_dT(f: ModelParams, f_alt: ModelParams,
     mids, widths = mids[inside], widths[inside]
     # lambda-tilde at the midpoints: xi_k + sum over window events of
     # g[l, k, cell(age)]
-    lam = (f.nu - f_alt.nu) + window_design(
-        stream.times, stream.marks, mids, f.support_end, f.K,
-        f.n_cells) @ _g_flat(f.h - f_alt.h)
+    lam = linear_intensity(stream, mids, f.nu - f_alt.nu, f.h - f_alt.h,
+                           f.support_end)
     return float(np.sqrt(np.sum(widths[:, None] * lam ** 2) / T))

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, spectral_radius, stationary_rates
+from .model import ModelParams, spectral_radius
+from .priors import _np_sum
 from .stream import EventStream
 
 _MAX_EVENTS = 50_000_000
@@ -37,10 +38,9 @@ def simulate_thinning(params: ModelParams, horizon: float,
     and the generator's draws, so the streams are those of a loop on
     numpy arrays: the bound adds one precomputed float(hbar[k, :, c].sum())
     per window event; lambda adds the rows h[k, :, c] elementwise in
-    window order; the total is summed left to right, which is numpy's
-    order below 8 terms (numpy sums 8 or more pairwise, so K >= 8 keeps a
-    numpy sum); the acceptance draw is rng.random(), which equals
-    rng.uniform() = 0 + 1 * u bit for bit; and the mark is drawn by
+    window order; the total adds in np.sum's order (`priors._np_sum`);
+    the acceptance draw is rng.random(), which equals rng.uniform() =
+    0 + 1 * u bit for bit; and the mark is drawn by
     rng.choice(K, p=lam/lam_tot)'s own recipe: one rng.random() bisected
     into the cumulative sum of p divided by its last entry.
     """
@@ -93,12 +93,7 @@ def simulate_thinning(params: ModelParams, horizon: float,
                 lam = [a + b for a, b in zip(lam, row)]
         if relu:
             lam = [x if x >= 0.0 else 0.0 for x in lam]
-        if K < 8:  # numpy's order; it sums 8 or more terms pairwise
-            lam_tot = 0.0
-            for x in lam:
-                lam_tot += x
-        else:
-            lam_tot = float(np.sum(lam))
+        lam_tot = _np_sum(lam)
         if random() * bound <= lam_tot:
             cdf = list(itertools.accumulate([x / lam_tot for x in lam]))
             last = cdf[-1]

@@ -45,7 +45,6 @@ class MomentDensity:
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        out = np.empty(t.shape + self.upsilon.shape[1:])
         absu = np.abs(t)
         x = absu / self.delta
         j = np.minimum(x.astype(int), self.node_times.size - 2)
@@ -55,8 +54,7 @@ class MomentDensity:
         vals[absu > self.node_times[-1]] = 0.0
         neg = t < 0
         vals[neg] = np.swapaxes(vals[neg], -1, -2)
-        out[...] = vals
-        return out[0] if scalar else out
+        return vals[0] if scalar else vals
 
     def m_at(self, l: int, k: int, t) -> np.ndarray:
         """Palm density of mark-k points at lag t from a mark-l anchor;
@@ -115,8 +113,8 @@ def solve_moment_density(f0: ModelParams, n_grid: int = 512,
             if change <= tol * max(1.0, float(np.max(np.abs(U)))):
                 converged = True
                 break
-        tail = float(np.max(np.abs(U[-p:]))) if U.size else 0.0
-        peak = float(np.max(np.abs(U))) if U.size else 0.0
+        tail = float(np.max(np.abs(U[-p:])))
+        peak = float(np.max(np.abs(U)))
         tail_capped = not (peak == 0.0 or tail <= 1e-6 * peak)
         if not tail_capped or t_max >= 400.0 * A:
             break

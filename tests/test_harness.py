@@ -181,6 +181,22 @@ def test_emit_outputs_plots_the_first_ok_posterior(tmp_path):
     assert "posterior_" not in gp and "layout 1,1" in gp
 
 
+def test_emit_outputs_plots_the_centered_scaled_posterior(tmp_path):
+    report = _fake_report()
+    first = report["replications"][0]
+    first.update(horizon=400.0, psi_hat=0.5, samples=[0.4, 0.5, 0.55, 0.6])
+    report["coverage"] = coverage_table(report)
+    emit_outputs(report, str(tmp_path))
+    gp = (tmp_path / "plots.gp").read_text().splitlines()
+    # replications.csv is comma-separated: column 9 exists only so
+    assert "set datafile separator ','" in gp
+    # z = sqrt(T)*(psi - psi_hat) from the first ok replication, binned
+    # as a density over its 4 draws
+    assert {"T = 400.0", "psi_hat = 0.5", "n = 4"} <= set(gp)
+    plot = " ".join(gp[gp.index("binwidth = 0.2"):])
+    assert "using (bin(sqrt(T)*($1 - psi_hat))):(1.0/(n*binwidth))" in plot
+
+
 def _strict_json(path):
     def reject(name):
         raise ValueError(f"{path.name} holds {name}")
@@ -346,4 +362,19 @@ def test_cli_bvm_report_strict_when_no_replication_ok(tmp_path):
 def test_cli_infer_bad_prior_or_thin_exit_code(tmp_path, extra):
     path = _write_cfg(tmp_path, {"mcmc_iters": "100", **extra})
     assert cli_main(["infer", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("extra", [
+    {"palm_batches": "0"},
+    {"palm_cells": "0"},
+    {"palm_points": "0"},
+    {"lan_points": "0"},
+    {"T": "0"},
+    {"lan_tsim": "0"},
+    {"p_j": "1.5"},
+])
+def test_cli_bvm_bad_efficiency_or_horizon_exit_code(tmp_path, extra):
+    path = _write_cfg(tmp_path, extra)
+    assert cli_main(["bvm", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2

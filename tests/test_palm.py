@@ -235,3 +235,13 @@ def test_grid_mismatch_rejected():
         info_operator_apply(palm, d)
     with pytest.raises(ValueError):
         info_operator_invert(palm, d)
+
+
+def test_support_end_mismatch_rejected():
+    # same K and cell count, but the direction lives on [0, 2]
+    palm = PalmEstimates.poisson(np.array([2.0]), 1.0, 4)
+    d = Direction(np.array([1.0]), np.ones((1, 1, 4)), 2.0)
+    with pytest.raises(ValueError):
+        info_operator_apply(palm, d)
+    with pytest.raises(ValueError):
+        info_operator_invert(palm, d)
