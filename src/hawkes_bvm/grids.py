@@ -1,101 +1,11 @@
-"""Piecewise-constant functions on a uniform grid of [0, A] and
-perturbation directions (xi, g)."""
+"""Perturbation directions (xi, g), piecewise constant on a uniform grid
+of [0, A], and the one grid-compatibility check."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """A piecewise-constant function on [0, A].
-
-    Cell i covers [i*A/m, (i+1)*A/m) (the last cell is closed at A).
-    All integrals against other functions on the same grid are exact.
-    """
-
-    support_end: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ValueError("values must be a non-empty 1-d array")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
-        if self.support_end <= 0:
-            raise ValueError("support_end must be positive")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n_cells(self) -> int:
-        return self.values.size
-
-    @property
-    def cell_width(self) -> float:
-        return self.support_end / self.values.size
-
-    def cell_index(self, x: float | np.ndarray) -> np.ndarray:
-        """Index of the cell containing x, for x in [0, A]."""
-        idx = np.floor(np.asarray(x) / self.cell_width).astype(int)
-        return np.clip(idx, 0, self.n_cells - 1)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(
-            (x >= 0) & (x <= self.support_end),
-            self.values[self.cell_index(np.clip(x, 0.0, self.support_end))],
-            0.0,
-        )
-        return out if out.ndim else float(out)
-
-    def integral(self) -> float:
-        return float(self.cell_width * self.values.sum())
-
-    def integral_to(self, x: float) -> float:
-        """Exact integral of the function over [0, min(x, A)]."""
-        if x <= 0:
-            return 0.0
-        x = min(x, self.support_end)
-        w = self.cell_width
-        full = int(np.floor(x / w))
-        full = min(full, self.n_cells)
-        total = w * self.values[:full].sum()
-        if full < self.n_cells:
-            total += (x - full * w) * self.values[full]
-        return float(total)
-
-    def l2_inner(self, other: "GridFunction") -> float:
-        self._check_grid(other)
-        return float(self.cell_width * np.dot(self.values, other.values))
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(self.l2_inner(self)))
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def _check_grid(self, other: "GridFunction"):
-        if (other.support_end != self.support_end
-                or other.n_cells != self.n_cells):
-            raise ValueError("grid mismatch")
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_grid(other)
-        return GridFunction(self.support_end, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_grid(other)
-        return GridFunction(self.support_end, self.values - other.values)
-
-    def __mul__(self, c: float) -> "GridFunction":
-        return GridFunction(self.support_end, self.values * float(c))
-
-    __rmul__ = __mul__
 
 
 def check_same_grid(a, b) -> None:
@@ -154,19 +64,6 @@ class Direction:
 
     def l2_norm(self) -> float:
         return float(np.sqrt(self.l2_inner(self)))
-
-    def __add__(self, other: "Direction") -> "Direction":
-        check_same_grid(self, other)
-        return Direction(self.xi + other.xi, self.g + other.g, self.support_end)
-
-    def __sub__(self, other: "Direction") -> "Direction":
-        check_same_grid(self, other)
-        return Direction(self.xi - other.xi, self.g - other.g, self.support_end)
-
-    def __mul__(self, c: float) -> "Direction":
-        return Direction(self.xi * c, self.g * c, self.support_end)
-
-    __rmul__ = __mul__
 
     def refine(self, factor: int) -> "Direction":
         """The same direction on a grid refined by an integer factor."""

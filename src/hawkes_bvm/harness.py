@@ -141,10 +141,17 @@ def config_from_dict(cfg: dict, seed_override: int | None = None
         out_dir=cfg.get("out_dir", "out"),
         raw=dict(cfg),
     )
-    for name in ("mcmc_thin", "palm_cells", "palm_points", "palm_batches",
-                 "lan_points"):
+    if config.replications < 1:
+        raise ValueError("R must be >= 1")
+    for name in ("mcmc_iters", "mcmc_thin", "palm_cells", "palm_points",
+                 "palm_batches", "lan_points"):
         if getattr(config, name) < 1:
             raise ValueError(f"{name} must be >= 1")
+    if config.mcmc_burn_in is not None and config.mcmc_burn_in < 0:
+        raise ValueError("mcmc_burn_in must be >= 0")
+    if any(j < 1 or config.palm_cells % j for j in config.bias_dims):
+        raise ValueError("each bias_dims entry must be >= 1 and divide "
+                         "palm_cells")
     for t in config.horizons + (config.lan_tsim,):
         if not 0.0 < t < np.inf:
             raise ValueError("T and lan_tsim must be positive and finite")

@@ -64,18 +64,6 @@ def linear_intensity(stream: EventStream, queries: np.ndarray,
     return nu + X @ _g_flat(h)
 
 
-def intensity_at(params: ModelParams, stream: EventStream, t: float,
-                 k: int | None = None):
-    """Conditional intensity at time t; all marks, or one 1-based mark."""
-    if t < stream.window_start + params.support_end or t > stream.horizon:
-        raise ValueError("t outside the covered window")
-    lam = linear_intensity(stream, np.array([t]), params.nu, params.h,
-                           params.support_end)[0]
-    if params.kind == "relu":
-        lam = np.maximum(lam, 0.0)
-    return lam if k is None else float(lam[k - 1])
-
-
 def sweep_pieces(times: np.ndarray, m: int, w: float,
                  bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints and widths of the pieces between consecutive
@@ -217,17 +205,6 @@ class LanEstimator:
     def inner(self, d1: Direction, d2: Direction) -> tuple[float, float]:
         gram, se = self.gram([d1, d2])
         return float(gram[0, 1]), float(se[0, 1])
-
-
-def lan_inner_product(dir1: Direction, dir2: Direction, f0: ModelParams,
-                      n_windows: int = 40, t_sim: float = 2000.0,
-                      seed: int | np.random.SeedSequence = 0,
-                      stream: EventStream | None = None
-                      ) -> tuple[float, float]:
-    """One-shot LAN inner product estimate with batch-means SE."""
-    est = LanEstimator(f0, t_sim=t_sim, n_batches=n_windows, seed=seed,
-                       stream=stream)
-    return est.inner(dir1, dir2)
 
 
 @dataclass(slots=True)

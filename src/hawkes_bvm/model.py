@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction
-
 
 def spectral_radius(rho: np.ndarray) -> float:
     """Largest eigenvalue modulus of a nonnegative square matrix.
@@ -91,9 +89,6 @@ class ModelParams:
     @property
     def cell_width(self) -> float:
         return self.support_end / self.n_cells
-
-    def h_grid(self, l: int, k: int) -> GridFunction:
-        return GridFunction(self.support_end, self.h[l, k])
 
     def rho(self) -> np.ndarray:
         """Entrywise kernel integrals, rho[l, k] = int h_{l,k}."""

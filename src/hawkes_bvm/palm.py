@@ -9,7 +9,6 @@ linear algebra.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -23,9 +22,6 @@ from .likelihood import (LanEstimator, _count_design, batch_means,
 from .model import ModelParams, stationary_rates
 from .simulate import simulate_thinning
 from .stream import EventStream, atomic_write
-
-# an operator image (xi', g') has the same shape as a direction
-OperatorImage = Direction
 
 
 @dataclass(frozen=True)
@@ -78,10 +74,6 @@ class PalmEstimates:
     def C(self) -> np.ndarray:
         return self.C_b.mean(axis=0)
 
-    @property
-    def p_se(self) -> np.ndarray:
-        return batch_means(self.p_b)[1]
-
     @classmethod
     def poisson(cls, nu: np.ndarray, support_end: float,
                 n_cells: int) -> "PalmEstimates":
@@ -117,12 +109,6 @@ class PalmEstimates:
         return cls(float(doc["A"]), np.array(doc["mu"]),
                    np.array(doc["a_b"]), np.array(doc["D_b"]),
                    np.array(doc["p_b"]), np.array(doc["C_b"]))
-
-
-def palm_cache_key(f0: ModelParams, n_cells: int, horizon: float,
-                   n_anchors: int, seed: int) -> str:
-    blob = f"{f0.to_json()}|{n_cells}|{horizon}|{n_anchors}|{seed}"
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def save_palm(palm: PalmEstimates, path: str) -> None:
@@ -214,14 +200,6 @@ def estimate_palm(f0: ModelParams, n_cells: int,
     return PalmEstimates(A, mu, a_b, D_b, p_b, C_b)
 
 
-def apply_palm_zeta(palm: PalmEstimates, g: np.ndarray) -> np.ndarray:
-    """zeta_{l,j,k}(g) on the grid for a single function g (m values)."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (palm.n_cells,):
-        raise ValueError("g must live on the operator grid")
-    return np.einsum("ljkcd,d->ljkc", palm.C, g)
-
-
 def _palm_image(mu, a, D, p, C, xi: np.ndarray,
                 g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gamma(xi, g) from the tensors; a, D, p and C may carry leading
@@ -232,28 +210,14 @@ def _palm_image(mu, a, D, p, C, xi: np.ndarray,
     return xi_out, g_out
 
 
-def _apply_tensors(mu, a, D, p, C, d: Direction) -> Direction:
-    return Direction(*_palm_image(mu, a, D, p, C, d.xi, d.g), d.support_end)
-
-
-def info_operator_apply(palm: PalmEstimates,
-                        d: Direction) -> OperatorImage:
+def info_operator_apply(palm: PalmEstimates, d: Direction) -> Direction:
     """The information operator Gamma at the truth: (xi, g) -> (xi', g')."""
     check_same_grid(d, palm)
-    return _apply_tensors(palm.mu, palm.a, palm.D, palm.p, palm.C, d)
+    return Direction(*_palm_image(palm.mu, palm.a, palm.D, palm.p, palm.C,
+                                  d.xi, d.g), d.support_end)
 
 
-def info_operator_apply_batched(palm: PalmEstimates, d: Direction
-                                ) -> tuple[OperatorImage, OperatorImage]:
-    """Gamma(d) plus a batch-means SE image."""
-    xi_b, g_b = _palm_image(palm.mu, palm.a_b, palm.D_b, palm.p_b,
-                            palm.C_b, d.xi, d.g)
-    (xi, xi_se), (g, g_se) = batch_means(xi_b), batch_means(g_b)
-    return (Direction(xi, g, d.support_end),
-            Direction(xi_se, g_se, d.support_end))
-
-
-def info_operator_invert(palm: PalmEstimates, target: OperatorImage,
+def info_operator_invert(palm: PalmEstimates, target: Direction,
                          tol: float = 1e-8
                          ) -> tuple[Direction, float, bool]:
     """Invert Gamma by the displayed fixed point with under-relaxation.

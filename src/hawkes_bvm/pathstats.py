@@ -1,5 +1,5 @@
-"""Path statistics: renewal times, the restricted window, sliding-window
-counts and the stochastic distance d_T."""
+"""Path statistics: renewal times, the restricted window and the
+stochastic distance d_T."""
 
 from __future__ import annotations
 
@@ -51,23 +51,6 @@ def renewal_decomposition(stream: EventStream, support_end: float,
     chi[has] = times[second[has]]
     segments = np.column_stack((taus[:-1], np.minimum(chi, taus[1:])))
     return RenewalDecomposition(taus, segments, A, horizon)
-
-
-def max_window_count(stream: EventStream, support_end: float,
-                     horizon: float, mark: int | None = None) -> int:
-    """max over t in [0, horizon] of N([t-A, t[), optionally per mark.
-
-    The maximum over a sliding half-open window is attained just after an
-    event enters, so a sweep over event times suffices.
-    """
-    A = support_end
-    times = stream.times if mark is None else stream.mark_times(mark)
-    # the window ]t, t+A] ending just after t: evaluate N([u-A, u[) at u
-    # infinitesimally after t, i.e. count the events in ]t-A, t]
-    t = times[times <= horizon]
-    lo = np.searchsorted(times, t - A, "right")
-    hi = np.searchsorted(times, t, "right")
-    return int(np.max(hi - lo, initial=0))
 
 
 def stochastic_distance_dT(f: ModelParams, f_alt: ModelParams,

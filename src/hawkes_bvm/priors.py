@@ -1,5 +1,5 @@
 """Random-series priors on (nu, h): basis families, link, coefficient and
-dimension priors, L2 projection and the contraction-rate schedule.
+dimension priors and the contraction-rate schedule.
 
 The terms a chain evaluates on every proposal (`PriorSpec.nu_logpdf`,
 `theta_logpdf`, `kernel_admissible` and `rates_admissible`) run on Python
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special, stats
 
-from .grids import GridFunction
 from .model import spectral_radius
 
 
@@ -100,18 +99,6 @@ def haar_basis(resolution: int, support_end: float) -> BasisFamily:
             row[lo + width // 2:lo + width] = -(2 ** (q / 2.0)) / np.sqrt(A)
             rows.append(row)
     return BasisFamily("haar", A, np.array(rows))
-
-
-def project_L2(g: GridFunction, basis: BasisFamily) -> np.ndarray:
-    """L2-orthogonal projection coefficients of g onto the basis span."""
-    if g.support_end != basis.support_end:
-        raise ValueError("support mismatch")
-    if g.n_cells % basis.n_cells:
-        raise ValueError("grids do not nest")
-    factor = g.n_cells // basis.n_cells
-    M = np.repeat(basis.matrix, factor, axis=1)
-    b = g.cell_width * M @ g.values
-    return np.linalg.solve(basis.gram(), b)
 
 
 @functools.lru_cache(maxsize=None)

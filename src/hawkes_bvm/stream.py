@@ -85,25 +85,6 @@ class EventStream:
     def K(self) -> int:
         return int(self.marks.max()) if len(self) else 1
 
-    def mark_times(self, k: int) -> np.ndarray:
-        return self.times[self.marks == k]
-
-    def count_in(self, lo: float, hi: float,
-                 closed: str = "left") -> int:
-        """Number of events in an interval; closed='left' means [lo, hi[,
-        'right' means ]lo, hi]."""
-        if closed == "left":
-            return int(np.searchsorted(self.times, hi, "left")
-                       - np.searchsorted(self.times, lo, "left"))
-        if closed == "right":
-            return int(np.searchsorted(self.times, hi, "right")
-                       - np.searchsorted(self.times, lo, "right"))
-        raise ValueError("closed must be 'left' or 'right'")
-
-    def restrict(self, lo: float, hi: float) -> "EventStream":
-        sel = (self.times >= lo) & (self.times <= hi)
-        return EventStream(self.times[sel], self.marks[sel], lo, hi)
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("time,mark\n")

@@ -1,50 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from hawkes_bvm.grids import Direction, GridFunction
-
-
-def test_cell_layout_half_open():
-    g = GridFunction(1.0, np.array([1.0, 2.0]))
-    assert g(0.0) == 1.0
-    assert g(0.49) == 1.0
-    assert g(0.5) == 2.0
-    assert g(1.0) == 2.0  # last cell closed at A
-    assert g(1.01) == 0.0
-    assert g(-0.1) == 0.0
-
-
-def test_integrals_exact():
-    g = GridFunction(2.0, np.array([1.0, 3.0, 2.0, 4.0]))
-    assert g.integral() == pytest.approx(0.5 * (1 + 3 + 2 + 4))
-    assert g.integral_to(0.25) == pytest.approx(0.25)
-    assert g.integral_to(0.75) == pytest.approx(0.5 + 0.25 * 3)
-    assert g.integral_to(10.0) == pytest.approx(g.integral())
-    assert g.integral_to(-1.0) == 0.0
-
-
-def test_l2_inner_and_norms():
-    a = GridFunction(1.0, np.array([1.0, -1.0]))
-    b = GridFunction(1.0, np.array([2.0, 2.0]))
-    assert a.l2_inner(b) == pytest.approx(0.0)
-    assert a.l2_norm() == pytest.approx(1.0)
-    assert b.sup_norm() == 2.0
-
-
-def test_grid_mismatch_raises():
-    a = GridFunction(1.0, np.array([1.0]))
-    b = GridFunction(2.0, np.array([1.0]))
-    with pytest.raises(ValueError):
-        a.l2_inner(b)
-
-
-def test_arithmetic():
-    a = GridFunction(1.0, np.array([1.0, 2.0]))
-    b = GridFunction(1.0, np.array([3.0, 5.0]))
-    assert np.allclose((a + b).values, [4.0, 7.0])
-    assert np.allclose((b - a).values, [2.0, 3.0])
-    assert np.allclose((2.0 * a).values, [2.0, 4.0])
+from hawkes_bvm.grids import Direction
 
 
 def test_direction_inner_product():
@@ -62,16 +19,3 @@ def test_direction_refine_preserves_norm():
     assert r.n_cells == 12
     assert r.l2_norm() == pytest.approx(d.l2_norm())
     assert r.l2_inner(r) == pytest.approx(d.l2_inner(d))
-
-
-@given(st.lists(st.floats(-10, 10), min_size=1, max_size=16),
-       st.floats(0.01, 5.0))
-def test_integral_to_endpoint_matches_integral(vals, A):
-    g = GridFunction(A, np.array(vals))
-    assert g.integral_to(A) == pytest.approx(g.integral(), abs=1e-12)
-
-
-def test_values_immutable():
-    g = GridFunction(1.0, np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        g.values[0] = 5.0

@@ -43,6 +43,14 @@ def test_config_from_dict_defaults_and_values():
     assert config.functional.kind == "background"
 
 
+@pytest.mark.parametrize("dims", ["3", "0", "4 3"])
+def test_config_rejects_bias_dims_before_any_work(dims):
+    # each entry must be >= 1 and divide palm_cells = 4; the bias stage
+    # runs last, so a bad entry found there wastes the whole run
+    with pytest.raises(ValueError, match="bias_dims"):
+        config_from_dict(dict(BASE_CFG, bias_dims=dims))
+
+
 def test_config_seed_override_priority(monkeypatch):
     monkeypatch.setenv("HAWKES_SEED", "99")
     config = config_from_dict(dict(BASE_CFG))
@@ -373,6 +381,12 @@ def test_cli_infer_bad_prior_or_thin_exit_code(tmp_path, extra):
     {"T": "0"},
     {"lan_tsim": "0"},
     {"p_j": "1.5"},
+    {"R": "0"},
+    {"R": "-1"},
+    {"mcmc_iters": "0"},
+    {"mcmc_burn_in": "-5"},
+    {"bias_dims": "3"},  # does not divide palm_cells = 4
+    {"bias_dims": "0"},
 ])
 def test_cli_bvm_bad_efficiency_or_horizon_exit_code(tmp_path, extra):
     path = _write_cfg(tmp_path, extra)

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from hawkes_bvm.grids import Direction
 from hawkes_bvm.likelihood import (LanEstimator, LikelihoodCache,
                                    _distinct_rows, grad_loglik_nu,
-                                   intensity_at, lan_inner_product,
-                                   log_likelihood, w_statistic)
+                                   linear_intensity, log_likelihood,
+                                   w_statistic)
 from hawkes_bvm.model import ModelParams
 from hawkes_bvm.simulate import simulate_thinning
 from hawkes_bvm.stream import EventStream
@@ -22,10 +22,12 @@ def _simple_stream():
 def test_intensity_hand_values():
     p = ModelParams(np.array([1.0]), np.array([[[0.5]]]), 1.0)
     s = _simple_stream()
-    assert intensity_at(p, s, 0.3, 1) == 1.0  # age 0 excluded
-    assert intensity_at(p, s, 0.8, 1) == 1.5
-    assert intensity_at(p, s, 1.2, 1) == 2.0  # both events in window
-    assert intensity_at(p, s, 1.4, 1) == 1.5  # 0.3 has aged out
+    lam = linear_intensity(s, np.array([0.3, 0.8, 1.2, 1.4]), p.nu, p.h,
+                           p.support_end)[:, 0]
+    assert lam[0] == 1.0  # age 0 excluded
+    assert lam[1] == 1.5
+    assert lam[2] == 2.0  # both events in window
+    assert lam[3] == 1.5  # 0.3 has aged out
 
 
 def test_loglik_single_cell_hand_computed():
@@ -143,8 +145,8 @@ def test_lan_inner_product_one_window_has_zero_se():
     d = Direction(np.array([0.5]), np.array([[[1.0, -0.5]]]), 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        val, se = lan_inner_product(d, d, p, n_windows=1, t_sim=200.0,
-                                    seed=3)
+        val, se = LanEstimator(p, t_sim=200.0, n_batches=1,
+                               seed=3).inner(d, d)
     assert np.isfinite(val) and val > 0
     assert se == 0.0
 
@@ -193,8 +195,8 @@ def test_expansion_remainder_is_third_order():
     wt = w_statistic(d, p, s, T)
     sel = (s.times > 0) & (s.times <= T)
     quad = 0.0
-    for t in s.times[sel]:
-        lam = intensity_at(p, s, t, 1)
+    lams = linear_intensity(s, s.times[sel], p.nu, p.h, p.support_end)
+    for t, lam in zip(s.times[sel], lams[:, 0]):
         tl = (d.xi[0]
               + sum(d.g[0, 0, min(int((t - u) / 0.5), 1)]
                     for u in s.times if 0 < t - u <= 1.0))

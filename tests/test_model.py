@@ -104,4 +104,4 @@ def test_grid_properties():
     assert p.K == 1
     assert p.n_cells == 8
     assert p.cell_width == 0.25
-    assert p.h_grid(0, 0).integral() == 0.0
+    assert p.rho()[0, 0] == 0.0

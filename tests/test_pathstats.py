@@ -3,8 +3,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hawkes_bvm.model import ModelParams
-from hawkes_bvm.pathstats import (max_window_count, renewal_decomposition,
-                                  stochastic_distance_dT)
+from hawkes_bvm.pathstats import renewal_decomposition, stochastic_distance_dT
 from hawkes_bvm.simulate import simulate_thinning
 from hawkes_bvm.stream import EventStream
 
@@ -62,14 +61,6 @@ def test_renewal_decomposition_matches_loop(ticks, A, horizon):
     taus, segments = _loop_renewal(s.times, A, horizon / 4.0)
     assert np.array_equal(dec.taus, taus)
     assert np.array_equal(dec.segments, segments)
-
-
-def test_max_window_count():
-    s = EventStream(np.array([0.1, 0.2, 0.3, 2.0]),
-                    np.array([1, 1, 2, 1]), 0.0, 3.0)
-    assert max_window_count(s, 1.0, 3.0) == 3
-    assert max_window_count(s, 1.0, 3.0, mark=1) == 2
-    assert max_window_count(s, 0.15, 3.0) == 2
 
 
 def test_distance_zero_for_equal_params():

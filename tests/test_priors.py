@@ -7,11 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special, stats
 
-from hawkes_bvm.grids import GridFunction
 from hawkes_bvm.model import spectral_radius
 from hawkes_bvm.priors import (PriorSpec, _np_sum, haar_basis,
-                               histogram_basis, log_prior, project_L2,
-                               rate_schedule, sample_prior, softplus)
+                               histogram_basis, log_prior, rate_schedule,
+                               sample_prior, softplus)
 
 
 def test_histogram_gram_is_diagonal():
@@ -26,42 +25,10 @@ def test_histogram_series_identity():
     assert np.allclose(b.series(theta), theta)
 
 
-def test_projection_hand_computed():
-    # projecting onto bin indicators takes bin means
-    g = GridFunction(1.0, np.array([0.0, 0.5, 0.5, 1.0]))
-    coef = project_L2(g, histogram_basis(2, 1.0))
-    assert np.allclose(coef, [0.25, 0.75])
-
-
-def test_projection_requires_nesting():
-    g = GridFunction(1.0, np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
-        project_L2(g, histogram_basis(2, 1.0))
-    g2 = GridFunction(2.0, np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        project_L2(g2, histogram_basis(2, 1.0))
-
-
 def test_haar_orthonormal():
     for res in (0, 1, 2):
         b = haar_basis(res, 2.0)
         assert np.allclose(b.gram(), np.eye(b.size), atol=1e-12)
-
-
-def test_haar_projection_of_member_is_exact():
-    b = haar_basis(1, 1.0)
-    theta = np.array([0.5, -0.3, 0.2, 0.1])
-    g = GridFunction(1.0, b.series(theta))
-    assert np.allclose(project_L2(g, b), theta)
-
-
-def test_nested_projection_residual_zero():
-    # a coarse-histogram function projects onto a finer basis losslessly
-    coarse = histogram_basis(2, 1.0)
-    fine = histogram_basis(4, 1.0)
-    g = GridFunction(1.0, np.repeat(coarse.series(np.array([1.0, 3.0])), 2))
-    coef = project_L2(g, fine)
-    assert np.allclose(fine.series(coef), g.values)
 
 
 def test_dimension_pmf_log_ratio():

@@ -11,7 +11,7 @@ def test_sorting_and_marks():
     assert np.allclose(s.times, [0.1, 0.3, 0.5])
     assert list(s.marks) == [1, 1, 2]
     assert s.K == 2
-    assert np.allclose(s.mark_times(1), [0.1, 0.3])
+    assert np.allclose(s.times[s.marks == 1], [0.1, 0.3])
 
 
 def test_tie_breaking_jitter():
@@ -20,24 +20,6 @@ def test_tie_breaking_jitter():
     assert s.n_jittered == 2
     assert np.all(np.diff(s.times) > 0)
     assert abs(s.times[2] - 0.2) < 1e-9
-
-
-def test_count_in_conventions():
-    s = EventStream(np.array([0.1, 0.5, 0.9]), np.array([1, 1, 1]),
-                    0.0, 1.0)
-    assert s.count_in(0.1, 0.5, closed="left") == 1   # [0.1, 0.5[
-    assert s.count_in(0.1, 0.5, closed="right") == 1  # ]0.1, 0.5]
-    assert s.count_in(0.0, 1.0, closed="left") == 3
-    with pytest.raises(ValueError):
-        s.count_in(0.0, 1.0, closed="both")
-
-
-def test_restrict():
-    s = EventStream(np.array([0.1, 0.5, 0.9]), np.array([1, 2, 1]),
-                    0.0, 1.0)
-    r = s.restrict(0.4, 1.0)
-    assert len(r) == 2
-    assert r.window_start == 0.4
 
 
 def test_out_of_window_rejected():
@@ -96,4 +78,4 @@ def test_csv_requires_header():
 def test_empty_stream():
     s = EventStream(np.array([]), np.array([]), 0.0, 1.0)
     assert len(s) == 0
-    assert s.count_in(0.0, 1.0) == 0
+    assert s.K == 1
