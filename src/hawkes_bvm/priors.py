@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .model import spectral_radius
 
@@ -288,16 +288,24 @@ class PriorSpec:
         hneg_sup = self.kernel_admissible(h)
         return hneg_sup is not None and self.rates_admissible(nu, hneg_sup)
 
-    def _theta_dist(self):
+    def _theta_sampler(self):
+        """The coefficient draw as draw(rng, size). Each family follows
+        the recipe of scipy's frozen distribution, standard draw * scale
+        + loc (loc added even when it is 0), so the values are scipy's
+        bit for bit."""
         if self.theta_family == "shifted-exponential":
-            return stats.expon(loc=self.kappa, scale=1.0 / self.rate)
-        if self.theta_family == "truncated-gaussian":
-            return stats.truncnorm(self.kappa / self.sigma, np.inf,
-                                   loc=0.0, scale=self.sigma)
-        return stats.norm(loc=0.0, scale=self.sigma)
-
-    def _nu_dist(self):
-        return stats.gamma(self.nu_shape, scale=1.0 / self.nu_rate)
+            scale, loc = 1.0 / self.rate, self.kappa
+            return lambda rng, size: (rng.standard_exponential(size) * scale
+                                      + loc)
+        if self.theta_family == "gaussian":
+            sigma = self.sigma
+            return lambda rng, size: rng.standard_normal(size) * sigma + 0.0
+        # the one scipy.stats import (slow to load): its ppf-based sampler
+        # is not worth copying, and no default config uses this family
+        from scipy import stats
+        dist = stats.truncnorm(self.kappa / self.sigma, np.inf,
+                               loc=0.0, scale=self.sigma)
+        return lambda rng, size: dist.rvs(size=size, random_state=rng)
 
     @functools.cached_property
     def _theta_log_norm(self) -> float:
@@ -306,7 +314,8 @@ class PriorSpec:
             return float(np.log(self.rate))
         c = np.log(self.sigma) + 0.5 * np.log(2 * np.pi)
         if self.theta_family == "truncated-gaussian":
-            c += float(stats.norm.logsf(self.kappa / self.sigma))
+            # log P(Z > kappa / sigma), as scipy's norm.logsf computes it
+            c += float(special.log_ndtr(-(self.kappa / self.sigma)))
         return float(c)
 
     @functools.cached_property
@@ -364,11 +373,13 @@ def sample_prior(spec: PriorSpec,
     dims, logpmf = spec.j_log_pmf()
     pmf = np.exp(logpmf)
     pmf /= pmf.sum()
-    nu_dist, th_dist = spec._nu_dist(), spec._theta_dist()
+    # nu ~ Gamma(nu_shape, rate nu_rate) by scipy's recipe, as for theta
+    nu_scale = 1.0 / spec.nu_rate
+    draw_theta = spec._theta_sampler()
     for _ in range(10_000):
         J = int(rng.choice(dims, p=pmf))
-        nu = nu_dist.rvs(size=spec.K, random_state=rng)
-        theta = th_dist.rvs(size=(spec.K, spec.K, J), random_state=rng)
+        nu = rng.standard_gamma(spec.nu_shape, spec.K) * nu_scale + 0.0
+        theta = draw_theta(rng, (spec.K, spec.K, J))
         if spec.in_model_class(nu, spec.theta_to_h(J, theta)):
             return nu, J, theta
     raise RuntimeError("prior rejection cap exceeded; spec too aggressive")

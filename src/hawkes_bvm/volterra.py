@@ -12,11 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .likelihood import batch_means
 from .model import ModelParams, stationary_rates
 from .stream import EventStream
+
+
+def _fftconvolve0(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of real a and b along axis 0, the other
+    axes broadcast: the steps of `scipy.signal.fftconvolve(a, b,
+    axes=0)` (real FFTs padded to the next fast length), so the values
+    are the same bit for bit without importing scipy.signal."""
+    n = a.shape[0] + b.shape[0] - 1
+    nf = [next_fast_len(n, True)]
+    spec = rfftn(a, nf, axes=[0]) * rfftn(b, nf, axes=[0])
+    return irfftn(spec, nf, axes=[0])[:n]
 
 
 @dataclass(frozen=True)
@@ -105,7 +116,7 @@ def solve_moment_density(f0: ModelParams, n_grid: int = 512,
             E = np.concatenate(
                 [U[:0:-1].transpose(0, 2, 1), U], axis=0)  # (2N+1, K, K)
             # conv[t, l, k] = sum_a (wts[:, a, l] * E[:, a, k])(t)
-            full = fftconvolve(E[:, :, None, :], wts[:, :, :, None], axes=0)
+            full = _fftconvolve0(E[:, :, None, :], wts[:, :, :, None])
             conv = full[N:2 * N + 1].sum(axis=1)
             U_new = src + conv
             change = float(np.max(np.abs(U_new - U)))

@@ -1,8 +1,11 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from scipy import stats
 
 from hawkes_bvm.cli import main as cli_main
 from hawkes_bvm.harness import (bvm_distance, config_from_dict,
@@ -102,6 +105,28 @@ def test_bvm_distance_detects_wrong_variance():
     T, v0 = 400.0, 1.0
     samples = rng.normal(0.0, 2.0 * np.sqrt(v0 / T), size=10_000)
     assert bvm_distance(samples, 0.0, T, v0) > 0.15
+
+
+_TIED = [0.1] * 40 + [-0.3] * 35 + [0.1] * 25  # n = 100 on two values
+
+
+@given(st.integers(100, 400).flatmap(lambda n: st.lists(
+           st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, 0.25])),
+           min_size=n, max_size=n)),
+       st.floats(-1.0, 1.0), st.floats(1.0, 1e4), st.floats(1e-4, 1e2))
+@example([0.0] * 100, 0.0, 100.0, 1.0)
+@example(_TIED, 0.1, 400.0, 0.5)
+@example([float(v) for v in np.linspace(-2.0, 2.0, 100)], 0.0, 1.0, 2.0)
+@example([0.2] * 60 + [math.nan] + [0.5] * 39, 0.3, 50.0, 1.0)
+def test_bvm_distance_equals_scipy_kstest(samples, center, horizon, v0):
+    samples = np.array(samples)
+    z = np.sqrt(horizon) * (samples - center)
+    expect = stats.kstest(z, "norm", args=(0, np.sqrt(v0))).statistic
+    got = bvm_distance(samples, center, horizon, v0)
+    if math.isnan(expect):
+        assert math.isnan(got)
+    else:
+        assert got == expect
 
 
 def test_bvm_distance_guards():

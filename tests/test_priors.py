@@ -52,22 +52,85 @@ def test_theta_logpdf_shifted_exponential():
     assert spec.theta_logpdf(np.array([-0.1])) == -np.inf
 
 
+def _scipy_theta_dist(spec):
+    """The frozen scipy distribution of one coefficient."""
+    if spec.theta_family == "shifted-exponential":
+        return stats.expon(loc=spec.kappa, scale=1.0 / spec.rate)
+    if spec.theta_family == "truncated-gaussian":
+        return stats.truncnorm(spec.kappa / spec.sigma, np.inf,
+                               loc=0.0, scale=spec.sigma)
+    return stats.norm(loc=0.0, scale=spec.sigma)
+
+
+def _scipy_nu_dist(spec):
+    """The frozen scipy distribution of one rate."""
+    return stats.gamma(spec.nu_shape, scale=1.0 / spec.nu_rate)
+
+
 def test_theta_logpdf_matches_scipy():
     for fam, kw in (("truncated-gaussian", dict(kappa=0.2, sigma=0.7)),
                     ("gaussian", dict(sigma=1.3)),
                     ("shifted-exponential", dict(kappa=-0.5, rate=2.0))):
         spec = PriorSpec(theta_family=fam, **kw)
         x = np.array([0.3, 0.9, 1.4])
-        expect = float(spec._theta_dist().logpdf(x).sum())
+        expect = float(_scipy_theta_dist(spec).logpdf(x).sum())
         assert spec.theta_logpdf(x) == pytest.approx(expect, rel=1e-10)
 
 
 def test_nu_logpdf_matches_scipy():
     spec = PriorSpec(nu_shape=2.0, nu_rate=1.5)
     x = np.array([0.4, 2.0])
-    expect = float(spec._nu_dist().logpdf(x).sum())
+    expect = float(_scipy_nu_dist(spec).logpdf(x).sum())
     assert spec.nu_logpdf(x) == pytest.approx(expect, rel=1e-10)
     assert spec.nu_logpdf(np.array([-1.0])) == -np.inf
+
+
+@pytest.mark.parametrize("kappa, sigma", [(0.2, 0.7), (0.0, 1.0),
+                                          (-1.5, 0.3), (3.0, 0.4),
+                                          (40.0, 1.0)])
+def test_truncated_gaussian_log_norm_equals_scipy_logsf(kappa, sigma):
+    spec = PriorSpec(theta_family="truncated-gaussian", kappa=kappa,
+                     sigma=sigma)
+    expect = float(np.log(sigma) + 0.5 * np.log(2 * np.pi)
+                   + stats.norm.logsf(kappa / sigma))
+    assert spec._theta_log_norm == expect
+
+
+def _scipy_sample_prior(spec, rng):
+    """sample_prior drawn through scipy's frozen distributions, the
+    reference for the direct draws."""
+    dims, logpmf = spec.j_log_pmf()
+    pmf = np.exp(logpmf)
+    pmf /= pmf.sum()
+    nu_dist, th_dist = _scipy_nu_dist(spec), _scipy_theta_dist(spec)
+    for _ in range(10_000):
+        J = int(rng.choice(dims, p=pmf))
+        nu = nu_dist.rvs(size=spec.K, random_state=rng)
+        theta = th_dist.rvs(size=(spec.K, spec.K, J), random_state=rng)
+        if spec.in_model_class(nu, spec.theta_to_h(J, theta)):
+            return nu, J, theta
+    raise RuntimeError("prior rejection cap exceeded")
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("family, kw", [
+    ("shifted-exponential", dict(kappa=0.05, rate=6.0)),
+    ("shifted-exponential", dict(kappa=-0.3, rate=4.0, nu_shape=0.7)),
+    ("gaussian", dict(sigma=0.3, nu_rate=2.5)),
+    ("truncated-gaussian", dict(kappa=0.0, sigma=0.25)),
+    ("truncated-gaussian", dict(kappa=-0.2, sigma=0.4, nu_shape=3.5)),
+])
+def test_sample_prior_equals_scipy_draws(K, family, kw):
+    spec = PriorSpec(K=K, J_max=6, theta_family=family, **kw)
+    for seed in range(8):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        nu, J, theta = sample_prior(spec, rng)
+        nu_ref, J_ref, theta_ref = _scipy_sample_prior(spec, ref_rng)
+        assert J == J_ref
+        assert np.array_equal(nu, nu_ref)
+        assert np.array_equal(theta, theta_ref)
+        # the same number of draws left both generators in one state
+        assert rng.random() == ref_rng.random()
 
 
 def test_theta_to_h_shapes_and_link():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from scipy import signal
+from scipy.fft import next_fast_len
 
 from hawkes_bvm.model import ModelParams, stationary_rates
 from hawkes_bvm.simulate import simulate_thinning
 from hawkes_bvm.stream import EventStream
+from hawkes_bvm import volterra
 from hawkes_bvm.volterra import empirical_pair_density, solve_moment_density
 
 
@@ -96,6 +99,43 @@ def test_solver_flags_on_converged_cases(model, n_grid):
     dens = solve_moment_density(model(), n_grid=n_grid)
     assert dens.converged
     assert not dens.tail_capped
+
+
+def _k3_mixed():
+    rng = np.random.default_rng(3)
+    h = rng.uniform(0.0, 0.12, size=(3, 3, 4))
+    return ModelParams(np.array([0.9, 0.6, 1.2]), h, 2.0)
+
+
+# (extended length 2N + 1, kernel length n_grid + 1) as the solver passes
+# them, and whether next_fast_len pads the full length
+@pytest.mark.parametrize("n_ext, n_wts, pads", [
+    (21, 3, True), (41, 5, False), (161, 9, True), (321, 65, True),
+    (1281, 129, True), (2561, 257, True)])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_fftconvolve0_equals_scipy_signal(K, n_ext, n_wts, pads):
+    n = n_ext + n_wts - 1
+    assert (next_fast_len(n, True) > n) == pads
+    rng = np.random.default_rng(100 * K + n_wts)
+    ext = rng.normal(size=(n_ext, K, 1, K))
+    wts = rng.exponential(size=(n_wts, K, K, 1))
+    expect = signal.fftconvolve(ext, wts, axes=0)
+    assert np.array_equal(volterra._fftconvolve0(ext, wts), expect)
+
+
+@pytest.mark.parametrize("model, n_grid", [
+    (_reference, 64), (_k2_cross, 64), (_k3_mixed, 32)],
+    ids=["K1", "K2", "K3"])
+def test_solver_unchanged_on_scipy_signal_convolution(model, n_grid,
+                                                      monkeypatch):
+    dens = solve_moment_density(model(), n_grid=n_grid)
+    monkeypatch.setattr(volterra, "_fftconvolve0",
+                        lambda a, b: signal.fftconvolve(a, b, axes=0))
+    ref = solve_moment_density(model(), n_grid=n_grid)
+    assert np.array_equal(dens.node_times, ref.node_times)
+    assert np.array_equal(dens.upsilon, ref.upsilon)
+    assert (dens.converged, dens.tail_capped) == (ref.converged,
+                                                   ref.tail_capped)
 
 
 def test_solver_reports_iteration_cap():
