@@ -74,7 +74,7 @@ def parse_functional(text: str) -> FunctionalSpec:
 
 def _check_indices(spec: FunctionalSpec, K: int) -> None:
     if spec.k > K or (spec.kind != "background" and spec.l > K):
-        raise ValueError("mark index out of range")
+        raise ValueError(f"functional mark index out of range 1..{K}")
 
 
 def eval_functional(spec: FunctionalSpec, params: ModelParams) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .functionals import (FunctionalSpec, eval_functional,
+from .functionals import (FunctionalSpec, _check_indices, eval_functional,
                           parse_functional, riesz_representor)
 from .grids import Direction
 from .likelihood import LanEstimator
@@ -143,10 +143,14 @@ def config_from_dict(cfg: dict, seed_override: int | None = None
     )
     if config.replications < 1:
         raise ValueError("R must be >= 1")
+    _check_indices(config.functional, f0.K)
     for name in ("mcmc_iters", "mcmc_thin", "palm_cells", "palm_points",
                  "palm_batches", "lan_points"):
         if getattr(config, name) < 1:
             raise ValueError(f"{name} must be >= 1")
+    if config.palm_anchors < config.palm_batches:
+        # every Palm batch needs at least one anchor of each mark
+        raise ValueError("palm_anchors must be >= palm_batches")
     if config.mcmc_burn_in is not None and config.mcmc_burn_in < 0:
         raise ValueError("mcmc_burn_in must be >= 0")
     if any(j < 1 or config.palm_cells % j for j in config.bias_dims):
@@ -216,7 +220,7 @@ def _replication(args) -> dict:
                           burn_in=burn_in, thin=thin,
                           seed=int(chain_seed.generate_state(1)[0] // 2),
                           p_j=p_j, warn=False)
-        post = posterior_functional(draws, fspec, level=0.90)
+        post = posterior_functional(draws, fspec)
         samples = post["samples"]
         center = efficient_estimate(psi0, f0_fine, psi_l, stream, horizon)
         if samples.size >= 100:
@@ -242,11 +246,9 @@ def _replication(args) -> dict:
         return {"ok": False, "horizon": horizon, "reason": repr(exc)}
 
 
-def run_experiment(config: ExperimentConfig,
-                   efficiency: dict | None = None) -> dict:
+def run_experiment(config: ExperimentConfig) -> dict:
     """Full BvM study; returns the report dictionary."""
-    if efficiency is None:
-        efficiency = compute_efficiency(config)
+    efficiency = compute_efficiency(config)
     psi_l = efficiency["psi_L"]
     v0, psi0 = efficiency["v0"], efficiency["psi0"]
     seq = np.random.SeedSequence(config.seed + 1)

@@ -161,17 +161,13 @@ class LanEstimator:
 
     def __init__(self, f0: ModelParams, t_sim: float = 2000.0,
                  n_points: int = 20_000, n_batches: int = 40,
-                 seed: int | np.random.SeedSequence = 0,
-                 stream: EventStream | None = None):
+                 seed: int | np.random.SeedSequence = 0):
         if f0.kind != "linear":
             raise ValueError("LAN estimator requires the linear model")
         self.f0 = f0
         self.n_batches = n_batches
         rng = np.random.default_rng(seed)
-        if stream is None:
-            stream = simulate_thinning(f0, t_sim, seed=rng.integers(2**63))
-        else:
-            t_sim = stream.horizon
+        stream = simulate_thinning(f0, t_sim, seed=rng.integers(2**63))
         pts = stratified_points(t_sim, n_points, n_batches, rng)
         self.n_points = pts.size
         self.X = window_design(stream.times, stream.marks, pts,

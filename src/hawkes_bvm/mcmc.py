@@ -3,9 +3,11 @@
 One sweep updates each background rate on the log scale, each
 coefficient block by a random walk, and (with probability p_J) the
 dimension J. Dimension moves come in two flavours: a step move to an
-adjacent dimension via bin-average projection plus Gaussian dither, and
-an exactly reversible scale move (split every bin with a mirrored
-innovation / merge adjacent bins by averaging).
+adjacent dimension via bin-average projection plus Gaussian dither
+(histogram basis only), and an exactly reversible scale move that
+doubles or halves J (histogram: split every bin with a mirrored
+innovation / merge adjacent bins by averaging; Haar: append / drop the
+finest level).
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .stream import EventStream
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _START_TRIES = 1000
+_DITHER = 0.1  # sd of the step move's Gaussian dither
+_INNOVATION = 0.1  # sd of the scale move's innovation
 
 
 def _log_normal(x: np.ndarray, sigma: float) -> float:
@@ -165,10 +169,11 @@ class ChainState:
 
 @dataclass
 class Scales:
+    """Random-walk scales of the rate and coefficient moves; `run_chain`
+    adapts them during burn-in."""
+
     nu: float = 0.3
     theta: float = 0.3
-    dither: float = 0.1
-    innovation: float = 0.1
 
 
 def _try_accept(target: PosteriorTarget, state: ChainState,
@@ -187,12 +192,44 @@ def _try_accept(target: PosteriorTarget, state: ChainState,
     return state, False
 
 
+def _dimension_proposal(state: ChainState, spec: PriorSpec,
+                        rng: np.random.Generator) -> tuple | None:
+    """A proposed (J, theta, Hastings/Jacobian term) of the dimension
+    move, or None when the proposed dimension is not admissible."""
+    dims = spec._dim_log_pmf  # keyed by the admissible dimensions
+    histogram = spec.basis_kind == "histogram"
+    j, theta = state.J, state.theta
+    if histogram and rng.integers(2) == 0:
+        j_new = j + 1 if rng.random() < 0.5 else j - 1
+        if j_new not in dims:
+            return None
+        base = project_bins(theta, j_new)
+        new = base + _DITHER * rng.standard_normal(base.shape)
+        back = project_bins(new, j)
+        return j_new, new, (_log_normal(theta - back, _DITHER)
+                            - _log_normal(new - base, _DITHER))
+    # scale move; the log Jacobian per innovation coefficient is log 2
+    # for the histogram split and 0 for the orthonormal Haar level
+    log_jac = np.log(2.0) if histogram else 0.0
+    if rng.random() < 0.5:
+        if 2 * j not in dims:
+            return None
+        u = _INNOVATION * rng.standard_normal(theta.shape)
+        new = (split_coefficients(theta, u) if histogram
+               else np.concatenate([theta, u], axis=2))
+        return 2 * j, new, u.size * log_jac - _log_normal(u, _INNOVATION)
+    if j % 2 or j // 2 not in dims:
+        return None
+    new, u = (merge_coefficients(theta) if histogram
+              else (theta[:, :, :j // 2], theta[:, :, j // 2:]))
+    return j // 2, new, _log_normal(u, _INNOVATION) - u.size * log_jac
+
+
 def mcmc_step(state: ChainState, target: PosteriorTarget,
               rng: np.random.Generator, scales: Scales,
               p_j: float = 0.2) -> tuple[ChainState, dict]:
     """One sweep; returns the new state and per-move acceptance counts."""
-    spec = target.spec
-    K = spec.K
+    K = target.spec.K
     acc = {"nu": 0, "nu_n": 0, "theta": 0, "theta_n": 0,
            "jump": 0, "jump_n": 0}
 
@@ -217,51 +254,10 @@ def mcmc_step(state: ChainState, target: PosteriorTarget,
 
     if rng.random() < p_j:
         acc["jump_n"] += 1
-        dims = spec._dim_log_pmf  # keyed by the admissible dimensions
-        histogram = spec.basis_kind == "histogram"
-        kind = ("step", "scale")[rng.integers(2)] if histogram else "scale"
-        j = state.J
-        if kind == "step":
-            j_new = j + 1 if rng.random() < 0.5 else j - 1
-            if j_new in dims:
-                base = project_bins(state.theta, j_new)
-                theta = base + scales.dither * rng.standard_normal(
-                    base.shape)
-                back = project_bins(theta, j)
-                extra = (_log_normal(state.theta - back, scales.dither)
-                         - _log_normal(theta - base, scales.dither))
-                state, ok = _try_accept(target, state, state.nu, j_new,
-                                        theta, extra, rng)
-                acc["jump"] += ok
-        else:
-            up = rng.random() < 0.5
-            if up and 2 * j in dims:
-                if histogram:
-                    u = scales.innovation * rng.standard_normal(
-                        state.theta.shape)
-                    theta = split_coefficients(state.theta, u)
-                    extra = (-_log_normal(u, scales.innovation)
-                             + u.size * np.log(2.0))
-                else:
-                    u = scales.innovation * rng.standard_normal(
-                        (K, K, j))
-                    theta = np.concatenate([state.theta, u], axis=2)
-                    extra = -_log_normal(u, scales.innovation)
-                state, ok = _try_accept(target, state, state.nu, 2 * j,
-                                        theta, extra, rng)
-                acc["jump"] += ok
-            elif not up and j % 2 == 0 and j // 2 in dims:
-                if histogram:
-                    theta, u = merge_coefficients(state.theta)
-                    extra = (_log_normal(u, scales.innovation)
-                             - u.size * np.log(2.0))
-                else:
-                    theta = state.theta[:, :, :j // 2]
-                    u = state.theta[:, :, j // 2:]
-                    extra = _log_normal(u, scales.innovation)
-                state, ok = _try_accept(target, state, state.nu, j // 2,
-                                        theta, extra, rng)
-                acc["jump"] += ok
+        move = _dimension_proposal(state, target.spec, rng)
+        if move is not None:
+            state, ok = _try_accept(target, state, state.nu, *move, rng)
+            acc["jump"] += ok
     return state, acc
 
 
@@ -339,12 +335,9 @@ def run_chain(stream: EventStream, horizon: float, spec: PriorSpec,
         state, acc = mcmc_step(state, target, rng, scales, p_j)
         if it < burn_in:
             gamma = 1.0 / np.sqrt(it + 1.0)
-            if acc["nu_n"]:
-                scales.nu *= np.exp(
-                    gamma * (acc["nu"] / acc["nu_n"] - 0.3))
-            if acc["theta_n"]:
-                scales.theta *= np.exp(
-                    gamma * (acc["theta"] / acc["theta_n"] - 0.3))
+            scales.nu *= np.exp(gamma * (acc["nu"] / acc["nu_n"] - 0.3))
+            scales.theta *= np.exp(
+                gamma * (acc["theta"] / acc["theta_n"] - 0.3))
         else:
             for key in totals:
                 totals[key] += acc[key]
@@ -365,9 +358,8 @@ def run_chain(stream: EventStream, horizon: float, spec: PriorSpec,
                           thin, spec)
 
 
-def posterior_functional(draws: PosteriorDraws, fspec,
-                         level: float = 0.90) -> dict:
-    """Posterior sample of a functional with mean, sd and equal-tailed
+def posterior_functional(draws: PosteriorDraws, fspec) -> dict:
+    """Posterior sample of a functional with mean, sd and 90% equal-tailed
     credible interval."""
     if len(draws) == 0:
         raise ValueError("no draws")
@@ -377,7 +369,7 @@ def posterior_functional(draws: PosteriorDraws, fspec,
         for i in range(len(draws))])
     return {"samples": samples, "mean": float(samples.mean()),
             "sd": float(samples.std(ddof=1)) if len(samples) > 1 else 0.0,
-            "ci": equal_tailed_interval(samples, level), "level": level}
+            "ci": equal_tailed_interval(samples, 0.90)}
 
 
 def equal_tailed_interval(samples: np.ndarray,

@@ -183,10 +183,12 @@ def estimate_palm(f0: ModelParams, n_cells: int,
         if anchors.size > n_anchors:
             idx = np.linspace(0, anchors.size - 1, n_anchors).astype(int)
             anchors = anchors[np.unique(idx)]
+        if anchors.size < n_batches:
+            raise ValueError(
+                f"mark {l + 1} keeps {anchors.size} anchors for "
+                f"{n_batches} batches; each batch needs one")
         for b, batch in enumerate(np.array_split(anchors, n_batches)):
             cnt = batch.size
-            if not cnt:
-                continue
             queries = (batch[:, None] + mids[None, :]).ravel()
             inv = 1.0 / linear_intensity(stream, queries, f0.nu, f0.h, A)
             p_b[b, l] = inv.reshape(cnt, m, K).sum(axis=0).T / cnt

@@ -194,6 +194,9 @@ class PriorSpec:
             raise ValueError("unknown basis kind")
         if self.c1 <= 0 or self.J_max < 1:
             raise ValueError("need c1 > 0 and J_max >= 1")
+        if not self.admissible_dims().size:
+            raise ValueError("no admissible dimension up to J_max; "
+                             "a haar basis needs J_max >= 2")
         for name in ("sigma", "rate", "nu_shape", "nu_rate"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")

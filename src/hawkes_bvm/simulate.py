@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
@@ -61,24 +62,17 @@ def simulate_thinning(params: ModelParams, horizon: float,
     t = -A - 50.0 * A
     times: list[float] = []
     marks: list[int] = []
-    # rolling window of events within A of the current time; head is the
-    # index of the oldest event still in memory
-    win_t: list[float] = []
-    win_k: list[int] = []
-    head = 0
+    # (time, mark index) of the events within A of the current time
+    window: deque[tuple[float, int]] = deque()
 
     while True:
-        while head < len(win_t) and win_t[head] < t - A:
-            head += 1
-        if head > 4096:
-            del win_t[:head]
-            del win_k[:head]
-            head = 0
+        while window and window[0][0] < t - A:
+            window.popleft()
         bound = nu_total
-        for i in range(head, len(win_t)):
-            cell = int((t - win_t[i]) / w)
+        for s, k in window:
+            cell = int((t - s) / w)
             if cell < m:
-                bound += bound_inc[win_k[i]][cell]
+                bound += bound_inc[k][cell]
         if not math.isfinite(bound) or bound > 1e12:
             raise OverflowError("thinning bound overflow; model unstable?")
         t = t + exponential(1.0 / bound)
@@ -86,10 +80,10 @@ def simulate_thinning(params: ModelParams, horizon: float,
             break
         # intensities at the candidate time
         lam = nu
-        for i in range(head, len(win_t)):
-            age = t - win_t[i]
+        for s, k in window:
+            age = t - s
             if 0.0 < age <= A:
-                row = h_rows[win_k[i]][min(int(age / w), m - 1)]
+                row = h_rows[k][min(int(age / w), m - 1)]
                 lam = [a + b for a, b in zip(lam, row)]
         if relu:
             lam = [x if x >= 0.0 else 0.0 for x in lam]
@@ -98,8 +92,7 @@ def simulate_thinning(params: ModelParams, horizon: float,
             cdf = list(itertools.accumulate([x / lam_tot for x in lam]))
             last = cdf[-1]
             k = bisect.bisect_right([c / last for c in cdf], random())
-            win_t.append(t)
-            win_k.append(k)
+            window.append((t, k))
             if t >= -A:
                 times.append(t)
                 marks.append(k + 1)

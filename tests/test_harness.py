@@ -54,6 +54,22 @@ def test_config_rejects_bias_dims_before_any_work(dims):
         config_from_dict(dict(BASE_CFG, bias_dims=dims))
 
 
+@pytest.mark.parametrize("functional", ["linear 1 3", "background 2",
+                                        "squared_l2 2 1"])
+def test_config_rejects_functional_mark_before_any_work(functional):
+    # K = 1; the index was checked only after the Palm stage had run
+    with pytest.raises(ValueError, match="functional mark index"):
+        config_from_dict(dict(BASE_CFG, functional=functional))
+
+
+def test_config_rejects_fewer_palm_anchors_than_batches():
+    # an anchorless batch would enter the pooled Palm means as zeros
+    with pytest.raises(ValueError, match="palm_anchors"):
+        config_from_dict(dict(BASE_CFG, palm_anchors="10",
+                              palm_batches="20"))
+    config_from_dict(dict(BASE_CFG, palm_anchors="20", palm_batches="20"))
+
+
 def test_config_seed_override_priority(monkeypatch):
     monkeypatch.setenv("HAWKES_SEED", "99")
     config = config_from_dict(dict(BASE_CFG))
@@ -412,6 +428,7 @@ def test_cli_infer_bad_prior_or_thin_exit_code(tmp_path, extra):
     {"mcmc_burn_in": "-5"},
     {"bias_dims": "3"},  # does not divide palm_cells = 4
     {"bias_dims": "0"},
+    {"prior_basis": "haar", "prior_jmax": "1"},  # no admissible dimension
 ])
 def test_cli_bvm_bad_efficiency_or_horizon_exit_code(tmp_path, extra):
     path = _write_cfg(tmp_path, extra)

@@ -112,6 +112,16 @@ def test_estimated_palm_poisson_matches_analytic():
     assert np.allclose(palm.C, exact.C, rtol=0.25)
 
 
+@pytest.mark.parametrize("n_anchors, n_batches", [(10, 20), (2000, 1000)])
+def test_estimated_palm_rejects_batches_without_anchors(n_anchors,
+                                                        n_batches):
+    # about 300 anchors on [0, 149]: too few for the batches either way;
+    # an empty batch entered the pooled means as zeros
+    with pytest.raises(ValueError, match="anchors"):
+        estimate_palm(_reference(), 4, n_anchors=n_anchors, n_points=2000,
+                      n_batches=n_batches, seed=5, horizon=150.0)
+
+
 def test_estimated_palm_inverse_intensity_bound():
     # lambda >= nu pointwise in the linear model, so p <= 1/nu
     f0 = _reference()

@@ -45,6 +45,13 @@ def test_haar_admissible_dims():
     assert list(spec.admissible_dims()) == [2, 4, 8, 16]
 
 
+def test_haar_prior_without_admissible_dimension_rejected():
+    # the smallest Haar dimension is 2; J_max = 1 leaves the prior empty
+    with pytest.raises(ValueError, match="no admissible dimension"):
+        PriorSpec(J_max=1, basis_kind="haar")
+    PriorSpec(J_max=1)  # the histogram basis keeps J = 1
+
+
 def test_theta_logpdf_shifted_exponential():
     spec = PriorSpec(theta_family="shifted-exponential", kappa=0.0,
                      rate=1.0)
