@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None,
-                       help="seed override (also HAWKES_SEED)")
+                       help="overrides the config seed")
         p.add_argument("--threads", type=int, default=None)
     return parser
 

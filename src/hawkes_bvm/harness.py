@@ -110,8 +110,7 @@ def config_from_dict(cfg: dict, seed_override: int | None = None
         link=cfg.get("prior_link", "identity"),
         support_end=f0.support_end,
     )
-    seed = int(os.environ.get("HAWKES_SEED",
-                              cfg.get("seed", "0")))
+    seed = int(cfg.get("seed", "0"))
     if seed_override is not None:
         seed = seed_override
     burn = cfg.get("mcmc_burn_in")
@@ -159,6 +158,9 @@ def config_from_dict(cfg: dict, seed_override: int | None = None
     for t in config.horizons + (config.lan_tsim,):
         if not 0.0 < t < np.inf:
             raise ValueError("T and lan_tsim must be positive and finite")
+    if config.palm_horizon is not None and not (
+            0.0 < config.palm_horizon < np.inf):
+        raise ValueError("palm_horizon must be positive and finite")
     if not 0.0 <= config.p_j <= 1.0:
         raise ValueError("p_j must be in [0, 1]")
     return config

@@ -72,9 +72,12 @@ class _Expansion:
     (hneg_sup, None outside the class), the coefficient log prior and,
     once the likelihood asks for it, each mark's excitation."""
 
-    __slots__ = ("h", "nonneg", "hneg_sup", "theta_lp", "excitation")
+    __slots__ = ("J", "theta", "h", "nonneg", "hneg_sup", "theta_lp",
+                 "excitation")
 
     def __init__(self, spec: PriorSpec, J: int, theta: np.ndarray):
+        self.J = J
+        self.theta = theta
         self.h = spec.theta_to_h(J, theta)
         self.hneg_sup = spec.kernel_admissible(self.h)
         # a finite h is nonnegative when no mark has a negative part; the
@@ -86,14 +89,10 @@ class _Expansion:
 
 
 class PosteriorTarget:
-    """Cached posterior evaluation for one data stream and prior.
-
-    Each distinct (J, theta) is expanded once. The two most recently used
-    expansions are kept, keyed by content: the chain's state and its
-    pending proposal, unless two proposals in a row were rejected (the
-    state is then expanded again on its next use). A nu-move so reuses
-    the state's kernel terms and recomputes only the rate prior and the
-    marks' log terms.
+    """Posterior evaluation for one data stream and prior, from the
+    expansion of a (J, theta). A nu-move passes the state's own
+    expansion, so it reuses the kernel terms and recomputes only the
+    rate prior and the marks' log terms.
     """
 
     def __init__(self, stream: EventStream, horizon: float,
@@ -102,22 +101,8 @@ class PosteriorTarget:
         self.horizon = horizon
         self.spec = spec
         self._caches: dict[int, LikelihoodCache] = {}
-        self._expansions: dict[tuple, _Expansion] = {}
 
-    def _expand(self, J: int, theta: np.ndarray) -> _Expansion:
-        theta = np.asarray(theta, dtype=float)
-        key = (J, theta.shape, theta.tobytes())
-        ex = self._expansions.pop(key, None)
-        if ex is None:
-            ex = _Expansion(self.spec, J, theta)
-            if len(self._expansions) == 2:
-                del self._expansions[next(iter(self._expansions))]
-        self._expansions[key] = ex
-        return ex
-
-    def log_lik(self, nu: np.ndarray, J: int,
-                theta: np.ndarray) -> float:
-        ex = self._expand(J, theta)
+    def log_lik(self, nu: np.ndarray, ex: _Expansion) -> float:
         n_cells = ex.h.shape[2]
         cache = self._caches.get(n_cells)
         if cache is None:
@@ -128,13 +113,11 @@ class PosteriorTarget:
             ex.excitation = cache.excite(ex.h, ex.nonneg)
         return cache.log_likelihood(nu, ex.excitation)
 
-    def log_pri(self, nu: np.ndarray, J: int,
-                theta: np.ndarray) -> float:
+    def log_pri(self, nu: np.ndarray, ex: _Expansion) -> float:
         """Same value as `log_prior`, from the (J, theta) expansion."""
-        total = self.spec.dim_log_pmf(J)
+        total = self.spec.dim_log_pmf(ex.J)
         if total == -np.inf:
             return -np.inf
-        ex = self._expand(J, theta)
         nu = np.asarray(nu, dtype=float)
         if (ex.hneg_sup is None
                 or not self.spec.rates_admissible(nu, ex.hneg_sup)):
@@ -147,10 +130,17 @@ class PosteriorTarget:
 @dataclass
 class ChainState:
     nu: np.ndarray
-    J: int
-    theta: np.ndarray
+    ex: _Expansion
     log_lik: float
     log_pri: float
+
+    @property
+    def J(self) -> int:
+        return self.ex.J
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.ex.theta
 
     @classmethod
     def initial(cls, target: PosteriorTarget,
@@ -159,10 +149,10 @@ class ChainState:
         -inf, with every nearby proposal also -inf, would never move."""
         for _ in range(_START_TRIES):
             nu, J, theta = sample_prior(target.spec, rng)
-            log_lik = target.log_lik(nu, J, theta)
+            ex = _Expansion(target.spec, J, theta)
+            log_lik = target.log_lik(nu, ex)
             if np.isfinite(log_lik):
-                return cls(nu, J, theta, log_lik,
-                           target.log_pri(nu, J, theta))
+                return cls(nu, ex, log_lik, target.log_pri(nu, ex))
         raise RuntimeError(
             f"no prior draw with finite likelihood in {_START_TRIES} tries")
 
@@ -177,25 +167,26 @@ class Scales:
 
 
 def _try_accept(target: PosteriorTarget, state: ChainState,
-                nu, J, theta, extra: float,
+                nu, ex: _Expansion, extra: float,
                 rng: np.random.Generator) -> tuple[ChainState, bool]:
     """Generic MH accept step; extra carries Hastings/Jacobian terms."""
-    lp = target.log_pri(nu, J, theta)
+    lp = target.log_pri(nu, ex)
     if lp == -np.inf:
         return state, False
-    ll = target.log_lik(nu, J, theta)
+    ll = target.log_lik(nu, ex)
     if ll == -np.inf:
         return state, False
     log_alpha = (ll + lp) - (state.log_lik + state.log_pri) + extra
     if np.log(rng.random()) <= log_alpha:
-        return ChainState(nu, J, theta, ll, lp), True
+        return ChainState(nu, ex, ll, lp), True
     return state, False
 
 
 def _dimension_proposal(state: ChainState, spec: PriorSpec,
                         rng: np.random.Generator) -> tuple | None:
-    """A proposed (J, theta, Hastings/Jacobian term) of the dimension
-    move, or None when the proposed dimension is not admissible."""
+    """The expansion of a proposed (J, theta) of the dimension move and
+    its Hastings/Jacobian term, or None when the proposed dimension is
+    not admissible."""
     dims = spec._dim_log_pmf  # keyed by the admissible dimensions
     histogram = spec.basis_kind == "histogram"
     j, theta = state.J, state.theta
@@ -206,8 +197,9 @@ def _dimension_proposal(state: ChainState, spec: PriorSpec,
         base = project_bins(theta, j_new)
         new = base + _DITHER * rng.standard_normal(base.shape)
         back = project_bins(new, j)
-        return j_new, new, (_log_normal(theta - back, _DITHER)
-                            - _log_normal(new - base, _DITHER))
+        return _Expansion(spec, j_new, new), (
+            _log_normal(theta - back, _DITHER)
+            - _log_normal(new - base, _DITHER))
     # scale move; the log Jacobian per innovation coefficient is log 2
     # for the histogram split and 0 for the orthonormal Haar level
     log_jac = np.log(2.0) if histogram else 0.0
@@ -217,12 +209,14 @@ def _dimension_proposal(state: ChainState, spec: PriorSpec,
         u = _INNOVATION * rng.standard_normal(theta.shape)
         new = (split_coefficients(theta, u) if histogram
                else np.concatenate([theta, u], axis=2))
-        return 2 * j, new, u.size * log_jac - _log_normal(u, _INNOVATION)
+        return _Expansion(spec, 2 * j, new), (
+            u.size * log_jac - _log_normal(u, _INNOVATION))
     if j % 2 or j // 2 not in dims:
         return None
     new, u = (merge_coefficients(theta) if histogram
               else (theta[:, :, :j // 2], theta[:, :, j // 2:]))
-    return j // 2, new, _log_normal(u, _INNOVATION) - u.size * log_jac
+    return _Expansion(spec, j // 2, new), (
+        _log_normal(u, _INNOVATION) - u.size * log_jac)
 
 
 def mcmc_step(state: ChainState, target: PosteriorTarget,
@@ -238,8 +232,7 @@ def mcmc_step(state: ChainState, target: PosteriorTarget,
         step = scales.nu * rng.standard_normal()
         nu[k] = state.nu[k] * np.exp(step)
         # log-scale walk: Hastings term log(nu'/nu)
-        state, ok = _try_accept(target, state, nu, state.J, state.theta,
-                                step, rng)
+        state, ok = _try_accept(target, state, nu, state.ex, step, rng)
         acc["nu"] += ok
         acc["nu_n"] += 1
 
@@ -247,8 +240,8 @@ def mcmc_step(state: ChainState, target: PosteriorTarget,
         for k in range(K):
             theta = state.theta.copy()
             theta[l, k] += scales.theta * rng.standard_normal(state.J)
-            state, ok = _try_accept(target, state, state.nu, state.J,
-                                    theta, 0.0, rng)
+            ex = _Expansion(target.spec, state.J, theta)
+            state, ok = _try_accept(target, state, state.nu, ex, 0.0, rng)
             acc["theta"] += ok
             acc["theta_n"] += 1
 

@@ -192,14 +192,16 @@ class PriorSpec:
             raise ValueError("unknown link")
         if self.basis_kind not in ("histogram", "haar"):
             raise ValueError("unknown basis kind")
-        if self.c1 <= 0 or self.J_max < 1:
-            raise ValueError("need c1 > 0 and J_max >= 1")
+        if self.J_max < 1:
+            raise ValueError("need J_max >= 1")
         if not self.admissible_dims().size:
             raise ValueError("no admissible dimension up to J_max; "
                              "a haar basis needs J_max >= 2")
-        for name in ("sigma", "rate", "nu_shape", "nu_rate"):
+        for name in ("c1", "sigma", "rate", "nu_shape", "nu_rate"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if not math.isfinite(self.kappa):
+            raise ValueError("kappa must be finite")
 
     def basis(self, J: int) -> BasisFamily:
         return _basis_cached(self.basis_kind, J, self.support_end)

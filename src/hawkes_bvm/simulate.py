@@ -45,6 +45,9 @@ def simulate_thinning(params: ModelParams, horizon: float,
     rng.choice(K, p=lam/lam_tot)'s own recipe: one rng.random() bisected
     into the cumulative sum of p divided by its last entry.
     """
+    if not math.isfinite(horizon):
+        # the loop stops only past the horizon
+        raise ValueError("horizon must be finite")
     A = params.support_end
     rng = np.random.default_rng(seed)
     K, m, w = params.K, params.n_cells, params.cell_width

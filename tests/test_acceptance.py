@@ -153,7 +153,7 @@ def test_criterion_5_lan_norm_equivalence():
 class _PriorOnlyTarget(PosteriorTarget):
     """Constant likelihood: the chain must preserve the prior."""
 
-    def log_lik(self, nu, J, theta):
+    def log_lik(self, nu, ex):
         return 0.0
 
 

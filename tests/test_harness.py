@@ -70,11 +70,18 @@ def test_config_rejects_fewer_palm_anchors_than_batches():
     config_from_dict(dict(BASE_CFG, palm_anchors="20", palm_batches="20"))
 
 
-def test_config_seed_override_priority(monkeypatch):
-    monkeypatch.setenv("HAWKES_SEED", "99")
-    config = config_from_dict(dict(BASE_CFG))
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
+def test_config_rejects_bad_palm_horizon(value):
+    # the thinning simulator stops only past the horizon: an infinite one
+    # ran to the 50M-event budget
+    with pytest.raises(ValueError, match="palm_horizon"):
+        config_from_dict(dict(BASE_CFG, palm_horizon=value))
+
+
+def test_config_seed_override_priority():
+    config = config_from_dict(dict(BASE_CFG, seed="99"))
     assert config.seed == 99
-    config = config_from_dict(dict(BASE_CFG), seed_override=7)
+    config = config_from_dict(dict(BASE_CFG, seed="99"), seed_override=7)
     assert config.seed == 7
 
 
@@ -429,6 +436,7 @@ def test_cli_infer_bad_prior_or_thin_exit_code(tmp_path, extra):
     {"bias_dims": "3"},  # does not divide palm_cells = 4
     {"bias_dims": "0"},
     {"prior_basis": "haar", "prior_jmax": "1"},  # no admissible dimension
+    {"prior_c1": "nan"},
 ])
 def test_cli_bvm_bad_efficiency_or_horizon_exit_code(tmp_path, extra):
     path = _write_cfg(tmp_path, extra)

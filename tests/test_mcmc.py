@@ -3,12 +3,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hawkes_bvm.mcmc import (ChainState, PosteriorTarget, Scales, ess,
-                             mcmc_step, merge_coefficients, project_bins,
-                             run_chain, posterior_functional,
+from hawkes_bvm.mcmc import (ChainState, PosteriorTarget, Scales, _Expansion,
+                             ess, mcmc_step, merge_coefficients,
+                             project_bins, run_chain, posterior_functional,
                              split_coefficients)
 from hawkes_bvm.functionals import FunctionalSpec
-from hawkes_bvm.likelihood import log_likelihood
+from hawkes_bvm.likelihood import LikelihoodCache, log_likelihood
 from hawkes_bvm.model import ModelParams
 from hawkes_bvm.priors import PriorSpec, log_prior
 from hawkes_bvm.simulate import simulate_thinning
@@ -142,7 +142,8 @@ def test_posterior_target_matches_direct_likelihood():
     theta = np.array([[[0.4, 0.2]]])
     h = spec.theta_to_h(2, theta)
     direct = log_likelihood(ModelParams(nu, h, 1.0), stream, T)
-    assert target.log_lik(nu, 2, theta) == pytest.approx(direct, rel=1e-10)
+    assert target.log_lik(nu, _Expansion(spec, 2, theta)) == pytest.approx(
+        direct, rel=1e-10)
 
 
 def test_posterior_target_relu_compensator():
@@ -153,7 +154,8 @@ def test_posterior_target_relu_compensator():
     target = PosteriorTarget(stream, 4.0, _spec(
         J_max=1, theta_family="gaussian", sigma=0.3))
     expect = np.log(0.4) - (1.0 + 0.04 + 0.04 + 0.9 + 0.4)
-    assert target.log_lik(np.array([1.0]), 1, np.array([[[-0.6]]])) == (
+    ex = _Expansion(target.spec, 1, np.array([[[-0.6]]]))
+    assert target.log_lik(np.array([1.0]), ex) == (
         pytest.approx(expect, rel=1e-12))
 
 
@@ -188,10 +190,39 @@ def test_identical_proposal_always_accepted():
     rng = np.random.default_rng(8)
     state = ChainState.initial(target, rng)
     from hawkes_bvm.mcmc import _try_accept
-    new, ok = _try_accept(target, state, state.nu, state.J, state.theta,
-                          0.0, rng)
+    new, ok = _try_accept(target, state, state.nu,
+                          _Expansion(spec, state.J, state.theta), 0.0, rng)
     assert ok
     assert new.log_lik == state.log_lik
+
+
+def test_chain_builds_one_expansion_per_proposal(monkeypatch):
+    # each coefficient or dimension proposal expands its (J, theta) once,
+    # and a rate move reuses the state's expansion, however many
+    # proposals in a row were rejected
+    stream, T, spec, _ = _k2_case()
+    target = PosteriorTarget(stream, T, spec)
+    rng = np.random.default_rng(18)
+    state = ChainState.initial(target, rng)
+    counts = {"built": 0, "excite": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(_Expansion, "__init__",
+                        counted("built", _Expansion.__init__))
+    monkeypatch.setattr(LikelihoodCache, "excite",
+                        counted("excite", LikelihoodCache.excite))
+    proposals = 0
+    scales = Scales()
+    for _ in range(300):
+        state, acc = mcmc_step(state, target, rng, scales)
+        proposals += acc["theta_n"] + acc["jump_n"]
+    assert counts["built"] <= proposals
+    assert counts["excite"] <= counts["built"]
 
 
 def test_posterior_concentrates_near_truth():
@@ -305,7 +336,7 @@ def test_chain_start_raises_when_no_draw_is_finite():
     stream, T = _data(T=50.0)
 
     class _NoLikelihood(PosteriorTarget):
-        def log_lik(self, nu, J, theta):
+        def log_lik(self, nu, ex):
             return -np.inf
 
     with pytest.raises(RuntimeError, match="finite likelihood"):
@@ -348,11 +379,11 @@ class _ReferenceTarget(PosteriorTarget):
             self._full[m] = X, W
         return self._full[m]
 
-    def log_pri(self, nu, J, theta):
-        return log_prior(nu, J, theta, self.spec)
+    def log_pri(self, nu, ex):
+        return log_prior(nu, ex.J, ex.theta, self.spec)
 
-    def log_lik(self, nu, J, theta):
-        h = self.spec.theta_to_h(J, theta)
+    def log_lik(self, nu, ex):
+        h = self.spec.theta_to_h(ex.J, ex.theta)
         if h.min() >= 0.0:
             K, m = self.spec.K, h.shape[2]
             X, W = self._design(m)

@@ -188,11 +188,19 @@ def test_log_prior_composition():
     assert log_prior(np.array([-1.0]), 2, theta, spec) == -np.inf
 
 
-@pytest.mark.parametrize("name", ["sigma", "rate", "nu_shape", "nu_rate"])
+@pytest.mark.parametrize("name", ["c1", "sigma", "rate", "nu_shape",
+                                  "nu_rate"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
 def test_prior_spec_rejects_nonpositive_or_nonfinite_scale(name, value):
     with pytest.raises(ValueError, match=name):
         PriorSpec(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_prior_spec_rejects_nonfinite_kappa(value):
+    # every prior draw or proposal failed, so every replication did
+    with pytest.raises(ValueError, match="kappa"):
+        PriorSpec(kappa=value)
 
 
 def test_sample_prior_in_class_and_deterministic():

@@ -157,6 +157,16 @@ def test_thinning_event_budget(monkeypatch):
         simulate_thinning(p, 100.0, seed=1)
 
 
+@pytest.mark.parametrize("horizon", [np.inf, np.nan])
+def test_thinning_rejects_nonfinite_horizon(monkeypatch, horizon):
+    # the loop stops only past the horizon; a small budget keeps a
+    # regression from running for minutes
+    monkeypatch.setattr(simulate, "_MAX_EVENTS", 1000)
+    p = ModelParams(np.array([1.0]), np.array([[[0.5]]]), 1.0)
+    with pytest.raises(ValueError, match="horizon"):
+        simulate_thinning(p, horizon, seed=1)
+
+
 def test_thinning_bound_overflow():
     # rho = 1e13 * 1e-14 = 0.1 is stable, but one event in the window
     # puts the bound above 1e12
