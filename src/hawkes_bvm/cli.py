@@ -44,9 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, seed_override=args.seed)
-        if args.threads is not None:
-            config = dataclasses.replace(config, threads=args.threads)
+        config = load_config(args.config)
+        overrides = {name: getattr(args, name) for name in ("seed", "threads")
+                     if getattr(args, name) is not None}
+        config = dataclasses.replace(config, **overrides)
         out_dir = args.out or config.out_dir
         os.makedirs(out_dir, exist_ok=True)
     except (OSError, ValueError, KeyError) as exc:

@@ -3,6 +3,7 @@ computation and BvM verification with reproducible file outputs."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -20,7 +21,7 @@ from .mcmc import (equal_tailed_interval, ess, posterior_functional,
 from .model import ModelParams
 from .palm import (bias_term, efficient_estimate, estimate_palm,
                    info_operator_invert, optimal_variance)
-from .priors import PriorSpec, histogram_basis
+from .priors import PriorSpec
 from .simulate import simulate_thinning
 from .stream import atomic_write
 
@@ -86,15 +87,12 @@ def _model_from_config(cfg: dict) -> ModelParams:
     return ModelParams(nu, h_vals.reshape(K, K, m), A, kind)
 
 
-def load_config(path: str, seed_override: int | None = None
-                ) -> ExperimentConfig:
+def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
-        cfg = parse_config_text(fh.read())
-    return config_from_dict(cfg, seed_override)
+        return config_from_dict(parse_config_text(fh.read()))
 
 
-def config_from_dict(cfg: dict, seed_override: int | None = None
-                     ) -> ExperimentConfig:
+def config_from_dict(cfg: dict) -> ExperimentConfig:
     f0 = _model_from_config(cfg)
     prior = PriorSpec(
         K=f0.K,
@@ -110,9 +108,6 @@ def config_from_dict(cfg: dict, seed_override: int | None = None
         link=cfg.get("prior_link", "identity"),
         support_end=f0.support_end,
     )
-    seed = int(cfg.get("seed", "0"))
-    if seed_override is not None:
-        seed = seed_override
     burn = cfg.get("mcmc_burn_in")
     config = ExperimentConfig(
         f0=f0,
@@ -135,7 +130,7 @@ def config_from_dict(cfg: dict, seed_override: int | None = None
                         for v in cfg.get("bias_dims", "8").split()),
         lan_tsim=float(cfg.get("lan_tsim", "2000")),
         lan_points=int(cfg.get("lan_points", "20000")),
-        seed=seed,
+        seed=int(cfg.get("seed", "0")),
         threads=int(cfg.get("threads", "1")),
         out_dir=cfg.get("out_dir", "out"),
         raw=dict(cfg),
@@ -210,19 +205,19 @@ def compute_efficiency(config: ExperimentConfig) -> dict:
                 f0.support_end, f0.kind)}
 
 
-def _replication(args) -> dict:
+def _replication(config: ExperimentConfig, f0_fine: ModelParams,
+                 psi_l: Direction, psi0: float, v0: float, horizon: float,
+                 seed: int) -> dict:
     """One (horizon, replication) cell; module-level for pickling."""
-    (f0, f0_fine, prior, fspec, psi_l, psi0, v0, horizon,
-     iters, burn_in, thin, p_j, seed) = args
-    seq = np.random.SeedSequence(seed)
-    sim_seed, chain_seed = seq.spawn(2)
+    sim_seed, chain_seed = np.random.SeedSequence(seed).spawn(2)
     try:
-        stream = simulate_thinning(f0, horizon, seed=sim_seed)
-        draws = run_chain(stream, horizon, prior, iters=iters,
-                          burn_in=burn_in, thin=thin,
+        stream = simulate_thinning(config.f0, horizon, seed=sim_seed)
+        draws = run_chain(stream, horizon, config.prior,
+                          iters=config.mcmc_iters,
+                          burn_in=config.mcmc_burn_in, thin=config.mcmc_thin,
                           seed=int(chain_seed.generate_state(1)[0] // 2),
-                          p_j=p_j, warn=False)
-        post = posterior_functional(draws, fspec)
+                          p_j=config.p_j, warn=False)
+        post = posterior_functional(draws, config.functional)
         samples = post["samples"]
         center = efficient_estimate(psi0, f0_fine, psi_l, stream, horizon)
         if samples.size >= 100:
@@ -254,20 +249,17 @@ def run_experiment(config: ExperimentConfig) -> dict:
     psi_l = efficiency["psi_L"]
     v0, psi0 = efficiency["v0"], efficiency["psi0"]
     seq = np.random.SeedSequence(config.seed + 1)
-    jobs = []
-    for horizon in config.horizons:
-        for child in seq.spawn(config.replications):
-            jobs.append((config.f0, efficiency["f0_fine"], config.prior,
-                         config.functional, psi_l, psi0, v0, horizon,
-                         config.mcmc_iters, config.mcmc_burn_in,
-                         config.mcmc_thin, config.p_j,
-                         int(child.generate_state(1)[0] // 2)))
+    cells = [(horizon, int(child.generate_state(1)[0] // 2))
+             for horizon in config.horizons
+             for child in seq.spawn(config.replications)]
+    replicate = functools.partial(_replication, config,
+                                  efficiency["f0_fine"], psi_l, psi0, v0)
     if config.threads > 1:
         import multiprocessing as mp
         with mp.Pool(config.threads) as pool:
-            results = pool.map(_replication, jobs)
+            results = pool.starmap(replicate, cells)
     else:
-        results = [_replication(job) for job in jobs]
+        results = [replicate(*cell) for cell in cells]
 
     # projection bias at the requested sieve dimensions
     lan = LanEstimator(efficiency["f0_fine"], t_sim=config.lan_tsim,
@@ -295,7 +287,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "metric_note": ("KS distance reported; it bounds the "
                         "bounded-Lipschitz metric up to constants"),
     }
-    report["coverage"] = coverage_table(report, (0.90, 0.95))
+    report["coverage"] = coverage_table(report)
     ok = [r for r in results if r["ok"]]
     report["mean_sd_sqrtT"] = report["median_ks"] = None
     if ok:
@@ -312,39 +304,31 @@ def _sieve_directions(K: int, j: int, n_cells: int,
                       support_end: float) -> list[Direction]:
     """Directions spanning the (nu, histogram-j) sieve on the operator
     grid: unit rate vectors plus bin indicators per interaction slot."""
-    basis = histogram_basis(j, support_end)
-    factor = n_cells // basis.n_cells
-    if n_cells % basis.n_cells:
-        raise ValueError("sieve dimension must divide the grid")
-    dirs = []
-    for k in range(K):
-        xi = np.zeros(K)
-        xi[k] = 1.0
-        dirs.append(Direction(xi, np.zeros((K, K, n_cells)), support_end))
+    bins = np.repeat(np.eye(j), n_cells // j, axis=1)
+    dirs = [Direction(np.eye(K)[k], np.zeros((K, K, n_cells)), support_end)
+            for k in range(K)]
     for l in range(K):
         for k in range(K):
             for b in range(j):
                 g = np.zeros((K, K, n_cells))
-                g[l, k] = np.repeat(basis.matrix[b], factor)
+                g[l, k] = bins[b]
                 dirs.append(Direction(np.zeros(K), g, support_end))
     return dirs
 
 
-def coverage_table(report: dict, levels=(0.90, 0.95)) -> dict:
-    """Empirical CI coverage with binomial standard errors."""
+def coverage_table(report: dict) -> dict:
+    """Empirical coverage of the 90 % and 95 % credible intervals that
+    every replication records, with binomial standard errors."""
     ok = [r for r in report["replications"] if r["ok"]]
     out = {}
-    for level in levels:
-        key = f"covered{round(100 * level)}"
-        if any(key not in r for r in ok):
-            raise ValueError(f"no replication records {key}")
+    for level, key in (("0.90", "covered90"), ("0.95", "covered95")):
         hits = np.array([r[key] for r in ok], dtype=float)
         n = hits.size
         if n == 0:
-            out[f"{level:.2f}"] = {"coverage": None, "se": None, "n": 0}
+            out[level] = {"coverage": None, "se": None, "n": 0}
             continue
         p = float(hits.mean())
-        out[f"{level:.2f}"] = {
+        out[level] = {
             "coverage": p,
             "se": float(np.sqrt(max(p * (1 - p), 1e-12) / n)),
             "n": int(n),
@@ -352,11 +336,10 @@ def coverage_table(report: dict, levels=(0.90, 0.95)) -> dict:
     return out
 
 
-def emit_outputs(report: dict, out_dir: str) -> list[str]:
+def emit_outputs(report: dict, out_dir: str) -> None:
     """Write report.json, replications.csv, posterior_<r>.csv and
-    plots.gp; returns the written paths."""
+    plots.gp."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
 
     slim = {k: v for k, v in report.items() if k != "replications"}
     slim["replications"] = [
@@ -364,7 +347,6 @@ def emit_outputs(report: dict, out_dir: str) -> list[str]:
         for r in report["replications"]]
     path = os.path.join(out_dir, "report.json")
     atomic_write(path, json.dumps(slim, indent=2))
-    written.append(path)
 
     lines = ["replication,horizon,ok,psi_hat,post_mean,post_sd,"
              "ci90_lo,ci90_hi,covered90,ks"]
@@ -380,7 +362,6 @@ def emit_outputs(report: dict, out_dir: str) -> list[str]:
             lines.append(f"{i},{r['horizon']},0,,,,,,,")
     path = os.path.join(out_dir, "replications.csv")
     atomic_write(path, "\n".join(lines) + "\n")
-    written.append(path)
 
     for i, r in enumerate(report["replications"]):
         if not r["ok"]:
@@ -388,7 +369,6 @@ def emit_outputs(report: dict, out_dir: str) -> list[str]:
         body = "psi\n" + "\n".join(repr(v) for v in r["samples"]) + "\n"
         path = os.path.join(out_dir, f"posterior_{i}.csv")
         atomic_write(path, body)
-        written.append(path)
 
     v0 = report["v0"]
     ok = [i for i, r in enumerate(report["replications"]) if r["ok"]]
@@ -418,5 +398,3 @@ unset multiplot
 """
     path = os.path.join(out_dir, "plots.gp")
     atomic_write(path, gp)
-    written.append(path)
-    return written

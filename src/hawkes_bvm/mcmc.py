@@ -116,8 +116,6 @@ class PosteriorTarget:
     def log_pri(self, nu: np.ndarray, ex: _Expansion) -> float:
         """Same value as `log_prior`, from the (J, theta) expansion."""
         total = self.spec.dim_log_pmf(ex.J)
-        if total == -np.inf:
-            return -np.inf
         nu = np.asarray(nu, dtype=float)
         if (ex.hneg_sup is None
                 or not self.spec.rates_admissible(nu, ex.hneg_sup)):

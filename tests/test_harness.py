@@ -11,6 +11,7 @@ from hawkes_bvm.cli import main as cli_main
 from hawkes_bvm.harness import (bvm_distance, config_from_dict,
                                 coverage_table, emit_outputs, load_config,
                                 parse_config_text, run_experiment)
+from hawkes_bvm.palm import load_palm
 
 
 BASE_CFG = {
@@ -78,11 +79,20 @@ def test_config_rejects_bad_palm_horizon(value):
         config_from_dict(dict(BASE_CFG, palm_horizon=value))
 
 
-def test_config_seed_override_priority():
+def test_config_seed_override_priority(tmp_path):
     config = config_from_dict(dict(BASE_CFG, seed="99"))
     assert config.seed == 99
-    config = config_from_dict(dict(BASE_CFG, seed="99"), seed_override=7)
-    assert config.seed == 7
+    # the CLI's --seed beats the config's seed
+    events = {}
+    for name, seed, flags in (("flag", "99", ["--seed", "7"]),
+                              ("seed7", "7", []), ("seed99", "99", [])):
+        (tmp_path / name).mkdir()
+        path = _write_cfg(tmp_path / name, {"seed": seed})
+        out = tmp_path / name / "sim"
+        assert cli_main(["simulate", "--config", path, "--out", str(out),
+                         *flags]) == 0
+        events[name] = (out / "events.csv").read_bytes()
+    assert events["flag"] == events["seed7"] != events["seed99"]
 
 
 def test_config_hash_tracks_content():
@@ -185,17 +195,6 @@ def test_coverage_table_counts():
     assert cov["0.90"]["se"] == pytest.approx(expect_se)
 
 
-def test_coverage_table_reads_the_key_of_each_level():
-    report = _fake_report()
-    for i, r in enumerate(report["replications"][:10]):
-        r["covered80"] = i < 7
-    cov = coverage_table(report, (0.80, 0.90))
-    assert cov["0.80"]["coverage"] == pytest.approx(0.7)
-    assert cov["0.90"]["coverage"] == pytest.approx(0.9)
-    with pytest.raises(ValueError):
-        coverage_table(_fake_report(), (0.80,))
-
-
 def test_coverage_table_empty():
     cov = coverage_table({"replications": []})
     assert cov["0.90"]["coverage"] is None
@@ -205,7 +204,7 @@ def test_emit_outputs_files(tmp_path):
     report = _fake_report()
     report["coverage"] = coverage_table(report)
     out = str(tmp_path / "out")
-    written = emit_outputs(report, out)
+    emit_outputs(report, out)
     assert os.path.exists(os.path.join(out, "report.json"))
     doc = json.loads(open(os.path.join(out, "report.json")).read())
     assert "samples" not in doc["replications"][0]
@@ -215,7 +214,7 @@ def test_emit_outputs_files(tmp_path):
     assert lines[2].endswith(",")  # ks None leaves the field empty
     post0 = open(os.path.join(out, "posterior_0.csv")).read().splitlines()
     assert post0[0] == "psi" and len(post0) == 4
-    assert any(p.endswith("plots.gp") for p in written)
+    assert os.path.exists(os.path.join(out, "plots.gp"))
     # the failed replication gets no posterior file
     assert not os.path.exists(os.path.join(out, "posterior_10.csv"))
 
@@ -378,6 +377,36 @@ def test_cli_bvm_exit_code_when_inversion_not_converged(tmp_path):
     assert all(r["ok"] for r in report["replications"])
 
 
+@pytest.mark.parametrize("tol, code", [("1e-8", 0), ("0", 3)])
+def test_cli_palm_writes_palm_and_efficiency(tmp_path, tol, code):
+    # a zero tolerance is never met: both files are written, exit code 3
+    path = _write_cfg(tmp_path, {"bias_dims": "4", "invert_tol": tol})
+    out = tmp_path / "palm"
+    assert cli_main(["palm", "--config", path, "--out", str(out)]) == code
+    saved = load_palm(str(out / "palm.json"))
+    assert (saved.K, saved.n_cells) == (1, 4)
+    summary = _strict_json(out / "efficiency.json")
+    assert summary["converged"] is (code == 0)
+    assert math.isfinite(summary["v0"]) and summary["v0"] > 0
+
+
+# palm_cells = 3 does not refine the m = 2 model grid. compute_efficiency
+# rejects it, not config_from_dict: simulate and infer never read
+# palm_cells, and an infer config with m = 3 and the default palm_cells of
+# 16 must still run.
+_COARSE_PALM_GRID = {"m": "2", "h": "0.5 0.2", "palm_cells": "3",
+                     "bias_dims": "1"}
+
+
+def test_cli_palm_cells_checked_only_where_read(tmp_path, capsys):
+    path = _write_cfg(tmp_path, dict(_COARSE_PALM_GRID, mcmc_iters="100"))
+    assert cli_main(["palm", "--config", path,
+                     "--out", str(tmp_path / "palm")]) == 2
+    assert "must refine the model grid" in capsys.readouterr().err
+    assert cli_main(["infer", "--config", path,
+                     "--out", str(tmp_path / "inf")]) == 0
+
+
 def test_cli_infer_chain_json_strict_without_jump_proposals(tmp_path):
     path = _write_cfg(tmp_path, {"mcmc_iters": "100", "p_j": "0"})
     out = tmp_path / "inf"
@@ -437,6 +466,7 @@ def test_cli_infer_bad_prior_or_thin_exit_code(tmp_path, extra):
     {"bias_dims": "0"},
     {"prior_basis": "haar", "prior_jmax": "1"},  # no admissible dimension
     {"prior_c1": "nan"},
+    _COARSE_PALM_GRID,
 ])
 def test_cli_bvm_bad_efficiency_or_horizon_exit_code(tmp_path, extra):
     path = _write_cfg(tmp_path, extra)
