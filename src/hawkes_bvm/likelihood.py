@@ -1,8 +1,12 @@
 """Intensity evaluation, conditional log-likelihood and LAN statistics.
 
 `LikelihoodCache` is the one evaluator of the intensity at the events and
-of the compensator, for linear and ReLU kernels alike; `log_likelihood`,
-`grad_loglik_nu` and `w_statistic` are one-shot calls on it.
+of the compensator, for linear and ReLU kernels alike; `log_likelihood` and
+`grad_loglik_nu` are one-shot calls on it. `w_statistic`, one evaluation
+that gains nothing from the cache's distinct rows, reads the events'
+intensities from one `window_design` and shares the cache's compensator
+weights. `LanEstimator` keeps per-batch second moments of the window
+counts, from which each LAN Gram matrix is a contraction.
 """
 
 from __future__ import annotations
@@ -110,17 +114,35 @@ def w_statistic(direction: Direction, f0: ModelParams,
     if f0.kind != "linear":
         raise ValueError("W_T requires the linear model")
     check_same_grid(direction, f0)
-    cache = LikelihoodCache(stream, f0.K, f0.n_cells, f0.support_end,
-                            horizon)
+    times, marks = stream.times, stream.marks
+    sel = (times > 0) & (times <= horizon)
+    X = window_design(times, marks, times[sel], f0.support_end, f0.K,
+                      f0.n_cells)
     # the perturbation enters the intensity linearly, whatever its sign
-    ex, tilde = cache.excite(f0.h), cache.excite(direction.g, linear=True)
-    total = 0.0
-    for k in range(f0.K):
-        xi_k = float(direction.xi[k])
-        total += float(cache.counts[k] @ ((xi_k + tilde.rows[k])
-                                          / (f0.nu[k] + ex.rows[k])))
-        total -= xi_k * horizon + tilde.comp[k]
+    g = _g_flat(direction.g)
+    at = (np.arange(X.shape[0]), marks[sel] - 1)
+    score = np.sum((direction.xi + X @ g)[at]
+                   / (f0.nu + X @ _g_flat(f0.h))[at])
+    W = _compensator_weights(stream, f0.K, f0.n_cells, f0.support_end,
+                             horizon)
+    total = score - direction.xi.sum() * horizon - W @ g.sum(axis=1)
     return float(total / np.sqrt(horizon))
+
+
+def _compensator_weights(stream: EventStream, K: int, m: int, A: float,
+                         horizon: float) -> np.ndarray:
+    """W[l*m + c]: the total time cell c of a mark-(l+1) event overlaps
+    [0, T], so that the linear compensator of mark k is
+    nu_k T + W @ h_k, with h_k the column of `_g_flat(h)`."""
+    times, marks = stream.times, stream.marks
+    edges = np.arange(m + 1) * (A / m)
+    live = (times + A > 0) & (times < horizon)
+    W = np.zeros((K, m))
+    for l in range(K):
+        clipped = np.clip(times[live & (marks == l + 1)][:, None]
+                          + edges[None, :], 0.0, horizon)
+        W[l] = np.diff(clipped, axis=1).sum(axis=0)
+    return W.ravel()
 
 
 def _g_flat(g: np.ndarray) -> np.ndarray:
@@ -153,10 +175,14 @@ def batch_means(values_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class LanEstimator:
     """Ergodic estimator of the LAN inner product at a fixed truth f0.
 
-    One long path is simulated once; the integrand is sampled at
-    stratified time points whose window count patterns are cached in a
-    sparse matrix, so inner products for many direction pairs reuse the
-    same sample (and are exactly symmetric).
+    One long path is simulated once and the integrand is sampled at
+    stratified time points. At a point with z = (1, window counts), a
+    direction's perturbation intensity of mark k is z @ (xi[k], g_k), g_k
+    the column of `_g_flat(g)`, so each Gram entry is a quadratic form in
+    the per-batch second moments M[b, k] = mean over batch b of
+    z z^T / lambda0_k. They are built once; a Gram matrix for any
+    direction list is then a contraction whose cost does not grow with
+    the number of points, and is exactly symmetric.
     """
 
     def __init__(self, f0: ModelParams, t_sim: float = 2000.0,
@@ -169,30 +195,37 @@ class LanEstimator:
         rng = np.random.default_rng(seed)
         stream = simulate_thinning(f0, t_sim, seed=rng.integers(2**63))
         pts = stratified_points(t_sim, n_points, n_batches, rng)
-        self.n_points = pts.size
-        self.X = window_design(stream.times, stream.marks, pts,
-                               f0.support_end, f0.K, f0.n_cells)
-        self.lam0 = f0.nu[None, :] + self.X @ _g_flat(f0.h)
+        X = window_design(stream.times, stream.marks, pts, f0.support_end,
+                          f0.K, f0.n_cells)
+        self.lam0 = f0.nu[None, :] + X @ _g_flat(f0.h)
+        # Zb holds row p of Z in the column block of p's batch, so that
+        # one product per mark sums z z^T / lambda0_k batch by batch
+        Z = sparse.hstack((np.ones((pts.size, 1)), X), format="csr")
+        nz, per_batch = Z.shape[1], pts.size // n_batches
+        block = np.repeat(np.arange(pts.size) // per_batch * nz,
+                          np.diff(Z.indptr))
+        Zb = sparse.csr_matrix((Z.data, Z.indices + block, Z.indptr),
+                               shape=(pts.size, n_batches * nz))
+        self.moments = np.stack(
+            [(Zb.T @ sparse.diags(1.0 / lam) @ Z).toarray()
+             .reshape(n_batches, nz, nz) for lam in self.lam0.T],
+            axis=1) / per_batch
 
     def gram_batches(self, dirs: list[Direction]) -> np.ndarray:
         """Per-batch LAN Gram matrices, shape (n_batches, D, D)."""
         for d in dirs:
             check_same_grid(d, self.f0)
-        D, K = len(dirs), self.f0.K
-        # column k*D + a: direction a's perturbation intensity of mark k,
-        # scaled by 1/sqrt(lambda0^k); all in place, as L is the largest
-        # array of a bias computation
-        G = np.stack([_g_flat(d.g) for d in dirs], axis=2)
-        L = self.X @ G.reshape(-1, K * D)
-        L += np.stack([d.xi for d in dirs], axis=1).ravel()
-        L = L.reshape(self.n_points, K, D)
-        L /= np.sqrt(self.lam0)[:, :, None]
-        per_batch = self.n_points // self.n_batches
-        Lb = L.reshape(self.n_batches, per_batch * K, D)
-        gram_b = np.matmul(Lb.transpose(0, 2, 1), Lb)
-        gram_b /= per_batch
-        # exactly symmetric, whatever order the product summed in
-        return 0.5 * (gram_b + gram_b.transpose(0, 2, 1))
+        # C[k] column a: direction a's (xi[k], g_k), shape (K, 1 + K*m, D)
+        C = np.stack([np.vstack((d.xi, _g_flat(d.g))).T for d in dirs],
+                     axis=2)
+        Ct = C.transpose(0, 2, 1)
+        gram_b = np.empty((self.n_batches, len(dirs), len(dirs)))
+        # one batch at a time: nothing larger than the result is allocated
+        for b, M_b in enumerate(self.moments):
+            g = (Ct @ (M_b @ C)).sum(axis=0)
+            # exactly symmetric, whatever order the products summed in
+            gram_b[b] = 0.5 * (g + g.T)
+        return gram_b
 
     def gram(self, dirs: list[Direction]) -> tuple[np.ndarray, np.ndarray]:
         """LAN Gram matrix of a direction list plus batch-means SEs."""
@@ -267,17 +300,8 @@ class LikelihoodCache:
             rows, counts = _distinct_rows(Xk, np.ones(len(Xk)))
             self.X.append(rows)
             self.counts.append(counts)
-        # W[l*m + c]: the total time cell c of a mark-(l+1) event
-        # overlaps [0, T], so that the linear compensator is
-        # nu_k T + W @ h_k
-        edges = np.arange(n_cells + 1) * (support_end / n_cells)
-        live = (times + support_end > 0) & (times < horizon)
-        W = np.zeros((K, n_cells))
-        for l in range(K):
-            clipped = np.clip(times[live & (marks == l + 1)][:, None]
-                              + edges[None, :], 0.0, horizon)
-            W[l] = np.diff(clipped, axis=1).sum(axis=0)
-        self.W = W.ravel()
+        self.W = _compensator_weights(stream, K, n_cells, support_end,
+                                      horizon)
 
     @functools.cached_property
     def _pieces(self) -> tuple[np.ndarray, np.ndarray]:

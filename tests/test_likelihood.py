@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ from hawkes_bvm.grids import Direction
 from hawkes_bvm.likelihood import (LanEstimator, LikelihoodCache,
                                    _distinct_rows, grad_loglik_nu,
                                    linear_intensity, log_likelihood,
-                                   w_statistic)
+                                   stratified_points, w_statistic,
+                                   window_design)
 from hawkes_bvm.model import ModelParams
 from hawkes_bvm.simulate import simulate_thinning
 from hawkes_bvm.stream import EventStream
@@ -183,6 +185,68 @@ def test_gram_batches_average_to_gram():
     batches = est.gram_batches(dirs)
     assert batches.shape == (est.n_batches, 3, 3)
     assert np.allclose(batches.mean(axis=0), gram, atol=1e-12)
+
+
+@st.composite
+def _lan_case(draw):
+    """A K = 1 or 2 truth with h in sixteenths (so rho_+ is at most 1/2),
+    directions with cells of either sign, and one or several batches."""
+    K = draw(st.sampled_from([1, 2]))
+    m = draw(st.integers(1, 4))
+    h = np.array(draw(st.lists(st.integers(0, 4), min_size=K * K * m,
+                               max_size=K * K * m))).reshape(K, K, m) / 16
+    nu = np.array(draw(st.lists(st.integers(4, 16), min_size=K,
+                                max_size=K))) / 8
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dirs = [Direction(rng.normal(size=K), rng.normal(size=(K, K, m)), 1.0)
+            for _ in range(draw(st.integers(1, 5)))]
+    return (ModelParams(nu, h, 1.0), dirs, draw(st.integers(10, 300)),
+            draw(st.sampled_from([1, 3, 8])), draw(st.integers(0, 99)))
+
+
+@given(_lan_case())
+def test_gram_batches_match_dense_reference(case):
+    f0, dirs, n_points, n_batches, seed = case
+    est = LanEstimator(f0, t_sim=30.0, n_points=n_points,
+                       n_batches=n_batches, seed=seed)
+    # the estimator's sample, redrawn from the same seed in the same order
+    rng = np.random.default_rng(seed)
+    stream = simulate_thinning(f0, 30.0, seed=rng.integers(2**63))
+    pts = stratified_points(30.0, n_points, n_batches, rng)
+    K, m, n = f0.K, f0.n_cells, pts.size
+    X = window_design(stream.times, stream.marks, pts, 1.0, K,
+                      m).toarray().reshape(n, K, m)
+    lam0 = f0.nu + np.einsum("plc,lkc->pk", X, f0.h)
+    np.testing.assert_allclose(est.lam0, lam0, rtol=1e-14)
+    # the dense per-point form: L[p, k, a] is direction a's perturbation
+    # intensity of mark k at point p over sqrt(lambda0^k)
+    L = np.stack([d.xi + np.einsum("plc,lkc->pk", X, d.g) for d in dirs],
+                 axis=2) / np.sqrt(lam0)[:, :, None]
+    Lb = L.reshape(n_batches, n // n_batches, K, len(dirs))
+    ref = np.einsum("bpka,bpkc->bac", Lb, Lb) / (n // n_batches)
+    got = est.gram_batches(dirs)
+    # rel 1e-12 of the Cauchy-Schwarz bound sqrt(G_aa G_cc) of each entry
+    scale = np.sqrt(np.einsum("baa->ba", ref))
+    assert np.all(np.abs(got - ref)
+                  <= 1e-12 * scale[:, :, None] * scale[:, None, :])
+
+
+def test_gram_batches_allocate_nothing_per_point():
+    # the largest bias ladder step: K = 2, m = 32 and 68 directions; a
+    # per-point array would be 40,000 x 2 x 68 floats (44 MB), where the
+    # result is 40 x 68 x 68 (1.5 MB)
+    f0 = ModelParams(np.array([1.0, 0.8]), np.full((2, 2, 32), 0.2), 1.0)
+    est = LanEstimator(f0, t_sim=400.0, n_points=40_000, seed=17)
+    rng = np.random.default_rng(18)
+    dirs = [Direction(rng.normal(size=2), rng.normal(size=(2, 2, 32)), 1.0)
+            for _ in range(68)]
+    tracemalloc.start()
+    try:
+        est.gram_batches(dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_expansion_remainder_is_third_order():

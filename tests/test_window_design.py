@@ -200,6 +200,18 @@ def test_likelihood_sites_match_loop_on_simulated_path():
         _loop_loglik(relu, s, 60.0), rel=RTOL)
 
 
+@given(_likelihood_case(), st.integers(1, 31))
+def test_w_statistic_matches_loop_at_cutting_horizons(case, eighths):
+    # horizons on the eighth-unit grid fall between and on the events'
+    # quarter-unit times, so they cut the windows of the events before
+    # them, and events after the horizon count in neither sum
+    stream, params, d = case
+    f0 = ModelParams(params.nu, np.abs(params.h), 1.0)
+    T = eighths / 8
+    assert w_statistic(d, f0, stream, T) == pytest.approx(
+        _loop_w(d, f0, stream, T), rel=RTOL, abs=1e-12)
+
+
 # -- stochastic distance d_T ------------------------------------------------
 
 def _loop_distance(f, f_alt, stream, dec):
