@@ -10,8 +10,8 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
+from ._special import ndtr
 from .functionals import (FunctionalSpec, _check_indices, eval_functional,
                           parse_functional, riesz_representor)
 from .grids import Direction
@@ -176,7 +176,7 @@ def bvm_distance(posterior_samples: np.ndarray, center: float,
     # sqrt(v0)))`, step for step, without its p-value
     x = np.sort(z)
     n = x.size
-    cdf = special.ndtr((x - 0.0) / np.sqrt(v0))
+    cdf = np.array([ndtr(v) for v in ((x - 0.0) / np.sqrt(v0)).tolist()])
     d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
     d_minus = np.max(cdf - np.arange(0.0, n) / n)
     return float(d_plus if d_plus > d_minus else d_minus)

@@ -1,12 +1,16 @@
 """Intensity evaluation, conditional log-likelihood and LAN statistics.
 
+Every window sum reads `window_design`, a `CountDesign`: the window
+counts in canonical compressed-row form, held in numpy arrays, whose
+products add each row's terms in stored order as scipy's CSR kernels do.
 `LikelihoodCache` is the one evaluator of the intensity at the events and
 of the compensator, for linear and ReLU kernels alike; `log_likelihood` and
 `grad_loglik_nu` are one-shot calls on it. `w_statistic`, one evaluation
 that gains nothing from the cache's distinct rows, reads the events'
 intensities from one `window_design` and shares the cache's compensator
 weights. `LanEstimator` keeps per-batch second moments of the window
-counts, from which each LAN Gram matrix is a contraction.
+counts, summed one batch at a time, from which each LAN Gram matrix is a
+contraction.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .grids import Direction, check_same_grid
 from .model import ModelParams
@@ -23,29 +26,76 @@ from .simulate import simulate_thinning
 from .stream import EventStream
 
 
+@dataclass(frozen=True)
+class CountDesign:
+    """A window-count matrix in canonical compressed-row form.
+
+    keys[i] = row * n_col + column strictly increase and data[i] > 0 is
+    the count stored there, so each row's entries sit together with
+    their columns ascending, and no zero is stored. A product sums each
+    row's terms one after another in that order, with `np.bincount`, as
+    a CSR kernel does, so its values are those of scipy.sparse.
+    """
+
+    shape: tuple[int, int]
+    keys: np.ndarray
+    data: np.ndarray
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        return self.keys // self.shape[1]
+
+    @functools.cached_property
+    def cols(self) -> np.ndarray:
+        return self.keys % self.shape[1]
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out.reshape(-1)[self.keys] = self.data
+        return out
+
+    def __matmul__(self, B: np.ndarray) -> np.ndarray:
+        """The product with a dense vector or matrix B."""
+        if B.ndim == 1:
+            return np.bincount(self.rows, self.data * B[self.cols],
+                               minlength=self.shape[0])
+        out = np.empty((self.shape[0], B.shape[1]))
+        for j in range(B.shape[1]):
+            out[:, j] = self @ B[:, j]
+        return out
+
+    def __sub__(self, other: "CountDesign") -> "CountDesign":
+        """The difference from the counts of a subset of the same events,
+        whose entries are all stored here; only nonzeros are stored."""
+        at = np.searchsorted(self.keys, other.keys)
+        if at.size and (at[-1] == self.keys.size
+                        or np.any(self.keys[at] != other.keys)):
+            raise ValueError("subtracted counts outside the design")
+        data = self.data.copy()
+        data[at] -= other.data
+        keep = data != 0.0
+        return CountDesign(self.shape, self.keys[keep], data[keep])
+
+
 def _count_design(times: np.ndarray, marks: np.ndarray,
                   queries: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  K: int, m: int, w: float) -> sparse.csr_matrix:
+                  K: int, m: int, w: float) -> CountDesign:
     """Row q counts the events lo[q]..hi[q]-1 by mark l and age cell c
     (column l*m + c), where the age is queries[q] - time and the cell is
     min(int(age / w), m - 1)."""
     n = hi - lo
-    indptr = np.concatenate(([0], np.cumsum(n)))
     rows = np.repeat(np.arange(queries.size), n)
-    idx = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - lo, n)
+    idx = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
     cells = np.minimum(((queries[rows] - times[idx]) / w).astype(int),
                        m - 1)
-    X = sparse.csr_matrix(
-        (np.ones(idx.size), (marks[idx] - 1) * m + cells, indptr),
-        shape=(queries.size, K * m))
-    # one stored count per (row, column): fewer entries for every product
-    X.sum_duplicates()
-    return X
+    keys, counts = np.unique(rows * (K * m) + (marks[idx] - 1) * m + cells,
+                             return_counts=True)
+    return CountDesign((queries.size, K * m), keys, counts.astype(float))
 
 
 def window_design(times: np.ndarray, marks: np.ndarray,
                   queries: np.ndarray, A: float, K: int,
-                  m: int) -> sparse.csr_matrix:
+                  m: int) -> CountDesign:
     """Window-count design matrix, shape (n_query, K*m).
 
     Entry [q, l*m + c] counts the events of mark l+1 with time in
@@ -172,6 +222,47 @@ def batch_means(values_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, values_b.std(axis=0, ddof=1) / np.sqrt(n_batches)
 
 
+def _lan_moments(X: CountDesign, inv: np.ndarray,
+                 n_batches: int) -> np.ndarray:
+    """M[b, k] = mean over the points p of batch b of z z^T inv[p, k],
+    with z = (1, row p of X), shape (n_batches, K, 1 + n_col, 1 + n_col).
+
+    Batch by batch, each point's nonzeros of z are paired, each term is
+    (z_r inv[p, k]) z_c, and an entry sums its terms in increasing point
+    order. Each mark's matrix is column-major, stacked along axis 1: the
+    memory layout in which the BLAS products of `gram_batches` have
+    always read it, so their rounding stays the same.
+    """
+    n, n_col = X.shape
+    nz, per_batch = 1 + n_col, n // n_batches
+    ends = np.searchsorted(X.keys, np.arange(n_batches + 1)
+                           * (per_batch * n_col))
+    sums = [np.empty((n_batches * nz, nz), order="F") for _ in inv.T]
+    for b in range(n_batches):
+        sl = slice(ends[b], ends[b + 1])
+        rows, cols = np.divmod(X.keys[sl] - b * per_batch * n_col, n_col)
+        # z's nonzeros in point order: each point's constant, then its
+        # stored counts
+        keys = np.concatenate((np.arange(per_batch) * nz,
+                               rows * nz + cols + 1))
+        order = np.argsort(keys, kind="stable")
+        p, c = np.divmod(keys[order], nz)
+        v = np.concatenate((np.ones(per_batch), X.data[sl]))[order]
+        reps = np.bincount(p, minlength=per_batch)[p]
+        # pair entry i with every entry j of its point
+        i = np.repeat(np.arange(p.size), reps)
+        j = (np.arange(i.size) - np.repeat(np.cumsum(reps) - reps, reps)
+             + np.repeat(np.searchsorted(p, p), reps))
+        key, pi, vi, vj = c[i] * nz + c[j], p[i], v[i], v[j]
+        inv_b = inv[b * per_batch:(b + 1) * per_batch]
+        for k, out in enumerate(sums):
+            out[b * nz:(b + 1) * nz] = np.bincount(
+                key, vi * inv_b[:, k][pi] * vj,
+                minlength=nz * nz).reshape(nz, nz)
+    return np.stack([out.reshape(n_batches, nz, nz) for out in sums],
+                    axis=1) / per_batch
+
+
 class LanEstimator:
     """Ergodic estimator of the LAN inner product at a fixed truth f0.
 
@@ -198,18 +289,7 @@ class LanEstimator:
         X = window_design(stream.times, stream.marks, pts, f0.support_end,
                           f0.K, f0.n_cells)
         self.lam0 = f0.nu[None, :] + X @ _g_flat(f0.h)
-        # Zb holds row p of Z in the column block of p's batch, so that
-        # one product per mark sums z z^T / lambda0_k batch by batch
-        Z = sparse.hstack((np.ones((pts.size, 1)), X), format="csr")
-        nz, per_batch = Z.shape[1], pts.size // n_batches
-        block = np.repeat(np.arange(pts.size) // per_batch * nz,
-                          np.diff(Z.indptr))
-        Zb = sparse.csr_matrix((Z.data, Z.indices + block, Z.indptr),
-                               shape=(pts.size, n_batches * nz))
-        self.moments = np.stack(
-            [(Zb.T @ sparse.diags(1.0 / lam) @ Z).toarray()
-             .reshape(n_batches, nz, nz) for lam in self.lam0.T],
-            axis=1) / per_batch
+        self.moments = _lan_moments(X, 1.0 / self.lam0, n_batches)
 
     def gram_batches(self, dirs: list[Direction]) -> np.ndarray:
         """Per-batch LAN Gram matrices, shape (n_batches, D, D)."""

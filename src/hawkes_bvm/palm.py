@@ -13,12 +13,11 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .grids import Direction, check_same_grid
-from .likelihood import (LanEstimator, _count_design, batch_means,
-                         linear_intensity, stratified_points, window_design,
-                         w_statistic)
+from .likelihood import (CountDesign, LanEstimator, _count_design,
+                         batch_means, linear_intensity, stratified_points,
+                         window_design, w_statistic)
 from .model import ModelParams, stationary_rates
 from .simulate import simulate_thinning
 from .stream import EventStream, atomic_write
@@ -112,7 +111,18 @@ class PalmEstimates:
 
 
 def save_palm(palm: PalmEstimates, path: str) -> None:
-    atomic_write(path, palm.to_json())
+    """Write `palm.to_json()` to path one leading row of each tensor at a
+    time, so that the whole text is never held in memory."""
+    def chunks():
+        yield (f'{{"A": {json.dumps(palm.support_end)}, '
+               f'"mu": {json.dumps(palm.mu.tolist())}')
+        for name in ("a_b", "D_b", "p_b", "C_b"):
+            yield f', "{name}": ['
+            for i, row in enumerate(getattr(palm, name)):
+                yield (", " if i else "") + json.dumps(row.tolist())
+            yield "]"
+        yield "}"
+    atomic_write(path, chunks())
 
 
 def load_palm(path: str) -> PalmEstimates:
@@ -120,16 +130,18 @@ def load_palm(path: str) -> PalmEstimates:
         return PalmEstimates.from_json(fh.read())
 
 
-def _grouped_outer(X: sparse.csr_matrix, inv: np.ndarray,
+def _grouped_outer(X: CountDesign, inv: np.ndarray,
                    group: np.ndarray, n_group: int) -> np.ndarray:
     """out[g] = sum over rows r with group[r] == g of outer(X[r], inv[r]),
-    shape (n_group, X.shape[1], inv.shape[1])."""
-    n_col = X.shape[1]
-    coo = X.tocoo()
-    P = sparse.csr_matrix(
-        (coo.data, (group[coo.row] * n_col + coo.col, coo.row)),
-        shape=(n_group * n_col, X.shape[0]))
-    return (P @ inv).reshape(n_group, n_col, inv.shape[1])
+    shape (n_group, X.shape[1], inv.shape[1]); each entry sums its terms
+    in increasing row order."""
+    rows, n_col = X.rows, X.shape[1]
+    key = group[rows] * n_col + X.cols
+    out = np.empty((n_group * n_col, inv.shape[1]))
+    for j in range(inv.shape[1]):
+        out[:, j] = np.bincount(key, X.data * inv[:, j][rows],
+                                minlength=n_group * n_col)
+    return out.reshape(n_group, n_col, inv.shape[1])
 
 
 def estimate_palm(f0: ModelParams, n_cells: int,

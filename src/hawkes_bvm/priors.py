@@ -27,8 +27,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from ._special import gammaln
 from .model import spectral_radius
 
 
@@ -319,15 +319,18 @@ class PriorSpec:
             return float(np.log(self.rate))
         c = np.log(self.sigma) + 0.5 * np.log(2 * np.pi)
         if self.theta_family == "truncated-gaussian":
-            # log P(Z > kappa / sigma), as scipy's norm.logsf computes it
-            c += float(special.log_ndtr(-(self.kappa / self.sigma)))
+            # log P(Z > kappa / sigma), as scipy's norm.logsf computes it;
+            # imported here, as scipy.stats is, since no default config
+            # uses this family
+            from scipy.special import log_ndtr
+            c += float(log_ndtr(-(self.kappa / self.sigma)))
         return float(c)
 
     @functools.cached_property
     def _nu_log_norm(self) -> float:
         """The per-rate constant of the Gamma log density."""
         a, b = self.nu_shape, self.nu_rate
-        return float(a * np.log(b) - special.gammaln(a))
+        return float(a * np.log(b) - gammaln(float(a)))
 
     def theta_logpdf(self, theta: np.ndarray) -> float:
         x = np.asarray(theta, dtype=float).ravel().tolist()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import os
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,13 +13,17 @@ import numpy as np
 _JITTER = 1e-13
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write text to path through a temporary file in the same
-    directory, so a reader never sees a partial file."""
+def atomic_write(path: str, text: str | Iterable[str]) -> None:
+    """Write text, a string or an iterable of strings written one after
+    another, to path through a temporary file in the same directory, so
+    a reader never sees a partial file."""
     tmp = tempfile.NamedTemporaryFile(
         "w", dir=os.path.dirname(os.path.abspath(path)), delete=False)
     try:
-        tmp.write(text)
+        if isinstance(text, str):
+            tmp.write(text)
+        else:
+            tmp.writelines(text)
         tmp.close()
         os.replace(tmp.name, path)
     except BaseException:

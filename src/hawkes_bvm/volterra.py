@@ -12,22 +12,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .likelihood import batch_means
 from .model import ModelParams, stationary_rates
 from .stream import EventStream
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, the length that
+    `scipy.fft.next_fast_len(n, real=True)` pads a real transform to."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        odd = p5  # 3^b 5^c, times the least power of two reaching n
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        p5 *= 5
+    return best
+
+
 def _fftconvolve0(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of real a and b along axis 0, the other
     axes broadcast: the steps of `scipy.signal.fftconvolve(a, b,
     axes=0)` (real FFTs padded to the next fast length), so the values
-    are the same bit for bit without importing scipy.signal."""
+    are the same bit for bit without importing scipy: numpy's FFTs
+    (numpy >= 2) are the same pocketfft code as scipy.fft's."""
     n = a.shape[0] + b.shape[0] - 1
-    nf = [next_fast_len(n, True)]
-    spec = rfftn(a, nf, axes=[0]) * rfftn(b, nf, axes=[0])
-    return irfftn(spec, nf, axes=[0])[:n]
+    nf = [_next_fast_len(n)]
+    spec = np.fft.rfftn(a, nf, axes=[0]) * np.fft.rfftn(b, nf, axes=[0])
+    return np.fft.irfftn(spec, nf, axes=[0])[:n]
 
 
 @dataclass(frozen=True)

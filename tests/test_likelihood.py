@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 import warnings
 
@@ -5,16 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import scipy_reference
 from hawkes_bvm.grids import Direction
 from hawkes_bvm.likelihood import (LanEstimator, LikelihoodCache,
-                                   _distinct_rows, grad_loglik_nu,
+                                   _distinct_rows, _g_flat, grad_loglik_nu,
                                    linear_intensity, log_likelihood,
                                    stratified_points, w_statistic,
                                    window_design)
 from hawkes_bvm.model import ModelParams
 from hawkes_bvm.simulate import simulate_thinning
 from hawkes_bvm.stream import EventStream
-from test_window_design import _loop_loglik
+from test_window_design import _float_truth, _loop_loglik
 
 
 def _simple_stream():
@@ -229,6 +231,34 @@ def test_gram_batches_match_dense_reference(case):
     scale = np.sqrt(np.einsum("baa->ba", ref))
     assert np.all(np.abs(got - ref)
                   <= 1e-12 * scale[:, :, None] * scale[:, None, :])
+
+
+def _layout(a):
+    """The strides of the axes longer than one (the others are free)."""
+    return [s for s, n in zip(a.strides, a.shape) if n > 1]
+
+
+@given(_float_truth(m_max=16), st.integers(10, 600),
+       st.sampled_from([1, 3, 8]), st.integers(0, 2**32 - 1))
+def test_lan_moments_and_gram_equal_scipy_reference(case, n_points,
+                                                    n_batches, seed):
+    f0, _, d, _ = case
+    est = LanEstimator(f0, t_sim=30.0, n_points=n_points,
+                       n_batches=n_batches, seed=seed)
+    rng = np.random.default_rng(seed)
+    stream = simulate_thinning(f0, 30.0, seed=rng.integers(2**63))
+    pts = stratified_points(30.0, n_points, n_batches, rng)
+    X = scipy_reference.window_design(stream.times, stream.marks, pts, 1.0,
+                                      f0.K, f0.n_cells)
+    lam0 = f0.nu[None, :] + X @ _g_flat(f0.h)
+    ref = copy.copy(est)
+    ref.moments = scipy_reference.lan_moments(X, lam0, n_batches)
+    assert np.array_equal(est.lam0, lam0)
+    assert np.array_equal(est.moments, ref.moments)
+    # the Gram's BLAS products read the moments in their memory layout
+    assert _layout(est.moments) == _layout(ref.moments)
+    dirs = [d, Direction(-d.xi, d.g[::-1], 1.0), Direction(f0.nu, f0.h, 1.0)]
+    assert np.array_equal(est.gram_batches(dirs), ref.gram_batches(dirs))
 
 
 def test_gram_batches_allocate_nothing_per_point():

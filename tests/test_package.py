@@ -21,40 +21,60 @@ def test_public_names_resolve_once_and_exclude_deleted():
     assert not any(hasattr(hawkes_bvm, name) for name in DELETED)
 
 
-# a fresh interpreter imports the package and runs a small `bvm` job
-# (histogram prior, gaussian coefficients, enough draws for the KS
-# distance), then reports the slow scipy subpackages it loaded
+# a fresh interpreter imports the package and runs each command on a small
+# config of the default prior families (histogram and Haar bases; gaussian
+# and shifted-exponential coefficients), listing the scipy modules loaded
+# after the import and after each command
 _IMPORT_PROBE = textwrap.dedent("""
+    import json
+    import os
     import sys
+
+    def scipy_modules():
+        return [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+
     import hawkes_bvm
     from hawkes_bvm.cli import main
-    code = main(["bvm", "--config", sys.argv[1], "--out", sys.argv[2],
-                 "--threads", "1"])
-    slow = [m for m in ("scipy.stats", "scipy.signal") if m in sys.modules]
-    print(code, *slow)
+    loaded = {"import": scipy_modules()}
+    codes = {}
+    for i, run in enumerate(sys.argv[2:]):
+        command, config = run.split("=")
+        codes[run] = main([command, "--config", config, "--out",
+                           os.path.join(sys.argv[1], str(i)),
+                           "--threads", "1"])
+        loaded[run] = scipy_modules()
+    print(json.dumps({"codes": codes, "loaded": loaded}))
 """)
 
+_SMALL_CONFIG = (
+    "K = 1\nA = 1.0\nm = 1\nnu = 1.0\nh = 0.5\n"
+    "functional = background 1\nT = 120\nR = 1\n"
+    "mcmc_iters = 500\nmcmc_thin = 2\nprior_jmax = 4\n"
+    "palm_cells = 4\npalm_anchors = 300\npalm_points = 1500\n"
+    "lan_tsim = 300\nlan_points = 3000\nbias_dims = 1\nseed = 3\n")
 
-def test_bvm_job_never_imports_scipy_stats_or_signal(tmp_path):
-    cfg = tmp_path / "bvm.cfg"
-    cfg.write_text(
-        "K = 1\nA = 1.0\nm = 1\nnu = 1.0\nh = 0.5\n"
-        "functional = background 1\nT = 120\nR = 1\n"
-        "mcmc_iters = 500\nmcmc_thin = 2\nprior_basis = histogram\n"
-        "prior_jmax = 4\nprior_theta = gaussian\nprior_sigma = 0.3\n"
-        "palm_cells = 4\npalm_anchors = 300\npalm_points = 1500\n"
-        "lan_tsim = 300\nlan_points = 3000\nbias_dims = 1\nseed = 3\n")
+
+def test_import_and_commands_load_no_scipy(tmp_path):
+    gauss, haar = tmp_path / "gauss.cfg", tmp_path / "haar.cfg"
+    gauss.write_text(_SMALL_CONFIG + "prior_basis = histogram\n"
+                     "prior_theta = gaussian\nprior_sigma = 0.3\n")
+    haar.write_text(_SMALL_CONFIG + "prior_basis = haar\n")
+    runs = [f"{c}={gauss}" for c in ("simulate", "infer", "palm", "bvm")]
+    runs += [f"{c}={haar}" for c in ("infer", "bvm")]
     src = os.path.dirname(os.path.dirname(hawkes_bvm.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(cfg),
-         str(tmp_path / "out")],
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out"), *runs],
         env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    # the job prints its summary first; the probe's line comes last
-    assert out.stdout.splitlines()[-1].split() == ["0"]
-    # the job drew from the prior and computed a KS distance
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert all(r["ks"] is not None for r in report["replications"])
+    # the commands print their summaries first; the probe's line is last
+    probe = json.loads(out.stdout.splitlines()[-1])
+    assert probe["codes"] == {run: 0 for run in runs}
+    assert probe["loaded"] == {run: [] for run in ["import", *runs]}
+    # the bvm jobs drew from the prior and computed KS distances
+    for i in (3, 5):
+        report = json.loads(
+            (tmp_path / "out" / str(i) / "report.json").read_text())
+        assert all(r["ks"] is not None for r in report["replications"])

@@ -219,6 +219,17 @@ def test_palm_json_and_file_round_trip(tmp_path):
     assert np.array_equal(back.p_b, palm.p_b)
 
 
+def test_saved_palm_file_is_to_json_byte_for_byte(tmp_path):
+    # written one leading row at a time; several batches, marks and cells
+    f0 = ModelParams(np.array([1.2, 1.0]), np.full((2, 2, 2), 0.1), 1.0)
+    palm = estimate_palm(f0, 4, n_anchors=300, n_points=400, n_batches=3,
+                         seed=5)
+    for est in (palm, PalmEstimates.poisson(np.array([2.0]), 1.0, 1)):
+        path = tmp_path / "palm.json"
+        save_palm(est, str(path))
+        assert path.read_text() == est.to_json()
+
+
 def test_grid_mismatch_rejected():
     palm = PalmEstimates.poisson(np.array([2.0]), 1.0, 4)
     d = Direction(np.array([1.0]), np.zeros((1, 1, 2)), 1.0)

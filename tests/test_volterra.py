@@ -123,6 +123,11 @@ def test_fftconvolve0_equals_scipy_signal(K, n_ext, n_wts, pads):
     assert np.array_equal(volterra._fftconvolve0(ext, wts), expect)
 
 
+def test_next_fast_len_equals_scipy():
+    assert [volterra._next_fast_len(n) for n in range(1, 50_001)] == [
+        next_fast_len(n, True) for n in range(1, 50_001)]
+
+
 @pytest.mark.parametrize("model, n_grid", [
     (_reference, 64), (_k2_cross, 64), (_k3_mixed, 32)],
     ids=["K1", "K2", "K3"])

@@ -6,11 +6,13 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import scipy_reference
 from hawkes_bvm.grids import Direction
-from hawkes_bvm.likelihood import (grad_loglik_nu, log_likelihood,
-                                   w_statistic, window_design)
+from hawkes_bvm.likelihood import (grad_loglik_nu, linear_intensity,
+                                   log_likelihood, w_statistic,
+                                   window_design)
 from hawkes_bvm.model import ModelParams
 from hawkes_bvm.palm import estimate_palm
 from hawkes_bvm.pathstats import (renewal_decomposition,
@@ -58,7 +60,8 @@ def test_window_design_matches_loop(case):
     times, marks, queries, A, K, m = case
     X = window_design(times, marks, queries, A, K, m)
     assert X.shape == (queries.size, K * m)
-    assert X.has_canonical_format  # one stored entry per nonzero count
+    # canonical: one stored entry per nonzero count, in row-major order
+    assert np.all(np.diff(X.keys) > 0) and np.all(X.data > 0)
     assert np.array_equal(X.toarray(),
                           _loop_design(times, marks, queries, A, K, m))
 
@@ -304,3 +307,72 @@ def test_palm_tensors_match_loop(exact_tie):
     ref = _loop_palm(f0, 3, stream, 400, 4, 25)
     for got, want in zip((palm.a_b, palm.D_b, palm.p_b, palm.C_b), ref):
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=0.0)
+
+
+# -- the numpy design against its scipy.sparse reference ---------------------
+# Equal values are not enough: every product must add the same terms in
+# the same order as scipy's CSR kernels, so these compare bit for bit, on
+# float parameters whose sums round differently in another order.
+
+@given(_design_case())
+def test_window_design_equals_scipy_reference(case):
+    X = window_design(*case)
+    ref = scipy_reference.window_design(*case)
+    rows = np.repeat(np.arange(ref.shape[0]), np.diff(ref.indptr))
+    assert X.shape == ref.shape
+    assert np.array_equal(X.keys, rows * ref.shape[1] + ref.indices)
+    assert np.array_equal(X.data, ref.data)
+
+
+@st.composite
+def _float_truth(draw, K_max=2, m_max=8):
+    """A linear truth with float cells (row sums of h at most 0.6), a
+    simulated stream on [-1, T], a float direction and float queries."""
+    K = draw(st.integers(1, K_max))
+    m = draw(st.integers(1, m_max))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f0 = ModelParams(rng.uniform(0.5, 1.5, size=K),
+                     rng.uniform(0.0, 0.6 / (K * m), size=(K, K, m)), 1.0)
+    T = draw(st.sampled_from([20.0, 60.0]))
+    stream = simulate_thinning(f0, T, seed=int(rng.integers(2**63)))
+    d = Direction(rng.normal(size=K), rng.normal(size=(K, K, m)), 1.0)
+    return f0, stream, d, rng.uniform(-1.0, T + 1.0, size=50)
+
+
+@given(_float_truth())
+def test_intensity_and_w_statistic_equal_scipy_reference(case):
+    f0, stream, d, queries = case
+    T = stream.horizon
+    got = (linear_intensity(stream, queries, f0.nu, f0.h, 1.0),
+           w_statistic(d, f0, stream, T))
+    with scipy_reference.use_scipy_designs():
+        want = (linear_intensity(stream, queries, f0.nu, f0.h, 1.0),
+                w_statistic(d, f0, stream, T))
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+
+
+def _palm_equal_scipy_reference(f0, n_cells, **kw):
+    got = estimate_palm(f0, n_cells, **kw)
+    with scipy_reference.use_scipy_designs():
+        want = estimate_palm(f0, n_cells, **kw)
+    for name in ("a_b", "D_b", "p_b", "C_b"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("exact_tie", [False, True])
+def test_palm_tensors_equal_scipy_reference_with_ties(exact_tie):
+    f0, stream = _palm_stream(exact_tie)
+    _palm_equal_scipy_reference(f0, 3, n_anchors=len(stream.times),
+                                n_points=400, n_batches=4, seed=25,
+                                stream=stream)
+
+
+@settings(max_examples=8)
+@given(_float_truth(), st.sampled_from([1, 2, 3]), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_palm_tensors_equal_scipy_reference(case, refine, n_batches, seed):
+    f0 = case[0]
+    _palm_equal_scipy_reference(
+        f0, refine * f0.n_cells, n_anchors=300, n_points=600,
+        n_batches=n_batches, seed=seed, horizon=600.0)
