@@ -11,6 +11,7 @@ import bisect
 import itertools
 import math
 from collections import deque
+from operator import add
 
 import numpy as np
 
@@ -43,7 +44,8 @@ def simulate_thinning(params: ModelParams, horizon: float,
     the acceptance draw is rng.random(), which equals rng.uniform() =
     0 + 1 * u bit for bit; and the mark is drawn by
     rng.choice(K, p=lam/lam_tot)'s own recipe: one rng.random() bisected
-    into the cumulative sum of p divided by its last entry.
+    into the cumulative sum of p divided by its last entry. With one mark
+    that cdf is [1.0], so the draw is made and the mark is the first.
     """
     if not math.isfinite(horizon):
         # the loop stops only past the horizon
@@ -65,17 +67,18 @@ def simulate_thinning(params: ModelParams, horizon: float,
     t = -A - 50.0 * A
     times: list[float] = []
     marks: list[int] = []
-    # (time, mark index) of the events within A of the current time
-    window: deque[tuple[float, int]] = deque()
+    # the events within A of the current time, each as (time, its mark's
+    # bound increments, its mark's kernel rows)
+    window: deque[tuple[float, list, list]] = deque()
 
     while True:
         while window and window[0][0] < t - A:
             window.popleft()
         bound = nu_total
-        for s, k in window:
+        for s, inc, _ in window:
             cell = int((t - s) / w)
             if cell < m:
-                bound += bound_inc[k][cell]
+                bound += inc[cell]
         if not math.isfinite(bound) or bound > 1e12:
             raise OverflowError("thinning bound overflow; model unstable?")
         t = t + exponential(1.0 / bound)
@@ -83,19 +86,23 @@ def simulate_thinning(params: ModelParams, horizon: float,
             break
         # intensities at the candidate time
         lam = nu
-        for s, k in window:
+        for s, _, rows in window:
             age = t - s
             if 0.0 < age <= A:
-                row = h_rows[k][min(int(age / w), m - 1)]
-                lam = [a + b for a, b in zip(lam, row)]
+                lam = list(map(add, lam, rows[min(int(age / w), m - 1)]))
         if relu:
             lam = [x if x >= 0.0 else 0.0 for x in lam]
         lam_tot = _np_sum(lam)
         if random() * bound <= lam_tot:
-            cdf = list(itertools.accumulate([x / lam_tot for x in lam]))
-            last = cdf[-1]
-            k = bisect.bisect_right([c / last for c in cdf], random())
-            window.append((t, k))
+            if K == 1:
+                # the cdf is [1.0], into which every draw bisects at 0
+                random()
+                k = 0
+            else:
+                cdf = list(itertools.accumulate([x / lam_tot for x in lam]))
+                last = cdf[-1]
+                k = bisect.bisect_right([c / last for c in cdf], random())
+            window.append((t, bound_inc[k], h_rows[k]))
             if t >= -A:
                 times.append(t)
                 marks.append(k + 1)
