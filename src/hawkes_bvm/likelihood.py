@@ -16,6 +16,7 @@ contraction.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,9 +150,9 @@ def grad_loglik_nu(params: ModelParams, stream: EventStream,
     ex = cache.excite(params.h)
     grad = np.empty(params.K)
     for k, nu_k in enumerate(params.nu.tolist()):
-        lam = nu_k + ex.rows[k]
-        if lam.size and lam.min() <= 0.0:
+        if nu_k + ex.low[k] <= 0.0:
             raise ValueError("nonpositive intensity at an event")
+        lam = nu_k + ex.rows[k]
         occ = horizon if ex.pieces is None else (
             cache._pieces[1] @ (nu_k + ex.pieces[k] > 0.0))
         grad[k] = cache.counts[k] @ (1.0 / lam) - occ
@@ -319,11 +320,12 @@ class LanEstimator:
 @dataclass(slots=True)
 class KernelExcitation:
     """The nu-free part of the cached likelihood at one kernel h: each
-    mark's excitation X_k @ h_k at the distinct rows, compensator term
-    W @ h_k and, for a ReLU kernel, excitation at the distinct pieces
-    (else None)."""
+    mark's excitation X_k @ h_k at the distinct rows and its minimum low
+    (inf with no rows), compensator term W @ h_k and, for a ReLU kernel,
+    excitation at the distinct pieces (else None)."""
 
     rows: list[np.ndarray]
+    low: list[float]
     comp: list[float]
     pieces: list[np.ndarray] | None
 
@@ -403,15 +405,17 @@ class LikelihoodCache:
         otherwise the excitation at the pieces is added for the ReLU
         compensator.
         """
-        hf = _g_flat(h)
+        # each mark's column of `_g_flat(h)`; with one mark, h's own cells
+        cols = [h.reshape(-1)] if self.K == 1 else list(_g_flat(h).T)
         if linear is None:
             linear = bool(h.min() >= 0.0)
-        pieces = None
-        if not linear:
-            pieces = [self._pieces[0] @ hf[:, k] for k in range(self.K)]
+        rows = [X.dot(g) for X, g in zip(self.X, cols)]
         return KernelExcitation(
-            [self.X[k] @ hf[:, k] for k in range(self.K)],
-            [float(self.W @ hf[:, k]) for k in range(self.K)], pieces)
+            rows,
+            [float(np.minimum.reduce(r)) if r.size else math.inf
+             for r in rows],
+            [float(self.W.dot(g)) for g in cols],
+            None if linear else [self._pieces[0].dot(g) for g in cols])
 
     def log_likelihood(self, nu: np.ndarray,
                        h: np.ndarray | KernelExcitation) -> float:
@@ -419,19 +423,23 @@ class LikelihoodCache:
         ReLU compensator for a kernel with a negative cell.
 
         h is the kernel's cell values or, to evaluate one kernel at many
-        rates, its `excite` result.
+        rates, its `excite` result. An event's intensity nu_k + r is
+        nonpositive for some row r exactly when nu_k + low[k] is:
+        correctly rounded addition is monotone, so the minimum over the
+        rows of fl(nu_k + r) is fl(nu_k + min r), and the reduction runs
+        once per excitation rather than once per evaluation.
         """
         ex = h if isinstance(h, KernelExcitation) else self.excite(h)
         total = 0.0
         for k in range(self.K):
             nu_k = float(nu[k])
-            lam = nu_k + ex.rows[k]
-            if lam.size and lam.min() <= 0.0:
+            if nu_k + ex.low[k] <= 0.0:
                 return -np.inf
-            term = float(self.counts[k] @ np.log(lam))
+            term = float(self.counts[k].dot(np.log(np.add(nu_k,
+                                                          ex.rows[k]))))
             if ex.pieces is not None:
-                term += float(self._pieces[1] @ np.minimum(
-                    nu_k + ex.pieces[k], 0.0))
+                term += float(self._pieces[1].dot(np.minimum(
+                    np.add(nu_k, ex.pieces[k]), 0.0)))
             total += term
             total -= float(nu_k * self.T + ex.comp[k])
         return total

@@ -8,12 +8,27 @@ adjacent dimension via bin-average projection plus Gaussian dither
 doubles or halves J (histogram: split every bin with a mirrored
 innovation / merge adjacent bins by averaging; Haar: append / drop the
 finest level).
+
+Each proposal does only the work its inputs need. A coefficient or
+dimension proposal builds one `_Expansion` of its (J, theta), which owns
+every term that does not depend on nu: the kernel cell values, the
+kernel half of the model class, the dimension and coefficient log priors
+and, once the likelihood asks for it, each mark's excitation with its
+minimum. A rate move reuses the state's expansion, so it computes only
+the rates' prior terms (from one `tolist()` of nu) and each mark's log
+terms. A mark's intensity is nonpositive at some event exactly when
+nu_k + low[k] <= 0, with low[k] the smallest excitation: correctly
+rounded addition is monotone, so that one comparison decides as the
+elementwise minimum of nu_k + rows does. Every sum and log keeps numpy's
+arithmetic (see `priors`), and no shortcut skips or adds a generator
+call, so each draw is the one the plain evaluation gives.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,19 +47,20 @@ _INNOVATION = 0.1  # sd of the scale move's innovation
 
 
 def _log_normal(x: np.ndarray, sigma: float) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(-0.5 * np.sum(x ** 2) / sigma ** 2
+    # np.add.reduce over every axis is np.sum without its Python wrapper
+    return float(-0.5 * np.add.reduce(x ** 2, axis=None) / sigma ** 2
                  - x.size * (np.log(sigma) + 0.5 * _LOG_2PI))
 
 
 def project_bins(theta: np.ndarray, j_new: int) -> np.ndarray:
     """Bin-average projection of histogram coefficients (K, K, j) onto
     the regular j_new-bin partition (exact L2 projection)."""
-    j = theta.shape[2]
-    L = int(np.lcm(j, j_new))
-    fine = np.repeat(theta, L // j, axis=2)
-    return fine.reshape(theta.shape[0], theta.shape[1],
-                        j_new, L // j_new).mean(axis=3)
+    rows, cols, j = theta.shape
+    L = math.lcm(j, j_new)
+    fine = np.repeat(theta, L // j, axis=2).reshape(rows, cols, j_new,
+                                                    L // j_new)
+    # the mean as np.mean computes it: the sum divided by the count
+    return np.add.reduce(fine, axis=3) / (L // j_new)
 
 
 def split_coefficients(theta: np.ndarray,
@@ -69,11 +85,11 @@ def merge_coefficients(theta: np.ndarray
 class _Expansion:
     """Everything the posterior needs from one (J, theta) that does not
     depend on nu: the kernel cell values h, its model-class check
-    (hneg_sup, None outside the class), the coefficient log prior and,
-    once the likelihood asks for it, each mark's excitation."""
+    (hneg_sup, None outside the class), the dimension and coefficient log
+    priors and, once the likelihood asks for it, each mark's excitation."""
 
-    __slots__ = ("J", "theta", "h", "nonneg", "hneg_sup", "theta_lp",
-                 "excitation")
+    __slots__ = ("J", "theta", "h", "nonneg", "hneg_sup", "dim_lp",
+                 "theta_lp", "excitation")
 
     def __init__(self, spec: PriorSpec, J: int, theta: np.ndarray):
         self.J = J
@@ -83,6 +99,7 @@ class _Expansion:
         # a finite h is nonnegative when no mark has a negative part; the
         # likelihood is never evaluated outside the class
         self.nonneg = self.hneg_sup is not None and max(self.hneg_sup) == 0.0
+        self.dim_lp = spec.dim_log_pmf(J)
         self.theta_lp = (-np.inf if self.hneg_sup is None
                          else spec.theta_logpdf(theta))
         self.excitation = None
@@ -114,18 +131,19 @@ class PosteriorTarget:
         return cache.log_likelihood(nu, ex.excitation)
 
     def log_pri(self, nu: np.ndarray, ex: _Expansion) -> float:
-        """Same value as `log_prior`, from the (J, theta) expansion."""
-        total = self.spec.dim_log_pmf(ex.J)
-        nu = np.asarray(nu, dtype=float)
-        if (ex.hneg_sup is None
-                or not self.spec.rates_admissible(nu, ex.hneg_sup)):
+        """Same value as `log_prior`, from the (J, theta) expansion, which
+        holds the dimension and coefficient terms and the kernel half of
+        the model class; the rates' terms read one list of nu."""
+        if ex.hneg_sup is None:
             return -np.inf
-        total += self.spec.nu_logpdf(nu)
-        total += ex.theta_lp
-        return total
+        rates = nu.tolist()
+        if not self.spec.rates_admissible(rates, ex.hneg_sup):
+            return -np.inf
+        # admissible rates are positive: nu_logpdf without its check
+        return ex.dim_lp + self.spec._nu_log_terms(rates) + ex.theta_lp
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainState:
     nu: np.ndarray
     ex: _Expansion
@@ -222,34 +240,34 @@ def mcmc_step(state: ChainState, target: PosteriorTarget,
               p_j: float = 0.2) -> tuple[ChainState, dict]:
     """One sweep; returns the new state and per-move acceptance counts."""
     K = target.spec.K
-    acc = {"nu": 0, "nu_n": 0, "theta": 0, "theta_n": 0,
-           "jump": 0, "jump_n": 0}
+    normal = rng.standard_normal
+    acc_nu = acc_theta = acc_jump = jump_n = 0
 
     for k in range(K):
         nu = state.nu.copy()
-        step = scales.nu * rng.standard_normal()
+        step = scales.nu * normal()
         nu[k] = state.nu[k] * np.exp(step)
         # log-scale walk: Hastings term log(nu'/nu)
         state, ok = _try_accept(target, state, nu, state.ex, step, rng)
-        acc["nu"] += ok
-        acc["nu_n"] += 1
+        acc_nu += ok
 
     for l in range(K):
         for k in range(K):
             theta = state.theta.copy()
-            theta[l, k] += scales.theta * rng.standard_normal(state.J)
+            theta[l, k] += normal(state.J) * scales.theta
             ex = _Expansion(target.spec, state.J, theta)
             state, ok = _try_accept(target, state, state.nu, ex, 0.0, rng)
-            acc["theta"] += ok
-            acc["theta_n"] += 1
+            acc_theta += ok
 
     if rng.random() < p_j:
-        acc["jump_n"] += 1
+        jump_n = 1
         move = _dimension_proposal(state, target.spec, rng)
         if move is not None:
-            state, ok = _try_accept(target, state, state.nu, *move, rng)
-            acc["jump"] += ok
-    return state, acc
+            state, acc_jump = _try_accept(target, state, state.nu, *move,
+                                          rng)
+    return state, {"nu": acc_nu, "nu_n": K, "theta": acc_theta,
+                   "theta_n": K * K, "jump": int(acc_jump),
+                   "jump_n": jump_n}
 
 
 @dataclass
@@ -319,28 +337,34 @@ def run_chain(stream: EventStream, horizon: float, spec: PriorSpec,
     target = PosteriorTarget(stream, horizon, spec)
     state = ChainState.initial(target, rng)
     scales = Scales()
-    totals = {"nu": 0, "nu_n": 0, "theta": 0, "theta_n": 0,
-              "jump": 0, "jump_n": 0}
-    nus, js, thetas = [], [], []
-    for it in range(iters):
+    adapt = min(max(burn_in, 0), iters)
+    for it in range(adapt):
         state, acc = mcmc_step(state, target, rng, scales, p_j)
-        if it < burn_in:
-            gamma = 1.0 / np.sqrt(it + 1.0)
-            scales.nu *= np.exp(gamma * (acc["nu"] / acc["nu_n"] - 0.3))
-            scales.theta *= np.exp(
-                gamma * (acc["theta"] / acc["theta_n"] - 0.3))
-        else:
-            for key in totals:
-                totals[key] += acc[key]
-            if (it - burn_in) % thin == 0:
-                nus.append(state.nu.copy())
-                js.append(state.J)
-                thetas.append(state.theta.copy())
+        # sqrt is correctly rounded in math and numpy alike
+        gamma = 1.0 / math.sqrt(it + 1.0)
+        scales.nu *= float(np.exp(gamma * (acc["nu"] / acc["nu_n"] - 0.3)))
+        scales.theta *= float(np.exp(
+            gamma * (acc["theta"] / acc["theta_n"] - 0.3)))
+    # accepted and proposed moves of each type after burn-in
+    nu_ok = nu_n = theta_ok = theta_n = jump_ok = jump_n = 0
+    nus, js, thetas = [], [], []
+    for it in range(adapt, iters):
+        state, acc = mcmc_step(state, target, rng, scales, p_j)
+        nu_ok += acc["nu"]
+        nu_n += acc["nu_n"]
+        theta_ok += acc["theta"]
+        theta_n += acc["theta_n"]
+        jump_ok += acc["jump"]
+        jump_n += acc["jump_n"]
+        if (it - burn_in) % thin == 0:
+            nus.append(state.nu.copy())
+            js.append(state.J)
+            thetas.append(state.theta.copy())
     rates = {}
-    for name in ("nu", "theta", "jump"):
-        n = totals[name + "_n"]
+    for name, ok, n in (("nu", nu_ok, nu_n), ("theta", theta_ok, theta_n),
+                        ("jump", jump_ok, jump_n)):
         # null in JSON, which has no nan: a move type never proposed
-        rates[name] = totals[name] / n if n else None
+        rates[name] = ok / n if n else None
         if warn and n and not 0.1 <= rates[name] <= 0.6:
             warnings.warn(
                 f"{name} acceptance rate {rates[name]:.2f} outside "

@@ -9,22 +9,30 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def spectral_radius(rho: np.ndarray) -> float:
+def spectral_radius(rho: np.ndarray | list[float]) -> float:
     """Largest eigenvalue modulus of a nonnegative square matrix.
 
-    Closed form for 1x1 and 2x2 matrices, whose eigenvalues are real for
-    nonnegative entries (the larger one is the Perron root); the dense
-    spectrum above that.
+    rho is the matrix, or its n*n entries in row-major order as a flat
+    list of Python floats: the prior's model-class check has them so and
+    calls this on every coefficient proposal with K >= 2. Closed form for
+    1x1 and 2x2 matrices, whose eigenvalues are real for nonnegative
+    entries (the larger one is the Perron root); the dense spectrum above
+    that.
     """
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("rho must be a square matrix")
-    # the checks and the closed forms run on Python floats: the prior's
-    # model-class check calls this on every coefficient proposal
-    entries = rho.ravel().tolist()
+    if isinstance(rho, list) and rho and type(rho[0]) is float:
+        entries = rho
+        n = math.isqrt(len(entries))
+        if n * n != len(entries):
+            raise ValueError("rho must be a square matrix")
+    else:
+        rho = np.asarray(rho, dtype=float)
+        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+            raise ValueError("rho must be a square matrix")
+        entries = rho.ravel().tolist()
+        n = rho.shape[0]
+    # the checks and the closed forms run on Python floats
     if any(v < 0 for v in entries):
         raise ValueError("rho must be entrywise nonnegative")
-    n = rho.shape[0]
     if n == 1:
         return entries[0]
     if n == 2:
@@ -33,7 +41,8 @@ def spectral_radius(rho: np.ndarray) -> float:
         a, b, c, d = entries
         return 0.5 * (a + d) + math.hypot(0.5 * (a - d),
                                           math.sqrt(b) * math.sqrt(c))
-    return float(np.max(np.abs(np.linalg.eigvals(rho))))
+    return float(np.max(np.abs(np.linalg.eigvals(
+        np.reshape(entries, (n, n))))))
 
 
 @dataclass(frozen=True)

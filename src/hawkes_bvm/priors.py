@@ -17,6 +17,15 @@ draws do not depend on how the terms are written:
 
 `tests/test_priors.py` keeps the array forms as the reference and
 requires equal results.
+
+A chain splits `log_prior` along what each proposal changes. Its
+expansion of a (J, theta) (`mcmc._Expansion`) owns the nu-free terms,
+computed once: `dim_log_pmf`, `kernel_admissible` (for K = 1 with no
+`spectral_radius` call: the Perron root of a 1x1 matrix is its entry,
+already compared with 1) and `theta_logpdf`. `PosteriorTarget.log_pri`
+adds the rates' terms, `rates_admissible` and then the Gamma terms on
+the same list of floats (`_floats` passes a list as it is), in
+`log_prior`'s order of additions, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -155,6 +164,14 @@ def _rejects_below(x: list, bound: float, strict: bool) -> bool:
     return not any(v != v for v in x)
 
 
+def _floats(x: np.ndarray | list[float]) -> list[float]:
+    """x flattened to a list of Python floats. A list is taken as it is:
+    a chain converts its rates once per proposal and passes the list."""
+    if type(x) is list:
+        return x
+    return np.asarray(x, dtype=float).ravel().tolist()
+
+
 def softplus(x):
     return np.logaddexp(0.0, x)
 
@@ -221,18 +238,18 @@ class PriorSpec:
         """Kernel cell values phi(theta^T B_J), shape (K, K, n_cells).
 
         A histogram basis is the identity matrix, so its series is theta
-        itself, not the product with the identity. For finite theta the
-        values are equal (a zero may differ in sign); where theta is
-        infinite the product gave nan."""
+        itself, not the product with the identity: a new array, as the
+        product gave, not a view of theta. For finite theta the values are
+        equal (a zero may differ in sign); where theta is infinite the
+        product gave nan."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.K, self.K, J):
-            raise ValueError("theta must have shape (K, K, J)")
+        if J < 1 or theta.shape != (self.K, self.K, J):
+            raise ValueError("theta must have shape (K, K, J), J >= 1")
+        if self.basis_kind == "histogram":
+            return (theta.copy() if self.link == "identity"
+                    else softplus(theta))
         basis = self.basis(J)
-        if basis.kind == "histogram":
-            # a new array, as the product gave, not a view of theta
-            series = theta.reshape(-1, J).copy()
-        else:
-            series = theta.reshape(-1, J) @ basis.matrix
+        series = theta.reshape(-1, J) @ basis.matrix
         return _LINKS[self.link](series).reshape(
             self.K, self.K, basis.n_cells)
 
@@ -267,18 +284,17 @@ class PriorSpec:
                                          for v in row]))
             k = i // n % K
             hneg_sup[k] = max(hneg_sup[k], -min(row))
-        if max(rho_plus) >= 1.0:
-            return None
-        if spectral_radius([rho_plus[l * K:(l + 1) * K]
-                            for l in range(K)]) >= 1.0:
+        # with one mark the Perron root is the entry compared with 1 here
+        if max(rho_plus) >= 1.0 or (K > 1
+                                    and spectral_radius(rho_plus) >= 1.0):
             return None
         return hneg_sup
 
     @staticmethod
-    def rates_admissible(nu: np.ndarray, hneg_sup) -> bool:
+    def rates_admissible(nu: np.ndarray | list[float], hneg_sup) -> bool:
         """The nu half of the model class: positive finite rates that
         dominate the kernel's hneg_sup."""
-        rates = np.asarray(nu, dtype=float).tolist()
+        rates = _floats(nu)
         if len(rates) != len(hneg_sup):
             raise ValueError("need one rate per mark")
         for v, s in zip(rates, hneg_sup):
@@ -333,7 +349,7 @@ class PriorSpec:
         return float(a * np.log(b) - gammaln(float(a)))
 
     def theta_logpdf(self, theta: np.ndarray) -> float:
-        x = np.asarray(theta, dtype=float).ravel().tolist()
+        x = _floats(theta)
         c = self._theta_log_norm
         if self.theta_family == "shifted-exponential":
             if _rejects_below(x, self.kappa, strict=True):
@@ -348,10 +364,14 @@ class PriorSpec:
         # t * t is numpy's `** 2` on an array (np.square)
         return -0.5 * _np_sum([t * t for t in z]) - len(x) * c
 
-    def nu_logpdf(self, nu: np.ndarray) -> float:
-        x = np.asarray(nu, dtype=float).ravel().tolist()
+    def nu_logpdf(self, nu: np.ndarray | list[float]) -> float:
+        x = _floats(nu)
         if _rejects_below(x, 0.0, strict=False):
             return -np.inf
+        return self._nu_log_terms(x)
+
+    def _nu_log_terms(self, x: list[float]) -> float:
+        """The Gamma log density of positive rates, with no check."""
         a1, b = self.nu_shape - 1, self.nu_rate
         return (_np_sum([a1 * float(np.log(v)) - b * v for v in x])
                 + len(x) * self._nu_log_norm)

@@ -1,4 +1,5 @@
 import copy
+import math
 import tracemalloc
 import warnings
 
@@ -389,3 +390,53 @@ def test_distinct_rows_equal_numpy_unique(X):
     _, sums = _distinct_rows(X, weights)
     assert np.array_equal(sums, np.bincount(inverse.ravel(), weights,
                                             minlength=len(ref_rows)))
+
+
+# the exactness rule behind `KernelExcitation.low`: finite values, signed
+# zeros, subnormals and magnitudes near overflow
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308,
+                     -1.7e308]))
+
+
+@given(st.lists(_finite, max_size=40).map(np.array), _finite)
+def test_rate_plus_minimum_decides_as_elementwise_minimum(r, nu):
+    # correctly rounded addition is monotone, so the smallest fl(nu + r_i)
+    # is fl(nu + min r); with no rows nothing is rejected
+    with np.errstate(over="ignore"):
+        elementwise = bool(r.size) and bool((nu + r).min() <= 0.0)
+        low = r.min() if r.size else math.inf
+        assert elementwise == (nu + low <= 0.0)
+
+
+@given(st.data())
+def test_excitation_minimum_and_rejection_equal_elementwise(data):
+    K = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 4))
+    times = np.sort(data.draw(st.lists(st.floats(-1.0, 6.0), min_size=1,
+                                       max_size=60, unique=True)))
+    marks = np.array(data.draw(st.lists(st.integers(1, K),
+                                        min_size=times.size,
+                                        max_size=times.size)))
+    stream = EventStream(times, marks, -1.0, 6.0)
+    h = data.draw(st.lists(_finite.filter(lambda v: abs(v) < 1e3),
+                           min_size=K * K * m, max_size=K * K * m)
+                  .map(lambda v: np.array(v).reshape(K, K, m)))
+    cache = LikelihoodCache(stream, K, m, 1.0, 5.0)
+    ex = cache.excite(h)
+    nu = np.empty(K)
+    for k in range(K):
+        rows = cache.X[k] @ _g_flat(h)[:, k]
+        assert np.array_equal(ex.rows[k], rows)
+        assert ex.low[k] == (rows.min() if rows.size else math.inf)
+        # a rate at, just above or just below the smallest row's negative
+        base = -ex.low[k] if rows.size else 1.0
+        nu[k] = data.draw(st.sampled_from(
+            [base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf),
+             base + 0.5]))
+    nonpositive = any(
+        (nu[k] + cache.X[k] @ _g_flat(h)[:, k] <= 0.0).any()
+        for k in range(K))
+    assert (cache.log_likelihood(nu, ex) == -np.inf) == nonpositive
