@@ -409,13 +409,16 @@ class LikelihoodCache:
         cols = [h.reshape(-1)] if self.K == 1 else list(_g_flat(h).T)
         if linear is None:
             linear = bool(h.min() >= 0.0)
-        rows = [X.dot(g) for X, g in zip(self.X, cols)]
-        return KernelExcitation(
-            rows,
-            [float(np.minimum.reduce(r)) if r.size else math.inf
-             for r in rows],
-            [float(self.W.dot(g)) for g in cols],
-            None if linear else [self._pieces[0].dot(g) for g in cols])
+        rows, low, comp = [], [], []
+        for X, g in zip(self.X, cols):
+            r = X.dot(g)
+            rows.append(r)
+            low.append(float(np.minimum.reduce(r)) if r.size else math.inf)
+            comp.append(float(self.W.dot(g)))
+        pieces = None
+        if not linear:
+            pieces = [self._pieces[0].dot(g) for g in cols]
+        return KernelExcitation(rows, low, comp, pieces)
 
     def log_likelihood(self, nu: np.ndarray,
                        h: np.ndarray | KernelExcitation) -> float:
