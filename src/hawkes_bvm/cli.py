@@ -10,8 +10,8 @@ import sys
 
 import numpy as np
 
-from .harness import (compute_efficiency, emit_outputs, load_config,
-                      run_experiment)
+from .harness import (compute_efficiency, emit_outputs, job_seeds,
+                      load_config, run_experiment)
 from .mcmc import run_chain
 from .palm import save_palm
 from .simulate import simulate_thinning
@@ -63,13 +63,16 @@ def main(argv=None) -> int:
             print(f"wrote {len(stream)} events to {out_dir}/events.csv")
         elif args.command == "infer":
             horizon = config.horizons[0]
+            # the stream of `simulate` at the same seed; the chain on
+            # random bits of its own
             stream = simulate_thinning(config.f0, horizon,
                                        seed=config.seed)
             draws = run_chain(stream, horizon, config.prior,
                               iters=config.mcmc_iters,
                               burn_in=config.mcmc_burn_in,
                               thin=config.mcmc_thin,
-                              seed=config.seed, p_j=config.p_j)
+                              seed=job_seeds(config.seed)[1],
+                              p_j=config.p_j)
             atomic_write(os.path.join(out_dir, "draws.csv"),
                          draws.to_csv())
             atomic_write(os.path.join(out_dir, "chain.json"),

@@ -205,18 +205,27 @@ def compute_efficiency(config: ExperimentConfig) -> dict:
                 f0.support_end, f0.kind)}
 
 
+def job_seeds(seed: int) -> tuple[np.random.SeedSequence, int]:
+    """The stream's and the chain's seeds of a job seeded `seed`: the two
+    children spawned from SeedSequence(seed), the chain's drawn as a
+    nonnegative int. The chain never reads the random bits that
+    simulated its data, whether the stream comes from the first child (a
+    replication) or from `seed` itself (`infer`)."""
+    sim_seed, chain_seed = np.random.SeedSequence(seed).spawn(2)
+    return sim_seed, int(chain_seed.generate_state(1)[0] // 2)
+
+
 def _replication(config: ExperimentConfig, f0_fine: ModelParams,
                  psi_l: Direction, psi0: float, v0: float, horizon: float,
                  seed: int) -> dict:
     """One (horizon, replication) cell; module-level for pickling."""
-    sim_seed, chain_seed = np.random.SeedSequence(seed).spawn(2)
+    sim_seed, chain_seed = job_seeds(seed)
     try:
         stream = simulate_thinning(config.f0, horizon, seed=sim_seed)
         draws = run_chain(stream, horizon, config.prior,
                           iters=config.mcmc_iters,
                           burn_in=config.mcmc_burn_in, thin=config.mcmc_thin,
-                          seed=int(chain_seed.generate_state(1)[0] // 2),
-                          p_j=config.p_j, warn=False)
+                          seed=chain_seed, p_j=config.p_j, warn=False)
         post = posterior_functional(draws, config.functional)
         samples = post["samples"]
         center = efficient_estimate(psi0, f0_fine, psi_l, stream, horizon)

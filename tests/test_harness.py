@@ -9,8 +9,9 @@ from scipy import stats
 
 from hawkes_bvm.cli import main as cli_main
 from hawkes_bvm.harness import (bvm_distance, config_from_dict,
-                                coverage_table, emit_outputs, load_config,
-                                parse_config_text, run_experiment)
+                                coverage_table, emit_outputs, job_seeds,
+                                load_config, parse_config_text,
+                                run_experiment)
 from hawkes_bvm.palm import load_palm
 
 
@@ -337,6 +338,19 @@ def test_cli_infer(tmp_path):
     assert cli_main(["infer", "--config", path, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "draws.csv"))
     assert os.path.exists(os.path.join(out, "chain.json"))
+
+
+def test_cli_infer_chain_does_not_reuse_the_stream_bits(tmp_path):
+    # infer simulates simulate's stream at the config seed; its chain
+    # draws from a spawned child, not from the generator of the data
+    path = _write_cfg(tmp_path, {"mcmc_iters": "50"})
+    out = tmp_path / "inf"
+    assert cli_main(["infer", "--config", path, "--out", str(out)]) == 0
+    chain_seed = json.loads((out / "chain.json").read_text())["seed"]
+    assert chain_seed == job_seeds(3)[1]
+    data_bits = np.random.default_rng(3).bit_generator.random_raw(8)
+    chain_bits = np.random.default_rng(chain_seed).bit_generator.random_raw(8)
+    assert not np.intersect1d(data_bits, chain_bits).size
 
 
 def test_cli_bad_config_exit_code(tmp_path):
