@@ -343,7 +343,7 @@ def test_cli_infer(tmp_path):
 def test_cli_infer_chain_does_not_reuse_the_stream_bits(tmp_path):
     # infer simulates simulate's stream at the config seed; its chain
     # draws from a spawned child, not from the generator of the data
-    path = _write_cfg(tmp_path, {"mcmc_iters": "50"})
+    path = _write_cfg(tmp_path, {"mcmc_iters": "200"})
     out = tmp_path / "inf"
     assert cli_main(["infer", "--config", path, "--out", str(out)]) == 0
     chain_seed = json.loads((out / "chain.json").read_text())["seed"]
