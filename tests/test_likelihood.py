@@ -421,8 +421,9 @@ def test_excitation_minimum_and_rejection_equal_elementwise(data):
                                         min_size=times.size,
                                         max_size=times.size)))
     stream = EventStream(times, marks, -1.0, 6.0)
-    h = data.draw(st.lists(_finite.filter(lambda v: abs(v) < 1e3),
-                           min_size=K * K * m, max_size=K * K * m)
+    cell = st.one_of(st.floats(-1e3, 1e3),
+                     st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+    h = data.draw(st.lists(cell, min_size=K * K * m, max_size=K * K * m)
                   .map(lambda v: np.array(v).reshape(K, K, m)))
     cache = LikelihoodCache(stream, K, m, 1.0, 5.0)
     ex = cache.excite(h)
