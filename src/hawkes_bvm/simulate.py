@@ -39,13 +39,25 @@ def simulate_thinning(params: ModelParams, horizon: float,
     The loop runs on Python floats but keeps numpy's arithmetic order
     and the generator's draws, so the streams are those of a loop on
     numpy arrays: the bound adds one precomputed float(hbar[k, :, c].sum())
-    per window event; lambda adds the rows h[k, :, c] elementwise in
-    window order; the total adds in np.sum's order (`priors._np_sum`);
-    the acceptance draw is rng.random(), which equals rng.uniform() =
-    0 + 1 * u bit for bit; and the mark is drawn by
-    rng.choice(K, p=lam/lam_tot)'s own recipe: one rng.random() bisected
-    into the cumulative sum of p divided by its last entry. With one mark
-    that cdf is [1.0], so the draw is made and the mark is the first.
+    per window event in window order; lambda adds the rows h[k, :, c]
+    elementwise in window order; the acceptance draw is rng.random(),
+    which equals rng.uniform() = 0 + 1 * u bit for bit; and the mark is
+    drawn by rng.choice(K, p=lam/lam_tot)'s own recipe: one rng.random()
+    bisected into the cumulative sum of p divided by its last entry.
+
+    One pass over the window gives the intensities at a candidate and
+    the bound for the next one. The bound sums over the events that the
+    next pop keeps (time >= t - A), then adds the accepted candidate's
+    increment at age 0: the order of a separate pass after the pop.
+
+    With K <= 2 each mark's intensity is one float, a lane, to which
+    every window event adds its entry of the mark's row h[k, j, :]; the
+    ReLU clamp acts per lane, the total is 0.0 + l0 (+ l1), np.sum's
+    order below 8 terms, and the mark bisects u into
+    [p0 / c1, c1 / c1] with p0 = l0 / lam_tot and c1 = p0 + l1 / lam_tot.
+    With one mark the cdf is [1.0], so the draw is made and the mark is
+    the first. With K >= 3 lambda is a list of K floats and the total
+    adds in np.sum's order (`priors._np_sum`).
     """
     if not math.isfinite(horizon):
         # the loop stops only past the horizon
@@ -54,11 +66,16 @@ def simulate_thinning(params: ModelParams, horizon: float,
     rng = np.random.default_rng(seed)
     K, m, w = params.K, params.n_cells, params.cell_width
     hbar = _dominating_kernels(params)
-    # per (mark k, cell c): the bound's increment and the row h[k, :, c]
+    # per (mark k, cell c): the bound's increment
     bound_inc = [[float(hbar[k, :, c].sum()) for c in range(m)]
                  for k in range(K)]
-    h_rows = [[params.h[k, :, c].tolist() for c in range(m)]
-              for k in range(K)]
+    if K <= 2:
+        # per mark k: its rows h[k, j, :], one per lane j
+        rows = params.h.tolist()
+    else:
+        # per (mark k, cell c): the row h[k, :, c]
+        rows = [[params.h[k, :, c].tolist() for c in range(m)]
+                for k in range(K)]
     nu = params.nu.tolist()
     nu_total = float(params.nu.sum())
     relu = params.kind == "relu"
@@ -68,46 +85,85 @@ def simulate_thinning(params: ModelParams, horizon: float,
     times: list[float] = []
     marks: list[int] = []
     # the events within A of the current time, each as (time, its mark's
-    # bound increments, its mark's kernel rows)
+    # bound increments, its mark's rows)
     window: deque[tuple[float, list, list]] = deque()
 
+    bound = nu_total
     while True:
         while window and window[0][0] < t - A:
             window.popleft()
-        bound = nu_total
-        for s, inc, _ in window:
-            cell = int((t - s) / w)
-            if cell < m:
-                bound += inc[cell]
         if not math.isfinite(bound) or bound > 1e12:
             raise OverflowError("thinning bound overflow; model unstable?")
         t = t + exponential(1.0 / bound)
         if t > horizon:
             break
-        # intensities at the candidate time
-        lam = nu
-        for s, _, rows in window:
-            age = t - s
-            if 0.0 < age <= A:
-                lam = list(map(add, lam, rows[min(int(age / w), m - 1)]))
-        if relu:
-            lam = [x if x >= 0.0 else 0.0 for x in lam]
-        lam_tot = _np_sum(lam)
+        # one pass: the intensities at t, and the next candidate's bound
+        # over the events the next pop keeps
+        t_keep = t - A
+        next_bound = nu_total
+        if K == 1:
+            l0 = nu[0]
+            for s, inc, (r0,) in window:
+                age = t - s
+                c = int(age / w)
+                if c < m and s >= t_keep:
+                    next_bound += inc[c]
+                if 0.0 < age <= A:
+                    if c >= m:
+                        c = m - 1
+                    l0 += r0[c]
+            if relu:
+                l0 = l0 if l0 >= 0.0 else 0.0
+            lam_tot = 0.0 + l0
+        elif K == 2:
+            l0, l1 = nu
+            for s, inc, (r0, r1) in window:
+                age = t - s
+                c = int(age / w)
+                if c < m and s >= t_keep:
+                    next_bound += inc[c]
+                if 0.0 < age <= A:
+                    if c >= m:
+                        c = m - 1
+                    l0 += r0[c]
+                    l1 += r1[c]
+            if relu:
+                l0 = l0 if l0 >= 0.0 else 0.0
+                l1 = l1 if l1 >= 0.0 else 0.0
+            lam_tot = 0.0 + l0 + l1
+        else:
+            lam = nu
+            for s, inc, cells in window:
+                age = t - s
+                c = int(age / w)
+                if c < m and s >= t_keep:
+                    next_bound += inc[c]
+                if 0.0 < age <= A:
+                    lam = list(map(add, lam, cells[min(c, m - 1)]))
+            if relu:
+                lam = [x if x >= 0.0 else 0.0 for x in lam]
+            lam_tot = _np_sum(lam)
         if random() * bound <= lam_tot:
             if K == 1:
                 # the cdf is [1.0], into which every draw bisects at 0
                 random()
                 k = 0
+            elif K == 2:
+                p0 = l0 / lam_tot
+                c1 = p0 + l1 / lam_tot
+                k = bisect.bisect_right([p0 / c1, c1 / c1], random())
             else:
                 cdf = list(itertools.accumulate([x / lam_tot for x in lam]))
                 last = cdf[-1]
                 k = bisect.bisect_right([c / last for c in cdf], random())
-            window.append((t, bound_inc[k], h_rows[k]))
+            window.append((t, bound_inc[k], rows[k]))
+            next_bound += bound_inc[k][0]  # the new event, at age 0
             if t >= -A:
                 times.append(t)
                 marks.append(k + 1)
             if len(times) > _MAX_EVENTS:
                 raise OverflowError("event budget exceeded")
+        bound = next_bound
     return EventStream(np.array(times), np.array(marks), -A, horizon)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import os
 import tempfile
 from collections.abc import Iterable
@@ -35,6 +36,9 @@ def atomic_write(path: str, text: str | Iterable[str]) -> None:
 class EventStream:
     """Marked event times on [window_start, horizon], strictly increasing.
 
+    The window's ends are finite and window_start <= horizon; a stream
+    read from a file is checked like any other.
+
     Marks are 1-based (1..K). Exact time ties are broken by a recorded
     sub-nanosecond jitter so sweeps can assume strict ordering; ties at
     the horizon are jittered back below it, so the times stay in the
@@ -48,6 +52,11 @@ class EventStream:
     n_jittered: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.window_start)
+                and math.isfinite(self.horizon)):
+            raise ValueError("window_start and horizon must be finite")
+        if self.window_start > self.horizon:
+            raise ValueError("window_start must not exceed horizon")
         times = np.asarray(self.times, dtype=float)
         marks = np.asarray(self.marks, dtype=int)
         if times.shape != marks.shape or times.ndim != 1:

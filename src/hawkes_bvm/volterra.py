@@ -32,16 +32,22 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _fftconvolve0(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of real a and b along axis 0, the other
-    axes broadcast: the steps of `scipy.signal.fftconvolve(a, b,
-    axes=0)` (real FFTs padded to the next fast length), so the values
-    are the same bit for bit without importing scipy: numpy's FFTs
-    (numpy >= 2) are the same pocketfft code as scipy.fft's."""
-    n = a.shape[0] + b.shape[0] - 1
+def _fftconvolve0(b: np.ndarray, n_a: int):
+    """The full linear convolution with the fixed real kernel b along
+    axis 0, as a function of a real a with n_a rows, the other axes
+    broadcast. b's spectrum is computed once; each call takes the steps
+    of `scipy.signal.fftconvolve(a, b, axes=0)` (real FFTs padded to the
+    next fast length), so the values are the same bit for bit without
+    importing scipy: numpy's FFTs (numpy >= 2) are the same pocketfft
+    code as scipy.fft's."""
+    n = n_a + b.shape[0] - 1
     nf = [_next_fast_len(n)]
-    spec = np.fft.rfftn(a, nf, axes=[0]) * np.fft.rfftn(b, nf, axes=[0])
-    return np.fft.irfftn(spec, nf, axes=[0])[:n]
+    b_spec = np.fft.rfftn(b, nf, axes=[0])
+
+    def convolve(a: np.ndarray) -> np.ndarray:
+        spec = np.fft.rfftn(a, nf, axes=[0]) * b_spec
+        return np.fft.irfftn(spec, nf, axes=[0])[:n]
+    return convolve
 
 
 @dataclass(frozen=True)
@@ -124,13 +130,14 @@ def solve_moment_density(f0: ModelParams, n_grid: int = 512,
         src = np.zeros((N + 1, K, K))
         src[:n_grid + 1] = head[:N + 1]
         U = src.copy()
+        convolve = _fftconvolve0(wts[:, :, :, None], 2 * N + 1)
         converged = False
         for _ in range(max_iter):
             # extended node values on [-t_max, t_max]
             E = np.concatenate(
                 [U[:0:-1].transpose(0, 2, 1), U], axis=0)  # (2N+1, K, K)
             # conv[t, l, k] = sum_a (wts[:, a, l] * E[:, a, k])(t)
-            full = _fftconvolve0(E[:, :, None, :], wts[:, :, :, None])
+            full = convolve(E[:, :, None, :])
             conv = full[N:2 * N + 1].sum(axis=1)
             U_new = src + conv
             change = float(np.max(np.abs(U_new - U)))

@@ -4,8 +4,9 @@ Each digest is the sha256 of a fixed run's output: the `to_csv()` and
 `summary_json()` of a chain on the four cases of
 `test_chain_draws_equal_reference_evaluation`, and the raw bytes of the
 event times and marks of `simulate_thinning` for a K = 1, a K = 2 and a
-ReLU truth. A change that must leave every draw and stream as it was
-is checked against them.
+ReLU truth, the first two also on the finer grids the benchmark's LAN
+estimators simulate on, and a K = 2 ReLU truth. A change that must
+leave every draw and stream as it was is checked against them.
 
 The digests depend on numpy's arithmetic and random streams, so the
 numpy and Python versions they were recorded with are kept beside them.
@@ -45,6 +46,14 @@ DIGESTS = {
         "3fa5b6e06fe6eb1240b95623d1e67bf786d7492a56bde6b73279aa2e4506df69",
     "stream/k1-relu":
         "bff21920f68dad998e54f5aea8091b970e649ac4d0cf2d65fb4e4dea965d5ed3",
+    # a kernel refined within its cells keeps every bound and intensity,
+    # so these two streams are those of the coarse truths above
+    "stream/k1-linear-m16":
+        "76411727fe4ca219b675de3176bc0270351ce77cc94020e67b2d24282f33adb6",
+    "stream/k2-linear-m32":
+        "3fa5b6e06fe6eb1240b95623d1e67bf786d7492a56bde6b73279aa2e4506df69",
+    "stream/k2-relu":
+        "bd169be2454292316c4b5eb82b6f0bfe984000925e4ef1449d16738e2b79de30",
 }
 
 _CHAINS = {
@@ -66,6 +75,20 @@ _TRUTHS = {
     "k1-relu": (ModelParams(np.array([1.0]),
                             np.array([[[-0.4, -0.2, 0.3, 0.1]]]), 1.0,
                             "relu"), 300.0),
+    # the grids the benchmark's LAN estimators simulate on: the
+    # criterion-7 truth refined to 16 cells and the k2-mixed truth
+    # refined to 32 cells
+    "k1-linear-m16": (ModelParams(np.array([1.0]), np.full((1, 1, 16), 0.5),
+                                  1.0), 500.0),
+    "k2-linear-m32": (ModelParams(
+        np.array([0.6, 0.4]),
+        np.repeat(np.array([0.4, 0.2, 0.1, 0.05, 0.15, 0.1, 0.3, 0.2])
+                  .reshape(2, 2, 2), 16, axis=2), 1.0), 300.0),
+    # two mark-1 events within 0.5 push mark 2 below zero: its lane clamps
+    "k2-relu": (ModelParams(
+        np.array([1.0, 0.5]),
+        np.array([0.3, 0.2, -0.45, 0.1, 0.2, 0.4, 0.1, -0.3]).reshape(2, 2, 2),
+        1.0, "relu"), 300.0),
 }
 
 

@@ -130,7 +130,7 @@ def _reference_thinning(params, horizon, seed):
 
 @pytest.mark.parametrize("A", [0.5, 1.0])
 @pytest.mark.parametrize("kind", ["linear", "relu"])
-@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("m", [1, 4, 32])
 @pytest.mark.parametrize("K", [1, 2, 3, 8])
 def test_thinning_matches_reference_loop(K, m, kind, A):
     # kernel values in sixteenths, mixed in sign for ReLU; every row sum
@@ -140,14 +140,26 @@ def test_thinning_matches_reference_loop(K, m, kind, A):
     low = -top if kind == "relu" else 0
     h = rng.integers(low, top + 1, size=(K, K, m)) / 16.0
     nu = rng.integers(16, 33, size=K) / 16.0
-    params = ModelParams(nu, h, A, kind)
+    truths = [ModelParams(nu, h, A, kind)]
+    if K == 2:
+        # mark 2 excites nothing: its events add 0.0 to both lanes
+        silent = h.copy()
+        silent[1] = 0.0
+        truths.append(ModelParams(nu, silent, A, kind))
+    if K == 2 and kind == "relu":
+        # each mark-1 event takes all but 1/16 of mark 2's rate, so two
+        # of them clamp lane 2 to exactly 0.0 and the mark is 1 for sure
+        clamp = h.copy()
+        clamp[0, 1] = 1.0 / 16.0 - nu[1]
+        truths.append(ModelParams(nu, clamp, A, kind))
     horizon = 4.0 if K == 8 else 20.0
-    for seed in (1, 2, 3):
-        got = simulate_thinning(params, horizon, seed=seed)
-        ref = _reference_thinning(params, horizon, seed)
-        assert len(got) > 0
-        assert np.array_equal(got.times, ref.times)
-        assert np.array_equal(got.marks, ref.marks)
+    for params in truths:
+        for seed in (1, 2, 3):
+            got = simulate_thinning(params, horizon, seed=seed)
+            ref = _reference_thinning(params, horizon, seed)
+            assert len(got) > 0
+            assert np.array_equal(got.times, ref.times)
+            assert np.array_equal(got.marks, ref.marks)
 
 
 def test_thinning_event_budget(monkeypatch):

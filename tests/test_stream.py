@@ -29,6 +29,16 @@ def test_out_of_window_rejected():
         EventStream(np.array([0.5]), np.array([0]), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("window_start, horizon", [
+    (2.0, 1.0), (-1.0, np.nan), (np.nan, 1.0), (-np.inf, 1.0),
+    (-1.0, np.inf)])
+def test_window_must_be_finite_and_ordered(window_start, horizon):
+    with pytest.raises(ValueError, match="window_start"):
+        EventStream(np.array([]), np.array([]), window_start, horizon)
+    with pytest.raises(ValueError, match="window_start"):
+        EventStream.from_csv("time,mark\n", window_start, horizon)
+
+
 def test_csv_round_trip():
     s = EventStream(np.array([-0.25, 0.1234567890123, 0.9]),
                     np.array([1, 2, 1]), -1.0, 1.0)

@@ -120,7 +120,7 @@ def test_fftconvolve0_equals_scipy_signal(K, n_ext, n_wts, pads):
     ext = rng.normal(size=(n_ext, K, 1, K))
     wts = rng.exponential(size=(n_wts, K, K, 1))
     expect = signal.fftconvolve(ext, wts, axes=0)
-    assert np.array_equal(volterra._fftconvolve0(ext, wts), expect)
+    assert np.array_equal(volterra._fftconvolve0(wts, n_ext)(ext), expect)
 
 
 def test_next_fast_len_equals_scipy():
@@ -134,9 +134,16 @@ def test_next_fast_len_equals_scipy():
 def test_solver_unchanged_on_scipy_signal_convolution(model, n_grid,
                                                       monkeypatch):
     dens = solve_moment_density(model(), n_grid=n_grid)
-    monkeypatch.setattr(volterra, "_fftconvolve0",
-                        lambda a, b: signal.fftconvolve(a, b, axes=0))
+    kernels = []
+
+    def scipy_convolution(b, n_a):
+        kernels.append(b)
+        return lambda a: signal.fftconvolve(a, b, axes=0)
+
+    monkeypatch.setattr(volterra, "_fftconvolve0", scipy_convolution)
     ref = solve_moment_density(model(), n_grid=n_grid)
+    # the solve went through the patched name, once per horizon
+    assert kernels
     assert np.array_equal(dens.node_times, ref.node_times)
     assert np.array_equal(dens.upsilon, ref.upsilon)
     assert (dens.converged, dens.tail_capped) == (ref.converged,
