@@ -9,6 +9,7 @@ m_{l,k}(t) = mu_k + Upsilon_{l,k}(t) / mu_l.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,8 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _fftconvolve0(b: np.ndarray, n_a: int):
+def _fftconvolve0(b: np.ndarray,
+                  n_a: int) -> Callable[[np.ndarray], np.ndarray]:
     """The full linear convolution with the fixed real kernel b along
     axis 0, as a function of a real a with n_a rows, the other axes
     broadcast. b's spectrum is computed once; each call takes the steps
