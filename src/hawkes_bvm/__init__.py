@@ -22,8 +22,8 @@ from .priors import (BasisFamily, PriorSpec, haar_basis, histogram_basis,
                      log_prior, rate_schedule, sample_prior)
 from .mcmc import (ChainState, PosteriorDraws, ess, mcmc_step,
                    posterior_functional, run_chain)
-from .harness import (ExperimentConfig, bvm_distance, coverage_table,
-                      emit_outputs, load_config, run_experiment)
+from .harness import (ExperimentConfig, bvm_distance, emit_outputs,
+                      load_config, run_experiment)
 
 __version__ = "0.1.0"
 
@@ -32,8 +32,8 @@ __all__ = [
     "ExperimentConfig", "FunctionalSpec", "LanEstimator",
     "LikelihoodCache", "ModelParams", "MomentDensity", "PalmEstimates",
     "PosteriorDraws", "PriorSpec", "RenewalDecomposition", "bias_term",
-    "bvm_distance", "coverage_table", "efficient_estimate",
-    "emit_outputs", "empirical_pair_density", "ess", "estimate_palm",
+    "bvm_distance", "efficient_estimate", "emit_outputs",
+    "empirical_pair_density", "ess", "estimate_palm",
     "eval_functional", "grad_loglik_nu", "haar_basis", "histogram_basis",
     "info_operator_apply", "info_operator_invert", "load_config",
     "log_likelihood", "log_prior", "mcmc_step", "optimal_variance",

@@ -95,7 +95,7 @@ def main(argv=None) -> int:
         else:
             report = run_experiment(config)
             emit_outputs(report, out_dir)
-            cov = report["coverage"].get("0.90", {}).get("coverage")
+            cov = report["coverage"]["0.90"]["coverage"]
             print(f"coverage90 = {cov}, V0 = {report['v0']:.6g}")
             ok = [r["ok"] for r in report["replications"]]
             if not (report["palm_converged"] and any(ok)):

@@ -283,7 +283,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         bj, se, flagged = bias_term(dirs, f_dir, psi_l, lan)
         bias[str(j)] = {"value": bj, "se": se, "ridge": flagged}
 
-    report = {
+    return {
         "config_hash": config.config_hash(),
         "functional": config.functional.describe(),
         "psi0": psi0,
@@ -295,18 +295,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "replications": results,
         "metric_note": ("KS distance reported; it bounds the "
                         "bounded-Lipschitz metric up to constants"),
+        **summarise(results),
     }
-    report["coverage"] = coverage_table(report)
-    ok = [r for r in results if r["ok"]]
-    report["mean_sd_sqrtT"] = report["median_ks"] = None
-    if ok:
-        sds = np.array([r["post_sd"] for r in ok])
-        ts = np.array([r["horizon"] for r in ok])
-        report["mean_sd_sqrtT"] = float(np.mean(sds * np.sqrt(ts)))
-        ks_vals = [r["ks"] for r in ok if r["ks"] is not None]
-        report["median_ks"] = (float(np.median(ks_vals))
-                               if ks_vals else None)
-    return report
 
 
 def _sieve_directions(K: int, j: int, n_cells: int,
@@ -325,62 +315,71 @@ def _sieve_directions(K: int, j: int, n_cells: int,
     return dirs
 
 
-def coverage_table(report: dict) -> dict:
-    """Empirical coverage of the 90 % and 95 % credible intervals that
-    every replication records, with binomial standard errors."""
-    ok = [r for r in report["replications"] if r["ok"]]
-    out = {}
+def summarise(records: list[dict]) -> dict:
+    """One pass over the replication records: the empirical coverage of
+    the 90 % and 95 % credible intervals with binomial standard errors,
+    the mean posterior sd * sqrt(T) and the median KS distance, over the
+    ok records; null when none is ok."""
+    ok = [r for r in records if r["ok"]]
+    n = len(ok)
+    coverage = {}
     for level, key in (("0.90", "covered90"), ("0.95", "covered95")):
-        hits = np.array([r[key] for r in ok], dtype=float)
-        n = hits.size
-        if n == 0:
-            out[level] = {"coverage": None, "se": None, "n": 0}
-            continue
-        p = float(hits.mean())
-        out[level] = {
+        p = (float(np.array([r[key] for r in ok], dtype=float).mean())
+             if ok else None)
+        coverage[level] = {
             "coverage": p,
-            "se": float(np.sqrt(max(p * (1 - p), 1e-12) / n)),
-            "n": int(n),
+            "se": float(np.sqrt(max(p * (1 - p), 1e-12) / n)) if ok else None,
+            "n": n,
         }
-    return out
+    sds = np.array([r["post_sd"] for r in ok])
+    ts = np.array([r["horizon"] for r in ok])
+    ks_vals = [r["ks"] for r in ok if r["ks"] is not None]
+    return {
+        "coverage": coverage,
+        "mean_sd_sqrtT": float(np.mean(sds * np.sqrt(ts))) if ok else None,
+        "median_ks": float(np.median(ks_vals)) if ks_vals else None,
+    }
+
+
+# the columns of replications.csv; a failed record holds none of the
+# columns after `ok`, so its row leaves them empty
+_CSV_COLUMNS = ("replication", "horizon", "ok", "psi_hat", "post_mean",
+                "post_sd", "ci90_lo", "ci90_hi", "covered90", "ks")
+
+
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    return str(int(value)) if isinstance(value, bool) else repr(value)
 
 
 def emit_outputs(report: dict, out_dir: str) -> None:
     """Write report.json, replications.csv, posterior_<r>.csv and
     plots.gp."""
     os.makedirs(out_dir, exist_ok=True)
+    records = report["replications"]
+    ok = [i for i, r in enumerate(records) if r["ok"]]
 
     slim = {k: v for k, v in report.items() if k != "replications"}
     slim["replications"] = [
-        {k: v for k, v in r.items() if k != "samples"}
-        for r in report["replications"]]
-    path = os.path.join(out_dir, "report.json")
-    atomic_write(path, json.dumps(slim, indent=2))
+        {k: v for k, v in r.items() if k != "samples"} for r in records]
+    atomic_write(os.path.join(out_dir, "report.json"),
+                 json.dumps(slim, indent=2))
 
-    lines = ["replication,horizon,ok,psi_hat,post_mean,post_sd,"
-             "ci90_lo,ci90_hi,covered90,ks"]
-    for i, r in enumerate(report["replications"]):
-        if r["ok"]:
-            ks_str = repr(r["ks"]) if r["ks"] is not None else ""
-            lines.append(
-                f"{i},{r['horizon']},1,{r['psi_hat']!r},"
-                f"{r['post_mean']!r},{r['post_sd']!r},"
-                f"{r['ci90'][0]!r},{r['ci90'][1]!r},"
-                f"{int(r['covered90'])},{ks_str}")
-        else:
-            lines.append(f"{i},{r['horizon']},0,,,,,,,")
-    path = os.path.join(out_dir, "replications.csv")
-    atomic_write(path, "\n".join(lines) + "\n")
+    lines = [",".join(_CSV_COLUMNS)]
+    for i, r in enumerate(records):
+        lo, hi = r.get("ci90", (None, None))
+        values = dict(r, replication=i, ci90_lo=lo, ci90_hi=hi)
+        lines.append(",".join(_csv_field(values.get(c)) for c in _CSV_COLUMNS))
+    atomic_write(os.path.join(out_dir, "replications.csv"),
+                 "\n".join(lines) + "\n")
 
-    for i, r in enumerate(report["replications"]):
-        if not r["ok"]:
-            continue
-        body = "psi\n" + "\n".join(repr(v) for v in r["samples"]) + "\n"
-        path = os.path.join(out_dir, f"posterior_{i}.csv")
-        atomic_write(path, body)
+    for i in ok:
+        body = "\n".join(repr(v) for v in records[i]["samples"])
+        atomic_write(os.path.join(out_dir, f"posterior_{i}.csv"),
+                     f"psi\n{body}\n")
 
     v0 = report["v0"]
-    ok = [i for i, r in enumerate(report["replications"]) if r["ok"]]
     gp = f"""# gnuplot script: posterior vs the BvM normal limit
 set terminal pngcairo size 900,400
 set output 'bvm.png'
@@ -388,7 +387,7 @@ set datafile separator ','
 set multiplot layout 1,{1 + bool(ok)}
 """
     if ok:
-        first = report["replications"][ok[0]]
+        first = records[ok[0]]
         gp += f"""set title 'centered-scaled posterior vs N(0, V0)'
 T = {first['horizon']!r}
 psi_hat = {first['psi_hat']!r}
@@ -405,5 +404,4 @@ plot 'posterior_{ok[0]}.csv' skip 1 \\
 plot 'replications.csv' skip 1 using 1:9 with points title 'covered'
 unset multiplot
 """
-    path = os.path.join(out_dir, "plots.gp")
-    atomic_write(path, gp)
+    atomic_write(os.path.join(out_dir, "plots.gp"), gp)

@@ -65,12 +65,13 @@ class ModelParams:
         if nu.ndim != 1 or np.any(nu <= 0) or not np.all(np.isfinite(nu)):
             raise ValueError("nu must be a vector of positive finite rates")
         K = nu.size
-        if h.ndim != 3 or h.shape[:2] != (K, K):
-            raise ValueError("h must have shape (K, K, m)")
+        if h.ndim != 3 or h.shape[:2] != (K, K) or h.shape[2] < 1:
+            raise ValueError("h must have shape (K, K, m) with m >= 1")
         if not np.all(np.isfinite(h)):
             raise ValueError("h values must be finite")
-        if self.support_end <= 0:
-            raise ValueError("support_end must be positive")
+        # the cell width A/m must be a positive finite number
+        if not 0.0 < self.support_end < np.inf:
+            raise ValueError("support_end must be positive and finite")
         if self.kind not in ("linear", "relu"):
             raise ValueError("kind must be 'linear' or 'relu'")
         if self.kind == "linear" and np.any(h < 0):

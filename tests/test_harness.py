@@ -9,9 +9,9 @@ from scipy import stats
 
 from hawkes_bvm.cli import main as cli_main
 from hawkes_bvm.harness import (bvm_distance, config_from_dict,
-                                coverage_table, emit_outputs, job_seeds,
-                                load_config, parse_config_text,
-                                run_experiment)
+                                emit_outputs, job_seeds, load_config,
+                                parse_config_text, run_experiment,
+                                summarise)
 from hawkes_bvm.palm import load_palm
 
 
@@ -182,28 +182,50 @@ def _fake_report():
             "acceptance": {}, "samples": [1.0, 1.1, 0.9],
         })
     reps.append({"ok": False, "horizon": 100.0, "reason": "x"})
-    return {"config_hash": "abc", "functional": "nu_1", "psi0": 1.0,
-            "v0": 2.0, "v0_hash": "def", "palm_residual": 0.0,
-            "palm_converged": True, "bias": {}, "replications": reps}
+    report = {"config_hash": "abc", "functional": "nu_1", "psi0": 1.0,
+              "v0": 2.0, "v0_hash": "def", "palm_residual": 0.0,
+              "palm_converged": True, "bias": {}, "replications": reps}
+    return dict(report, **summarise(reps))
 
 
-def test_coverage_table_counts():
-    cov = coverage_table(_fake_report())
+def test_summarise_counts():
+    summary = summarise(_fake_report()["replications"])
+    assert list(summary) == ["coverage", "mean_sd_sqrtT", "median_ks"]
+    cov = summary["coverage"]
     assert cov["0.90"]["coverage"] == pytest.approx(0.9)
     assert cov["0.90"]["n"] == 10
     assert cov["0.95"]["coverage"] == 1.0
     expect_se = np.sqrt(0.9 * 0.1 / 10)
     assert cov["0.90"]["se"] == pytest.approx(expect_se)
+    # full coverage: the SE floor keeps it positive
+    assert cov["0.95"]["se"] == np.sqrt(1e-12 / 10)
+    # sd 0.1 at T = 100 in every ok record; the failed record and the
+    # five null KS values (odd records) are left out
+    assert summary["mean_sd_sqrtT"] == pytest.approx(1.0)
+    assert summary["median_ks"] == 0.05
 
 
-def test_coverage_table_empty():
-    cov = coverage_table({"replications": []})
-    assert cov["0.90"]["coverage"] is None
+def test_summarise_empty():
+    empty = {"coverage": {level: {"coverage": None, "se": None, "n": 0}
+                          for level in ("0.90", "0.95")},
+             "mean_sd_sqrtT": None, "median_ks": None}
+    assert summarise([]) == empty
+    # no ok record: the failed ones count for nothing
+    failed = [r for r in _fake_report()["replications"] if not r["ok"]]
+    assert summarise(failed) == empty
+
+
+def test_summarise_median_ks_null_without_ks():
+    reps = _fake_report()["replications"]
+    for r in reps[:10]:
+        r["ks"] = None
+    summary = summarise(reps)
+    assert summary["median_ks"] is None
+    assert summary["mean_sd_sqrtT"] == pytest.approx(1.0)
 
 
 def test_emit_outputs_files(tmp_path):
     report = _fake_report()
-    report["coverage"] = coverage_table(report)
     out = str(tmp_path / "out")
     emit_outputs(report, out)
     assert os.path.exists(os.path.join(out, "report.json"))
@@ -224,7 +246,6 @@ def test_emit_outputs_plots_the_first_ok_posterior(tmp_path):
     report = _fake_report()
     report["replications"].insert(0, {"ok": False, "horizon": 100.0,
                                       "reason": "x"})
-    report["coverage"] = coverage_table(report)
     emit_outputs(report, str(tmp_path / "some"))
     gp = (tmp_path / "some" / "plots.gp").read_text()
     assert "'posterior_1.csv'" in gp and "posterior_0" not in gp
@@ -241,7 +262,6 @@ def test_emit_outputs_plots_the_centered_scaled_posterior(tmp_path):
     report = _fake_report()
     first = report["replications"][0]
     first.update(horizon=400.0, psi_hat=0.5, samples=[0.4, 0.5, 0.55, 0.6])
-    report["coverage"] = coverage_table(report)
     emit_outputs(report, str(tmp_path))
     gp = (tmp_path / "plots.gp").read_text().splitlines()
     # replications.csv is comma-separated: column 9 exists only so
@@ -366,6 +386,17 @@ def test_cli_bad_model_exit_code(tmp_path):
     path = _write_cfg(tmp_path, {"h": "1.5"})  # supercritical
     assert cli_main(["simulate", "--config", path,
                      "--out", str(tmp_path / "o2")]) == 2
+
+
+@pytest.mark.parametrize("extra", [
+    {"A": "nan"},
+    {"A": "inf", "h": "0"},
+    {"m": "0", "h": ""},  # divided by zero: exit 1 with a traceback
+])
+def test_cli_bad_model_grid_exit_code(tmp_path, extra):
+    path = _write_cfg(tmp_path, extra)
+    assert cli_main(["simulate", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
 
 
 def test_cli_bvm_report_identical_across_threads(tmp_path):

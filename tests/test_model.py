@@ -86,6 +86,22 @@ def test_relu_membership():
                     "relu")
 
 
+@pytest.mark.parametrize("support_end", [float("nan"), float("inf"),
+                                         0.0, -1.0])
+def test_rejects_support_end_not_positive_finite(support_end):
+    # nan passed the old `<= 0` check; inf with h = 0 made rho_+ nan, which
+    # passed the spectral-radius check
+    for h in (np.full((1, 1, 1), 0.5), np.zeros((1, 1, 1))):
+        with pytest.raises(ValueError, match="support_end"):
+            ModelParams(np.array([1.0]), h, support_end)
+
+
+def test_rejects_grid_without_cells():
+    # m = 0 divided by zero in rho_plus
+    with pytest.raises(ValueError, match="m >= 1"):
+        ModelParams(np.array([1.0]), np.zeros((1, 1, 0)), 1.0)
+
+
 def test_json_round_trip():
     h = np.zeros((2, 2, 3))
     h[0, 1] = [0.1, 0.2, 0.3]
