@@ -363,21 +363,21 @@ def emit_outputs(report: dict, out_dir: str) -> None:
     slim = {k: v for k, v in report.items() if k != "replications"}
     slim["replications"] = [
         {k: v for k, v in r.items() if k != "samples"} for r in records]
-    atomic_write(os.path.join(out_dir, "report.json"),
-                 json.dumps(slim, indent=2))
+    path = os.path.join(out_dir, "report.json")
+    atomic_write(path, json.dumps(slim, indent=2))
 
     lines = [",".join(_CSV_COLUMNS)]
     for i, r in enumerate(records):
         lo, hi = r.get("ci90", (None, None))
         values = dict(r, replication=i, ci90_lo=lo, ci90_hi=hi)
         lines.append(",".join(_csv_field(values.get(c)) for c in _CSV_COLUMNS))
-    atomic_write(os.path.join(out_dir, "replications.csv"),
-                 "\n".join(lines) + "\n")
+    path = os.path.join(out_dir, "replications.csv")
+    atomic_write(path, "\n".join(lines) + "\n")
 
     for i in ok:
         body = "\n".join(repr(v) for v in records[i]["samples"])
-        atomic_write(os.path.join(out_dir, f"posterior_{i}.csv"),
-                     f"psi\n{body}\n")
+        path = os.path.join(out_dir, f"posterior_{i}.csv")
+        atomic_write(path, f"psi\n{body}\n")
 
     v0 = report["v0"]
     gp = f"""# gnuplot script: posterior vs the BvM normal limit
@@ -404,4 +404,5 @@ plot 'posterior_{ok[0]}.csv' skip 1 \\
 plot 'replications.csv' skip 1 using 1:9 with points title 'covered'
 unset multiplot
 """
-    atomic_write(os.path.join(out_dir, "plots.gp"), gp)
+    path = os.path.join(out_dir, "plots.gp")
+    atomic_write(path, gp)

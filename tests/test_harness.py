@@ -203,6 +203,9 @@ def test_summarise_counts():
     # five null KS values (odd records) are left out
     assert summary["mean_sd_sqrtT"] == pytest.approx(1.0)
     assert summary["median_ks"] == 0.05
+    # ok records without a KS distance leave the median null
+    no_ks = [dict(r, ks=None) for r in _fake_report()["replications"]]
+    assert summarise(no_ks)["median_ks"] is None
 
 
 def test_summarise_empty():
@@ -213,15 +216,6 @@ def test_summarise_empty():
     # no ok record: the failed ones count for nothing
     failed = [r for r in _fake_report()["replications"] if not r["ok"]]
     assert summarise(failed) == empty
-
-
-def test_summarise_median_ks_null_without_ks():
-    reps = _fake_report()["replications"]
-    for r in reps[:10]:
-        r["ks"] = None
-    summary = summarise(reps)
-    assert summary["median_ks"] is None
-    assert summary["mean_sd_sqrtT"] == pytest.approx(1.0)
 
 
 def test_emit_outputs_files(tmp_path):
