@@ -135,6 +135,8 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
         out_dir=cfg.get("out_dir", "out"),
         raw=dict(cfg),
     )
+    if not config.horizons:
+        raise ValueError("T must list at least one horizon")
     if config.replications < 1:
         raise ValueError("R must be >= 1")
     _check_indices(config.functional, f0.K)

@@ -65,48 +65,30 @@ class CountDesign:
             out[:, j] = self @ B[:, j]
         return out
 
-    def __sub__(self, other: "CountDesign") -> "CountDesign":
-        """The difference from the counts of a subset of the same events,
-        whose entries are all stored here; only nonzeros are stored."""
-        at = np.searchsorted(self.keys, other.keys)
-        if at.size and (at[-1] == self.keys.size
-                        or np.any(self.keys[at] != other.keys)):
-            raise ValueError("subtracted counts outside the design")
-        data = self.data.copy()
-        data[at] -= other.data
-        keep = data != 0.0
-        return CountDesign(self.shape, self.keys[keep], data[keep])
-
-
-def _count_design(times: np.ndarray, marks: np.ndarray,
-                  queries: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  K: int, m: int, w: float) -> CountDesign:
-    """Row q counts the events lo[q]..hi[q]-1 by mark l and age cell c
-    (column l*m + c), where the age is queries[q] - time and the cell is
-    min(int(age / w), m - 1)."""
-    n = hi - lo
-    rows = np.repeat(np.arange(queries.size), n)
-    idx = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
-    cells = np.minimum(((queries[rows] - times[idx]) / w).astype(int),
-                       m - 1)
-    keys, counts = np.unique(rows * (K * m) + (marks[idx] - 1) * m + cells,
-                             return_counts=True)
-    return CountDesign((queries.size, K * m), keys, counts.astype(float))
-
 
 def window_design(times: np.ndarray, marks: np.ndarray,
-                  queries: np.ndarray, A: float, K: int,
-                  m: int) -> CountDesign:
+                  queries: np.ndarray, A: float, K: int, m: int,
+                  skip: np.ndarray | None = None) -> CountDesign:
     """Window-count design matrix, shape (n_query, K*m).
 
     Entry [q, l*m + c] counts the events of mark l+1 with time in
     [queries[q] - A, queries[q]), i.e. age in (0, A], whose age falls in
-    cell c = min(int(age / (A/m)), m - 1). times must be sorted.
+    cell c = min(int(age / (A/m)), m - 1). times must be sorted. With
+    skip, row q leaves out the events at time skip[q].
     """
     queries = np.asarray(queries, dtype=float)
     lo = np.searchsorted(times, queries - A, "left")
-    hi = np.searchsorted(times, queries, "left")
-    return _count_design(times, marks, queries, lo, hi, K, m, A / m)
+    n = np.searchsorted(times, queries, "left") - lo
+    rows = np.repeat(np.arange(queries.size), n)
+    idx = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
+    if skip is not None:
+        keep = times[idx] != skip[rows]
+        rows, idx = rows[keep], idx[keep]
+    cells = np.minimum(((queries[rows] - times[idx]) / (A / m)).astype(int),
+                       m - 1)
+    keys, counts = np.unique(rows * (K * m) + (marks[idx] - 1) * m + cells,
+                             return_counts=True)
+    return CountDesign((queries.size, K * m), keys, counts.astype(float))
 
 
 def linear_intensity(stream: EventStream, queries: np.ndarray,

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Direction, check_same_grid
-from .likelihood import (CountDesign, LanEstimator, _count_design,
-                         batch_means, linear_intensity, stratified_points,
-                         window_design, w_statistic)
+from .likelihood import (CountDesign, LanEstimator, batch_means,
+                         linear_intensity, stratified_points, window_design,
+                         w_statistic)
 from .model import ModelParams, stationary_rates
 from .simulate import simulate_thinning
 from .stream import EventStream, atomic_write
@@ -204,11 +204,8 @@ def estimate_palm(f0: ModelParams, n_cells: int,
             queries = (batch[:, None] + mids[None, :]).ravel()
             inv = 1.0 / linear_intensity(stream, queries, f0.nu, f0.h, A)
             p_b[b, l] = inv.reshape(cnt, m, K).sum(axis=0).T / cnt
-            tie_lo = np.repeat(np.searchsorted(times, batch, "left"), m)
-            tie_hi = np.repeat(np.searchsorted(times, batch, "right"), m)
-            X = (window_design(times, marks, queries, A, K, m)
-                 - _count_design(times, marks, queries, tie_lo, tie_hi, K,
-                                 m, A / m))
+            X = window_design(times, marks, queries, A, K, m,
+                              skip=np.repeat(batch, m))
             C = _grouped_outer(X, inv, np.arange(queries.size) % m, m)
             C_b[b, l] = C.reshape(m, K, m, K).transpose(1, 3, 0, 2) / cnt
     return PalmEstimates(A, mu, a_b, D_b, p_b, C_b)

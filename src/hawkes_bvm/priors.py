@@ -202,8 +202,7 @@ class PriorSpec:
     support_end: float = 1.0
 
     def __post_init__(self):
-        if self.theta_family not in ("shifted-exponential",
-                                     "truncated-gaussian", "gaussian"):
+        if self.theta_family not in ("shifted-exponential", "gaussian"):
             raise ValueError("unknown coefficient family")
         if self.link not in _LINKS:
             raise ValueError("unknown link")
@@ -318,29 +317,15 @@ class PriorSpec:
             scale, loc = 1.0 / self.rate, self.kappa
             return lambda rng, size: (rng.standard_exponential(size) * scale
                                       + loc)
-        if self.theta_family == "gaussian":
-            sigma = self.sigma
-            return lambda rng, size: rng.standard_normal(size) * sigma + 0.0
-        # the one scipy.stats import (slow to load): its ppf-based sampler
-        # is not worth copying, and no default config uses this family
-        from scipy import stats
-        dist = stats.truncnorm(self.kappa / self.sigma, np.inf,
-                               loc=0.0, scale=self.sigma)
-        return lambda rng, size: dist.rvs(size=size, random_state=rng)
+        sigma = self.sigma
+        return lambda rng, size: rng.standard_normal(size) * sigma + 0.0
 
     @functools.cached_property
     def _theta_log_norm(self) -> float:
         """The per-coefficient constant of the coefficient log density."""
         if self.theta_family == "shifted-exponential":
             return float(np.log(self.rate))
-        c = np.log(self.sigma) + 0.5 * np.log(2 * np.pi)
-        if self.theta_family == "truncated-gaussian":
-            # log P(Z > kappa / sigma), as scipy's norm.logsf computes it;
-            # imported here, as scipy.stats is, since no default config
-            # uses this family
-            from scipy.special import log_ndtr
-            c += float(log_ndtr(-(self.kappa / self.sigma)))
-        return float(c)
+        return float(np.log(self.sigma) + 0.5 * np.log(2 * np.pi))
 
     @functools.cached_property
     def _nu_log_norm(self) -> float:
@@ -356,9 +341,6 @@ class PriorSpec:
                 return -np.inf
             kappa = self.kappa
             return len(x) * c - self.rate * _np_sum([v - kappa for v in x])
-        if (self.theta_family == "truncated-gaussian"
-                and _rejects_below(x, self.kappa, strict=True)):
-            return -np.inf
         sigma = self.sigma
         z = [v / sigma for v in x]
         # t * t is numpy's `** 2` on an array (np.square)

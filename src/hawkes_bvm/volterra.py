@@ -40,8 +40,8 @@ def _fftconvolve0(b: np.ndarray,
     broadcast. b's spectrum is computed once; each call takes the steps
     of `scipy.signal.fftconvolve(a, b, axes=0)` (real FFTs padded to the
     next fast length), so the values are the same bit for bit without
-    importing scipy: numpy's FFTs (numpy >= 2) are the same pocketfft
-    code as scipy.fft's."""
+    scipy: numpy's FFTs (numpy >= 2) are the same pocketfft code as
+    scipy.fft's."""
     n = n_a + b.shape[0] - 1
     nf = [_next_fast_len(n)]
     b_spec = np.fft.rfftn(b, nf, axes=[0])

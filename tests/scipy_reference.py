@@ -1,12 +1,14 @@
 """The scipy.sparse forms of the window-count design and its products, as
 the package computed them before its numpy design: test references only.
 
-`window_design` and `_count_design` return canonical `csr_matrix`
-designs; `_grouped_outer` and `lan_moments` are the sparse products that
-`palm._grouped_outer` and `likelihood._lan_moments` must equal bit for
-bit. `use_scipy_designs` swaps the first three into the package, so that
-any caller (`linear_intensity`, `w_statistic`, `estimate_palm`) runs on
-the sparse references.
+`window_design` returns a canonical `csr_matrix` design; with `skip`
+it subtracts a second sparse design of the events tied with each
+anchor, as `estimate_palm` once did. `_grouped_outer` and `lan_moments`
+are the sparse products that `palm._grouped_outer` and
+`likelihood._lan_moments` must equal bit for bit. `use_scipy_designs`
+swaps `window_design` and `_grouped_outer` into the package, so that any
+caller (`linear_intensity`, `w_statistic`, `estimate_palm`) runs on the
+sparse references.
 """
 
 import contextlib
@@ -31,11 +33,19 @@ def _count_design(times, marks, queries, lo, hi, K, m, w):
     return X
 
 
-def window_design(times, marks, queries, A, K, m):
+def window_design(times, marks, queries, A, K, m, skip=None):
+    """The full window design, minus the design of the events at time
+    skip[q] when skip is given."""
     queries = np.asarray(queries, dtype=float)
     lo = np.searchsorted(times, queries - A, "left")
     hi = np.searchsorted(times, queries, "left")
-    return _count_design(times, marks, queries, lo, hi, K, m, A / m)
+    X = _count_design(times, marks, queries, lo, hi, K, m, A / m)
+    if skip is None:
+        return X
+    tie_lo = np.searchsorted(times, skip, "left")
+    tie_hi = np.searchsorted(times, skip, "right")
+    return X - _count_design(times, marks, queries, tie_lo, tie_hi, K, m,
+                             A / m)
 
 
 def _grouped_outer(X, inv, group, n_group):
@@ -68,7 +78,6 @@ def use_scipy_designs():
     saved = [(mod, name, getattr(mod, name))
              for mod, name in ((likelihood, "window_design"),
                                (palm, "window_design"),
-                               (palm, "_count_design"),
                                (palm, "_grouped_outer"))]
     for mod, name, _ in saved:
         setattr(mod, name, globals()[name])

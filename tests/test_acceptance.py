@@ -13,12 +13,13 @@ import pytest
 from scipy import stats
 
 from hawkes_bvm.grids import Direction
-from hawkes_bvm.harness import config_from_dict, run_experiment
+from hawkes_bvm.harness import (_sieve_directions, compute_efficiency,
+                                config_from_dict, run_experiment)
 from hawkes_bvm.likelihood import (LanEstimator, grad_loglik_nu,
                                    log_likelihood)
 from hawkes_bvm.mcmc import PosteriorTarget, run_chain
 from hawkes_bvm.model import ModelParams, stationary_rates
-from hawkes_bvm.palm import (PalmEstimates, info_operator_apply,
+from hawkes_bvm.palm import (PalmEstimates, bias_term, info_operator_apply,
                              info_operator_invert)
 from hawkes_bvm.priors import PriorSpec
 from hawkes_bvm.simulate import simulate_cluster, simulate_thinning
@@ -260,6 +261,35 @@ def test_criterion_8_bias_vanishes_with_dimension(bvm_report):
         assert v < max(4 * s, 1e-8)
     for i in (0, 1):
         assert vals[i + 1] <= vals[i] + 3 * (ses[i] + ses[i + 1]) + 1e-10
+
+
+# h proportional to exp(-3t) at the 16 cell midpoints, with ||h||_1 = 0.5:
+# no sieve coarser than the operator grid holds it, so B_J is a bias
+# away from zero for J < 16 and zero up to rounding at J = 16
+_DECREASING_H = np.exp(-3.0 * (np.arange(16) + 0.5) / 16)
+_DECREASING_H *= 0.5 / (_DECREASING_H.sum() / 16)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("functional", ["linear 1 1", "squared_l2 1 1"])
+def test_criterion_8_bias_nonzero_on_decreasing_truth(functional, seed):
+    config = config_from_dict(dict(
+        _BVM_CFG, m="16", h=" ".join(map(repr, _DECREASING_H.tolist())),
+        functional=functional, seed=str(seed)))
+    efficiency = compute_efficiency(config)
+    f0 = efficiency["f0_fine"]
+    lan = LanEstimator(f0, t_sim=config.lan_tsim,
+                       n_points=config.lan_points,
+                       seed=np.random.SeedSequence(seed + 2))
+    f_dir = Direction(f0.nu, f0.h, f0.support_end)
+    bias = {j: bias_term(_sieve_directions(1, j, 16, 1.0), f_dir,
+                         efficiency["psi_L"], lan)
+            for j in (1, 2, 4, 8, 16)}
+    vals = [abs(bias[j][0]) for j in (1, 2, 4, 8)]
+    for j, v in zip((1, 2, 4, 8), vals):
+        assert v > 4 * bias[j][1]
+    assert all(a > b for a, b in zip(vals, vals[1:]))
+    assert abs(bias[16][0]) <= 1e-8
 
 
 # -- criterion 9: posterior contraction trend ------------------------------

@@ -482,11 +482,24 @@ def test_cli_bvm_report_strict_when_no_replication_ok(tmp_path):
     {"prior_nu_rate": "0"},
     {"prior_rate": "0"},
     {"mcmc_thin": "0"},
+    {"prior_theta": "truncated-gaussian"},  # a family no longer offered
 ])
-def test_cli_infer_bad_prior_or_thin_exit_code(tmp_path, extra):
+def test_cli_infer_bad_prior_or_thin_exit_code(tmp_path, capsys, extra):
     path = _write_cfg(tmp_path, {"mcmc_iters": "100", **extra})
     assert cli_main(["infer", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    if extra.get("prior_theta") == "truncated-gaussian":
+        assert "unknown coefficient family" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "infer", "palm", "bvm"])
+def test_cli_empty_horizon_list_exit_code(tmp_path, capsys, command):
+    path = _write_cfg(tmp_path, {"T": ""})
+    assert cli_main([command, "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "T must list at least one horizon" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [

@@ -22,8 +22,8 @@ def test_public_names_resolve_once_and_exclude_deleted():
 
 
 # a fresh interpreter imports the package and runs each command on a small
-# config of the default prior families (histogram and Haar bases; gaussian
-# and shifted-exponential coefficients), listing the scipy modules loaded
+# config of every prior family (histogram and Haar bases; gaussian and
+# shifted-exponential coefficients), listing the scipy modules loaded
 # after the import and after each command
 _IMPORT_PROBE = textwrap.dedent("""
     import json

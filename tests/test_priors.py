@@ -63,9 +63,6 @@ def _scipy_theta_dist(spec):
     """The frozen scipy distribution of one coefficient."""
     if spec.theta_family == "shifted-exponential":
         return stats.expon(loc=spec.kappa, scale=1.0 / spec.rate)
-    if spec.theta_family == "truncated-gaussian":
-        return stats.truncnorm(spec.kappa / spec.sigma, np.inf,
-                               loc=0.0, scale=spec.sigma)
     return stats.norm(loc=0.0, scale=spec.sigma)
 
 
@@ -75,8 +72,7 @@ def _scipy_nu_dist(spec):
 
 
 def test_theta_logpdf_matches_scipy():
-    for fam, kw in (("truncated-gaussian", dict(kappa=0.2, sigma=0.7)),
-                    ("gaussian", dict(sigma=1.3)),
+    for fam, kw in (("gaussian", dict(sigma=1.3)),
                     ("shifted-exponential", dict(kappa=-0.5, rate=2.0))):
         spec = PriorSpec(theta_family=fam, **kw)
         x = np.array([0.3, 0.9, 1.4])
@@ -90,17 +86,6 @@ def test_nu_logpdf_matches_scipy():
     expect = float(_scipy_nu_dist(spec).logpdf(x).sum())
     assert spec.nu_logpdf(x) == pytest.approx(expect, rel=1e-10)
     assert spec.nu_logpdf(np.array([-1.0])) == -np.inf
-
-
-@pytest.mark.parametrize("kappa, sigma", [(0.2, 0.7), (0.0, 1.0),
-                                          (-1.5, 0.3), (3.0, 0.4),
-                                          (40.0, 1.0)])
-def test_truncated_gaussian_log_norm_equals_scipy_logsf(kappa, sigma):
-    spec = PriorSpec(theta_family="truncated-gaussian", kappa=kappa,
-                     sigma=sigma)
-    expect = float(np.log(sigma) + 0.5 * np.log(2 * np.pi)
-                   + stats.norm.logsf(kappa / sigma))
-    assert spec._theta_log_norm == expect
 
 
 def _scipy_sample_prior(spec, rng):
@@ -124,8 +109,6 @@ def _scipy_sample_prior(spec, rng):
     ("shifted-exponential", dict(kappa=0.05, rate=6.0)),
     ("shifted-exponential", dict(kappa=-0.3, rate=4.0, nu_shape=0.7)),
     ("gaussian", dict(sigma=0.3, nu_rate=2.5)),
-    ("truncated-gaussian", dict(kappa=0.0, sigma=0.25)),
-    ("truncated-gaussian", dict(kappa=-0.2, sigma=0.4, nu_shape=3.5)),
 ])
 def test_sample_prior_equals_scipy_draws(K, family, kw):
     spec = PriorSpec(K=K, J_max=6, theta_family=family, **kw)
@@ -319,13 +302,6 @@ def _ref_theta_logpdf(spec, theta):
             return -np.inf
         return float(x.size * np.log(spec.rate)
                      - spec.rate * np.sum(x - spec.kappa))
-    if spec.theta_family == "truncated-gaussian":
-        if x.min() < spec.kappa:
-            return -np.inf
-        log_z = float(stats.norm.logsf(spec.kappa / spec.sigma))
-        return float(-0.5 * np.sum((x / spec.sigma) ** 2)
-                     - x.size * (np.log(spec.sigma)
-                                 + 0.5 * np.log(2 * np.pi) + log_z))
     return float(-0.5 * np.sum((x / spec.sigma) ** 2)
                  - x.size * (np.log(spec.sigma) + 0.5 * np.log(2 * np.pi)))
 
@@ -361,8 +337,8 @@ def _prior_case(draw):
     J = draw(st.sampled_from([2, 4, 8, 16]) if haar else st.integers(1, 16))
     spec = PriorSpec(
         K=K, basis_kind="haar" if haar else "histogram", J_max=16,
-        theta_family=draw(st.sampled_from(
-            ["shifted-exponential", "truncated-gaussian", "gaussian"])),
+        theta_family=draw(st.sampled_from(["shifted-exponential",
+                                           "gaussian"])),
         kappa=draw(st.sampled_from([0.0, -0.2, 0.05])),
         rate=draw(st.floats(0.5, 4.0)), sigma=draw(st.floats(0.1, 2.0)),
         nu_shape=draw(st.floats(0.5, 4.0)),
