@@ -6,10 +6,14 @@ Each digest is the sha256 of a fixed run's output: the `to_csv()` and
 `test_chain_draws_equal_reference_evaluation`, the raw bytes of the
 event times and marks of `simulate_thinning` for a K = 1, a K = 2 and a
 ReLU truth, the first two also on the finer grids the benchmark's LAN
-estimators simulate on, and a K = 2 ReLU truth, and every file the `bvm`
-command writes (`report.json`, `replications.csv`, `plots.gp` and each
-`posterior_<r>.csv`) for three small configs. A change that must leave
-every draw, stream and output file as it was is checked against them.
+estimators simulate on, and a K = 2 ReLU truth, and every file the CLI
+writes for small configs: `bvm` (`report.json`, `replications.csv`,
+`plots.gp` and each `posterior_<r>.csv`) on three K = 1 configs and one
+K = 2, `palm` (`palm.json`, `efficiency.json`) converged and not, at
+K = 1 and K = 2, and `infer` (`draws.csv`, `chain.json`) at K = 1, K = 2,
+with the Haar/softplus prior and on a ReLU truth. A change that must
+leave every draw, stream and output file as it was is checked against
+them.
 
 The digests depend on numpy's arithmetic and random streams, so the
 numpy and Python versions they were recorded with are kept beside them.
@@ -27,13 +31,16 @@ import os
 import platform
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from hawkes_bvm import harness
 from hawkes_bvm.cli import main as cli_main
 from hawkes_bvm.mcmc import run_chain
 from hawkes_bvm.model import ModelParams
+from hawkes_bvm.palm import info_operator_invert
 from hawkes_bvm.simulate import simulate_thinning
 from test_harness import BASE_CFG
 from test_mcmc import _data, _haar_case, _k2_case, _relu_case, _spec
@@ -97,6 +104,44 @@ DIGESTS = {
         "547b5d6b0cfb6b77d06adcb98dcf83d80ae7270453537134fc5ffa5ffd9f2cd9",
     "bvm/all-failed/report.json":
         "52277be3122ef4acaadcc2c06f142ee42519f1f579abe6a81d9a40e321e4bc60",
+    "bvm/k2-two-horizons/plots.gp":
+        "1beed45b908aa8384adfa451456035c6b4b9a7bbcc55f2e6c269146aa851af34",
+    "bvm/k2-two-horizons/posterior_0.csv":
+        "b2378efd8e07207bade4443365100f8f75fb2f60255cf9a3b1ab5aedf5aa524b",
+    "bvm/k2-two-horizons/posterior_1.csv":
+        "2c93a56ce5f090832942ab20bd2c43b8a6b0157546a6167299482c8860762d4e",
+    "bvm/k2-two-horizons/replications.csv":
+        "846e5ce9502b8a11081ecc5983646775e885335f69f6431b15b89a638693b4a5",
+    "bvm/k2-two-horizons/report.json":
+        "209edf48b9c7876e1e3d8606b5e77b642d63ab9d824f3744822407ec53f007fd",
+    "palm/k1/efficiency.json":
+        "92a8768c8f53e27243d403ab5e25d127f59ac633c4977d38bcff94955f81a52d",
+    "palm/k1/palm.json":
+        "6c6ed07df784dc37ee348fa63c6d0c1861beb9fdb388ad8df6bdb8b9987a8ba0",
+    "palm/k1-not-converged/efficiency.json":
+        "df68c485b03de5ca2390cb6d773eb01212398f5ed2e8e229a6090b3f5a1754b4",
+    "palm/k1-not-converged/palm.json":
+        "6c6ed07df784dc37ee348fa63c6d0c1861beb9fdb388ad8df6bdb8b9987a8ba0",
+    "palm/k2/efficiency.json":
+        "d403f0551ebba420cdafdbf24c2d9769a017944361cced853960a12807631bde",
+    "palm/k2/palm.json":
+        "1b6bad3790b3d88e674428c84c058de2cafb298401650b68ac29538403a15968",
+    "infer/k1/chain.json":
+        "45cef2dc70a7c3e6a3dec4c37e9170e59bfa0ca49a029f15d8d1de1581ddf9e1",
+    "infer/k1/draws.csv":
+        "a9f6b86ac3c24b9084b322f10e264c1d1ddbdba82e207943ca22eede765b16f4",
+    "infer/k2/chain.json":
+        "025af698ef941f4b010c06a6188375b9bbc0cb7835008ea1e0f3e8627a9b1e2e",
+    "infer/k2/draws.csv":
+        "dd634aa09c404883071fb9c1694a3034c7be1cd4ea50c64ebc298aede33d919e",
+    "infer/haar-softplus/chain.json":
+        "ebf1955386d74ed294eb0fd58874793737b2795df0a45bc18a4bc21ef552ebbf",
+    "infer/haar-softplus/draws.csv":
+        "72fd4dfffa959cd670db77f68348f5cb332b9272669e424090c09326e8fc9a71",
+    "infer/relu/chain.json":
+        "f30da6a4aa5a13d8fb07c72c993178cde2fa77ca334ed051837b3d7886aea16f",
+    "infer/relu/draws.csv":
+        "920d6998e2b810dc348d7f23612b05be8263ddd8458883e3e6904ae6d11505fa",
 }
 
 _CHAINS = {
@@ -135,16 +180,46 @@ _TRUTHS = {
 }
 
 
-# the small config of test_harness.py on two horizons, and the exit code
-# `bvm` returns on it
-_BVM_CASES = {
-    # 120 draws per replication: KS and ESS are set
-    "two-horizons": ({"T": "120 240"}, 0),
-    # 40 draws: too few for KS (null), enough for ESS
-    "few-draws": ({"T": "120 240", "mcmc_iters": "100"}, 0),
-    # a burn-in as long as the chain: every replication fails, and the
-    # outputs are still written
-    "all-failed": ({"T": "120 240", "mcmc_burn_in": "300"}, 3),
+# the k2-mixed benchmark truth and a functional that crosses the marks
+_K2 = {"K": "2", "m": "2", "nu": "0.6 0.4",
+       "h": "0.4 0.2 0.1 0.05 0.15 0.1 0.3 0.2",
+       "functional": "linear 1 2"}
+
+# command -> case -> (changes to the small config of test_harness.py, the
+# tolerance of the operator inverse, or None for its default, and the
+# exit code)
+_CLI_CASES = {
+    "bvm": {
+        # 120 draws per replication: KS and ESS are set
+        "two-horizons": ({"T": "120 240"}, None, 0),
+        # 40 draws: too few for KS (null), enough for ESS
+        "few-draws": ({"T": "120 240", "mcmc_iters": "100"}, None, 0),
+        # a burn-in as long as the chain: every replication fails, and
+        # the outputs are still written
+        "all-failed": ({"T": "120 240", "mcmc_burn_in": "300"}, None, 3),
+        # the K = 2 Palm tensors, LAN Gram, bias and W_T
+        "k2-two-horizons": (dict(_K2, T="120 240", R="1", mcmc_iters="200"),
+                            None, 0),
+    },
+    "palm": {
+        "k1": ({}, None, 0),
+        # a zero tolerance is never met: both files are written
+        "k1-not-converged": ({}, 0.0, 3),
+        "k2": (_K2, None, 0),
+    },
+    "infer": {
+        "k1": ({"mcmc_iters": "200"}, None, 0),
+        "k2": (dict(_K2, mcmc_iters="150"), None, 0),
+        "haar-softplus": ({"m": "4", "h": "0.6 0.3 0.1 0.0", "T": "60",
+                           "mcmc_iters": "150", "prior_basis": "haar",
+                           "prior_jmax": "8", "prior_theta": "gaussian",
+                           "prior_sigma": "0.3", "prior_link": "softplus"},
+                          None, 0),
+        "relu": ({"m": "4", "kind": "relu", "h": "-0.4 -0.2 0.3 0.1",
+                  "T": "60", "mcmc_iters": "80", "prior_jmax": "8",
+                  "prior_theta": "gaussian", "prior_sigma": "0.3"},
+                 None, 0),
+    },
 }
 
 
@@ -166,20 +241,26 @@ def _stream_digest(truth: str) -> str:
     return _sha(stream.times.tobytes() + stream.marks.tobytes())
 
 
-def _bvm_digests(case: str) -> tuple[int, dict]:
-    """The exit code of `bvm` on the case's config, and the digest of
-    each file it wrote, keyed `bvm/<case>/<file name>`."""
-    cfg = dict(BASE_CFG, **_BVM_CASES[case][0])
+def _cli_digests(command: str, case: str) -> tuple[int, dict]:
+    """The exit code of `command` on the case's config, and the digest of
+    each file it wrote, keyed `<command>/<case>/<file name>`."""
+    changes, tol, _ = _CLI_CASES[command][case]
+    cfg = dict(BASE_CFG, **changes)
+    # the case's tolerance replaces the one the caller passes
+    invert = (mock.patch.object(
+        harness, "info_operator_invert",
+        lambda palm, target, **_: info_operator_invert(palm, target, tol=tol))
+        if tol is not None else contextlib.nullcontext())
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = os.path.join(tmp, "bvm.cfg"), os.path.join(tmp, "out")
+        path, out = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "out")
         with open(path, "w") as fh:
             fh.write("".join(f"{k} = {v}\n" for k, v in cfg.items()))
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main(["bvm", "--config", path, "--out", out])
+        with invert, contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main([command, "--config", path, "--out", out])
         digests = {}
         for name in sorted(os.listdir(out)):
             with open(os.path.join(out, name), "rb") as fh:
-                digests[f"bvm/{case}/{name}"] = _sha(fh.read())
+                digests[f"{command}/{case}/{name}"] = _sha(fh.read())
     return code, digests
 
 
@@ -208,15 +289,29 @@ def test_thinning_stream_matches_golden_digest(truth):
     _check(f"stream/{truth}", _stream_digest(truth))
 
 
-@pytest.mark.parametrize("case", list(_BVM_CASES))
-def test_bvm_outputs_match_golden_digests(case):
-    code, digests = _bvm_digests(case)
-    assert code == _BVM_CASES[case][1]
+def _check_cli(command: str, case: str) -> None:
+    code, digests = _cli_digests(command, case)
+    assert code == _CLI_CASES[command][case][2]
     # the same files, no more and no fewer
     assert sorted(digests) == sorted(
-        name for name in DIGESTS if name.startswith(f"bvm/{case}/"))
+        name for name in DIGESTS if name.startswith(f"{command}/{case}/"))
     for name, digest in digests.items():
         _check(name, digest)
+
+
+@pytest.mark.parametrize("case", list(_CLI_CASES["bvm"]))
+def test_bvm_outputs_match_golden_digests(case):
+    _check_cli("bvm", case)
+
+
+@pytest.mark.parametrize("case", list(_CLI_CASES["palm"]))
+def test_palm_outputs_match_golden_digests(case):
+    _check_cli("palm", case)
+
+
+@pytest.mark.parametrize("case", list(_CLI_CASES["infer"]))
+def test_infer_outputs_match_golden_digests(case):
+    _check_cli("infer", case)
 
 
 if __name__ == "__main__":
@@ -225,7 +320,8 @@ if __name__ == "__main__":
         print(f'    "chain/{case}": "{_chain_digest(case)}",')
     for truth in _TRUTHS:
         print(f'    "stream/{truth}": "{_stream_digest(truth)}",')
-    for case in _BVM_CASES:
-        for name, digest in _bvm_digests(case)[1].items():
-            print(f'    "{name}": "{digest}",')
+    for command, cases in _CLI_CASES.items():
+        for case in cases:
+            for name, digest in _cli_digests(command, case)[1].items():
+                print(f'    "{name}": "{digest}",')
     sys.exit(0)
