@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("bvm", "run the full BvM experiment")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="config file path")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="overrides the config seed")
         p.add_argument("--threads", type=int, default=None)
@@ -48,7 +48,7 @@ def main(argv=None) -> int:
         overrides = {name: getattr(args, name) for name in ("seed", "threads")
                      if getattr(args, name) is not None}
         config = dataclasses.replace(config, **overrides)
-        out_dir = args.out or config.out_dir
+        out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

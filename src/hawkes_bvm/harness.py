@@ -19,8 +19,8 @@ from .likelihood import LanEstimator
 from .mcmc import (equal_tailed_interval, ess, posterior_functional,
                    run_chain)
 from .model import ModelParams
-from .palm import (bias_term, efficient_estimate, estimate_palm,
-                   info_operator_invert, optimal_variance)
+from .palm import (PALM_BATCHES, bias_term, efficient_estimate,
+                   estimate_palm, info_operator_invert, optimal_variance)
 from .priors import PriorSpec
 from .simulate import simulate_thinning
 from .stream import atomic_write
@@ -56,35 +56,34 @@ class ExperimentConfig:
     palm_cells: int
     palm_anchors: int
     palm_points: int
-    palm_horizon: float | None
-    palm_batches: int
-    invert_tol: float
     bias_dims: tuple
     lan_tsim: float
     lan_points: int
     seed: int
     threads: int
-    out_dir: str
     raw: dict = field(default_factory=dict, compare=False)
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.raw, sort_keys=True)
+        """sha256 prefix of the keys but `threads`, with the run's seed."""
+        keys = {k: v for k, v in self.raw.items() if k != "threads"}
+        blob = json.dumps(dict(keys, seed=str(self.seed)), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 def _model_from_config(cfg: dict) -> ModelParams:
+    # pops the inline model keys also beside a model file, which wins
+    K, A, m, kind, nu, h = (cfg.pop(key, default) for key, default in (
+        ("K", "1"), ("A", "1.0"), ("m", "1"), ("kind", "linear"),
+        ("nu", "1.0"), ("h", "0.0")))
     if "model_file" in cfg:
-        with open(cfg["model_file"]) as fh:
+        with open(cfg.pop("model_file")) as fh:
             return ModelParams.from_json(fh.read())
-    K = int(cfg.get("K", "1"))
-    A = float(cfg.get("A", "1.0"))
-    m = int(cfg.get("m", "1"))
-    kind = cfg.get("kind", "linear")
-    nu = np.array([float(v) for v in cfg.get("nu", "1.0").split()])
-    h_vals = np.array([float(v) for v in cfg.get("h", "0.0").split()])
+    K, m = int(K), int(m)
+    h_vals = np.array([float(v) for v in h.split()])
     if h_vals.size != K * K * m:
         raise ValueError("h must list K*K*m cell values")
-    return ModelParams(nu, h_vals.reshape(K, K, m), A, kind)
+    return ModelParams(np.array([float(v) for v in nu.split()]),
+                       h_vals.reshape(K, K, m), float(A), kind)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -93,60 +92,59 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def config_from_dict(cfg: dict) -> ExperimentConfig:
+    """Pops each key it reads from a copy of cfg; a key left is refused."""
+    raw, cfg = cfg, dict(cfg)
     f0 = _model_from_config(cfg)
     prior = PriorSpec(
         K=f0.K,
-        basis_kind=cfg.get("prior_basis", "histogram"),
-        c1=float(cfg.get("prior_c1", "1.0")),
-        J_max=int(cfg.get("prior_jmax", "32")),
-        theta_family=cfg.get("prior_theta", "shifted-exponential"),
-        kappa=float(cfg.get("prior_kappa", "0.0")),
-        rate=float(cfg.get("prior_rate", "1.0")),
-        sigma=float(cfg.get("prior_sigma", "1.0")),
-        nu_shape=float(cfg.get("prior_nu_shape", "2.0")),
-        nu_rate=float(cfg.get("prior_nu_rate", "1.0")),
-        link=cfg.get("prior_link", "identity"),
+        basis_kind=cfg.pop("prior_basis", "histogram"),
+        c1=float(cfg.pop("prior_c1", "1.0")),
+        J_max=int(cfg.pop("prior_jmax", "32")),
+        theta_family=cfg.pop("prior_theta", "shifted-exponential"),
+        kappa=float(cfg.pop("prior_kappa", "0.0")),
+        rate=float(cfg.pop("prior_rate", "1.0")),
+        sigma=float(cfg.pop("prior_sigma", "1.0")),
+        nu_shape=float(cfg.pop("prior_nu_shape", "2.0")),
+        nu_rate=float(cfg.pop("prior_nu_rate", "1.0")),
+        link=cfg.pop("prior_link", "identity"),
         support_end=f0.support_end,
     )
-    burn = cfg.get("mcmc_burn_in")
+    burn = cfg.pop("mcmc_burn_in", None)
     config = ExperimentConfig(
         f0=f0,
-        functional=parse_functional(cfg.get("functional", "background 1")),
+        functional=parse_functional(cfg.pop("functional", "background 1")),
         prior=prior,
-        horizons=tuple(float(v) for v in cfg.get("T", "2000").split()),
-        replications=int(cfg.get("R", "100")),
-        mcmc_iters=int(cfg.get("mcmc_iters", "20000")),
+        horizons=tuple(float(v) for v in cfg.pop("T", "2000").split()),
+        replications=int(cfg.pop("R", "100")),
+        mcmc_iters=int(cfg.pop("mcmc_iters", "20000")),
         mcmc_burn_in=int(burn) if burn is not None else None,
-        mcmc_thin=int(cfg.get("mcmc_thin", "5")),
-        p_j=float(cfg.get("p_j", "0.2")),
-        palm_cells=int(cfg.get("palm_cells", "16")),
-        palm_anchors=int(cfg.get("palm_anchors", "2000")),
-        palm_points=int(cfg.get("palm_points", "4000")),
-        palm_horizon=(float(cfg["palm_horizon"])
-                      if "palm_horizon" in cfg else None),
-        palm_batches=int(cfg.get("palm_batches", "20")),
-        invert_tol=float(cfg.get("invert_tol", "1e-8")),
+        mcmc_thin=int(cfg.pop("mcmc_thin", "5")),
+        p_j=float(cfg.pop("p_j", "0.2")),
+        palm_cells=int(cfg.pop("palm_cells", "16")),
+        palm_anchors=int(cfg.pop("palm_anchors", "2000")),
+        palm_points=int(cfg.pop("palm_points", "4000")),
         bias_dims=tuple(int(v)
-                        for v in cfg.get("bias_dims", "8").split()),
-        lan_tsim=float(cfg.get("lan_tsim", "2000")),
-        lan_points=int(cfg.get("lan_points", "20000")),
-        seed=int(cfg.get("seed", "0")),
-        threads=int(cfg.get("threads", "1")),
-        out_dir=cfg.get("out_dir", "out"),
-        raw=dict(cfg),
+                        for v in cfg.pop("bias_dims", "8").split()),
+        lan_tsim=float(cfg.pop("lan_tsim", "2000")),
+        lan_points=int(cfg.pop("lan_points", "20000")),
+        seed=int(cfg.pop("seed", "0")),
+        threads=int(cfg.pop("threads", "1")),
+        raw=dict(raw),
     )
+    if cfg:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(cfg))}")
     if not config.horizons:
         raise ValueError("T must list at least one horizon")
     if config.replications < 1:
         raise ValueError("R must be >= 1")
     _check_indices(config.functional, f0.K)
     for name in ("mcmc_iters", "mcmc_thin", "palm_cells", "palm_points",
-                 "palm_batches", "lan_points"):
+                 "lan_points"):
         if getattr(config, name) < 1:
             raise ValueError(f"{name} must be >= 1")
-    if config.palm_anchors < config.palm_batches:
+    if config.palm_anchors < PALM_BATCHES:
         # every Palm batch needs at least one anchor of each mark
-        raise ValueError("palm_anchors must be >= palm_batches")
+        raise ValueError(f"palm_anchors must be >= {PALM_BATCHES}")
     if config.mcmc_burn_in is not None and config.mcmc_burn_in < 0:
         raise ValueError("mcmc_burn_in must be >= 0")
     if any(j < 1 or config.palm_cells % j for j in config.bias_dims):
@@ -155,9 +153,6 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
     for t in config.horizons + (config.lan_tsim,):
         if not 0.0 < t < np.inf:
             raise ValueError("T and lan_tsim must be positive and finite")
-    if config.palm_horizon is not None and not (
-            0.0 < config.palm_horizon < np.inf):
-        raise ValueError("palm_horizon must be positive and finite")
     if not 0.0 <= config.p_j <= 1.0:
         raise ValueError("p_j must be in [0, 1]")
     return config
@@ -192,12 +187,10 @@ def compute_efficiency(config: ExperimentConfig) -> dict:
     factor = config.palm_cells // f0.n_cells
     palm = estimate_palm(
         f0, config.palm_cells, n_anchors=config.palm_anchors,
-        n_points=config.palm_points, n_batches=config.palm_batches,
-        seed=np.random.SeedSequence(config.seed).spawn(1)[0],
-        horizon=config.palm_horizon)
+        n_points=config.palm_points,
+        seed=np.random.SeedSequence(config.seed).spawn(1)[0])
     psi2 = riesz_representor(fspec, f0).refine(factor)
-    psi_l, residual, converged = info_operator_invert(
-        palm, psi2, tol=config.invert_tol)
+    psi_l, residual, converged = info_operator_invert(palm, psi2)
     v0 = optimal_variance(psi_l, psi2)
     return {"palm": palm, "psi_2": psi2, "psi_L": psi_l,
             "residual": residual, "converged": converged, "v0": v0,

@@ -144,9 +144,13 @@ def _grouped_outer(X: CountDesign, inv: np.ndarray,
     return out.reshape(n_group, n_col, inv.shape[1])
 
 
+# the Palm tensors' batch count; palm_anchors must be at least this
+PALM_BATCHES = 20
+
+
 def estimate_palm(f0: ModelParams, n_cells: int,
                   n_anchors: int = 2000, n_points: int = 4000,
-                  n_batches: int = 20,
+                  n_batches: int = PALM_BATCHES,
                   seed: int | np.random.SeedSequence = 0,
                   stream: EventStream | None = None,
                   horizon: float | None = None) -> PalmEstimates:

@@ -211,7 +211,7 @@ _BVM_CFG = {
     "palm_cells": "16", "palm_anchors": "2000", "palm_points": "4000",
     "lan_tsim": "2000", "lan_points": "20000",
     "bias_dims": "4 8 16",
-    "seed": "0", "threads": "8",
+    "seed": "0", "threads": "2",
 }
 
 

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import stats
 
+from hawkes_bvm import harness
 from hawkes_bvm.cli import main as cli_main
 from hawkes_bvm.harness import (bvm_distance, config_from_dict,
                                 emit_outputs, job_seeds, load_config,
                                 parse_config_text, run_experiment,
                                 summarise)
-from hawkes_bvm.palm import load_palm
+from hawkes_bvm.palm import PALM_BATCHES, info_operator_invert, load_palm
 
 
 BASE_CFG = {
@@ -67,17 +68,8 @@ def test_config_rejects_functional_mark_before_any_work(functional):
 def test_config_rejects_fewer_palm_anchors_than_batches():
     # an anchorless batch would enter the pooled Palm means as zeros
     with pytest.raises(ValueError, match="palm_anchors"):
-        config_from_dict(dict(BASE_CFG, palm_anchors="10",
-                              palm_batches="20"))
-    config_from_dict(dict(BASE_CFG, palm_anchors="20", palm_batches="20"))
-
-
-@pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
-def test_config_rejects_bad_palm_horizon(value):
-    # the thinning simulator stops only past the horizon: an infinite one
-    # ran to the 50M-event budget
-    with pytest.raises(ValueError, match="palm_horizon"):
-        config_from_dict(dict(BASE_CFG, palm_horizon=value))
+        config_from_dict(dict(BASE_CFG, palm_anchors=str(PALM_BATCHES - 1)))
+    config_from_dict(dict(BASE_CFG, palm_anchors=str(PALM_BATCHES)))
 
 
 def test_config_seed_override_priority(tmp_path):
@@ -102,6 +94,27 @@ def test_config_hash_tracks_content():
     b = config_from_dict(changed)
     assert a.config_hash() != b.config_hash()
     assert a.config_hash() == config_from_dict(dict(BASE_CFG)).config_hash()
+
+
+@pytest.mark.parametrize("in_file, under_flag, flags", [
+    # the thread count leaves every output as it is, so not the hash
+    ({"threads": "2"}, {}, ["--threads", "2"]),
+    # the hash is that of the seed the run used, not of the file's
+    ({"seed": "5"}, {"seed": "0"}, ["--seed", "5"]),
+], ids=["threads", "seed"])
+def test_cli_bvm_report_identical_from_file_or_flag(tmp_path, in_file,
+                                                    under_flag, flags):
+    reports = []
+    for name, keys, extra in (("file", in_file, []),
+                              ("flag", under_flag, flags)):
+        (tmp_path / name).mkdir()
+        path = _write_cfg(tmp_path / name,
+                          {"mcmc_iters": "200", "R": "1", **keys})
+        out = tmp_path / name / "bvm"
+        assert cli_main(["bvm", "--config", path, "--out", str(out),
+                         *extra]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_config_model_file(tmp_path):
@@ -405,10 +418,18 @@ def test_cli_bvm_report_identical_across_threads(tmp_path):
     assert all(r["ok"] for r in json.loads(reports[0])["replications"])
 
 
-def test_cli_bvm_exit_code_when_inversion_not_converged(tmp_path):
+def _invert_at(monkeypatch, tol: float) -> None:
+    # the operator inverse at `tol` in place of its default
+    monkeypatch.setattr(
+        harness, "info_operator_invert",
+        lambda palm, target, **_: info_operator_invert(palm, target, tol=tol))
+
+
+def test_cli_bvm_exit_code_when_inversion_not_converged(tmp_path,
+                                                        monkeypatch):
     # a zero tolerance is never met: the outputs are written, exit code 3
-    path = _write_cfg(tmp_path, {"mcmc_iters": "200", "R": "1",
-                                 "invert_tol": "0"})
+    _invert_at(monkeypatch, 0.0)
+    path = _write_cfg(tmp_path, {"mcmc_iters": "200", "R": "1"})
     out = tmp_path / "bvm"
     assert cli_main(["bvm", "--config", path, "--out", str(out)]) == 3
     report = json.loads((out / "report.json").read_text())
@@ -417,9 +438,11 @@ def test_cli_bvm_exit_code_when_inversion_not_converged(tmp_path):
 
 
 @pytest.mark.parametrize("tol, code", [("1e-8", 0), ("0", 3)])
-def test_cli_palm_writes_palm_and_efficiency(tmp_path, tol, code):
+def test_cli_palm_writes_palm_and_efficiency(tmp_path, monkeypatch, tol,
+                                             code):
     # a zero tolerance is never met: both files are written, exit code 3
-    path = _write_cfg(tmp_path, {"bias_dims": "4", "invert_tol": tol})
+    _invert_at(monkeypatch, float(tol))
+    path = _write_cfg(tmp_path, {"bias_dims": "4"})
     out = tmp_path / "palm"
     assert cli_main(["palm", "--config", path, "--out", str(out)]) == code
     saved = load_palm(str(out / "palm.json"))
@@ -495,6 +518,18 @@ def test_cli_infer_bad_prior_or_thin_exit_code(tmp_path, capsys, extra):
 
 
 @pytest.mark.parametrize("command", ["simulate", "infer", "palm", "bvm"])
+@pytest.mark.parametrize("key", ["prior_sigm", "palm_horizon",
+                                 "palm_batches", "invert_tol", "out_dir"])
+def test_cli_refuses_unread_config_keys(tmp_path, capsys, key, command):
+    # a typo, or a key the program no longer reads, would otherwise leave
+    # its setting at the default without a word
+    path = _write_cfg(tmp_path, {key: "0.3", "prior_theta": "gaussian"})
+    assert cli_main([command, "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown config keys: {key}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "infer", "palm", "bvm"])
 def test_cli_empty_horizon_list_exit_code(tmp_path, capsys, command):
     path = _write_cfg(tmp_path, {"T": ""})
     assert cli_main([command, "--config", path,
@@ -503,7 +538,7 @@ def test_cli_empty_horizon_list_exit_code(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("extra", [
-    {"palm_batches": "0"},
+    {"palm_batches": "0"},  # not a config key: refused as unknown
     {"palm_cells": "0"},
     {"palm_points": "0"},
     {"lan_points": "0"},
