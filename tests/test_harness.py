@@ -72,6 +72,15 @@ def test_config_rejects_fewer_palm_anchors_than_batches():
     config_from_dict(dict(BASE_CFG, palm_anchors=str(PALM_BATCHES)))
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
+def test_config_rejects_bad_palm_horizon(value):
+    # an infinite palm_horizon once ran the thinning simulator to its
+    # 50M-event budget; the key is no longer read, so every value of it is
+    # refused as unknown rather than silently ignored
+    with pytest.raises(ValueError, match="unknown config keys: palm_horizon"):
+        config_from_dict(dict(BASE_CFG, palm_horizon=value))
+
+
 def test_config_seed_override_priority(tmp_path):
     config = config_from_dict(dict(BASE_CFG, seed="99"))
     assert config.seed == 99
