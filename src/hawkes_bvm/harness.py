@@ -6,12 +6,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._special import ndtr
 from .functionals import (FunctionalSpec, _check_indices, eval_functional,
                           parse_functional, riesz_representor)
 from .grids import Direction
@@ -158,6 +158,14 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
     return config
 
 
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def normal_cdf(a: float) -> float:
+    """The standard normal CDF at a, from the C library's erfc."""
+    return 0.5 * math.erfc(-a * _SQRT1_2)
+
+
 def bvm_distance(posterior_samples: np.ndarray, center: float,
                  horizon: float, v0: float) -> float:
     """KS distance between the centered-scaled posterior sample and
@@ -169,11 +177,12 @@ def bvm_distance(posterior_samples: np.ndarray, center: float,
     if samples.size < 100:
         raise ValueError("need at least 100 posterior samples")
     z = np.sqrt(horizon) * (samples - center)
-    # the two-sided statistic of scipy's `kstest(z, "norm", args=(0.0,
-    # sqrt(v0)))`, step for step, without its p-value
+    # the two-sided statistic of scipy's `kstest` of z against the CDF
+    # normal_cdf((z - 0.0) / sqrt(v0)), step for step, without its p-value
     x = np.sort(z)
     n = x.size
-    cdf = np.array([ndtr(v) for v in ((x - 0.0) / np.sqrt(v0)).tolist()])
+    cdf = np.array([normal_cdf(v)
+                    for v in ((x - 0.0) / np.sqrt(v0)).tolist()])
     d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
     d_minus = np.max(cdf - np.arange(0.0, n) / n)
     return float(d_plus if d_plus > d_minus else d_minus)

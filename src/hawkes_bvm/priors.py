@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import gammaln
 from .model import spectral_radius
 
 
@@ -331,7 +330,7 @@ class PriorSpec:
     def _nu_log_norm(self) -> float:
         """The per-rate constant of the Gamma log density."""
         a, b = self.nu_shape, self.nu_rate
-        return float(a * np.log(b) - gammaln(float(a)))
+        return float(a * np.log(b) - math.lgamma(a))
 
     def theta_logpdf(self, theta: np.ndarray) -> float:
         x = _floats(theta)

@@ -5,14 +5,14 @@ import os
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from hawkes_bvm import harness
 from hawkes_bvm.cli import main as cli_main
 from hawkes_bvm.harness import (bvm_distance, config_from_dict,
                                 emit_outputs, job_seeds, load_config,
-                                parse_config_text, run_experiment,
-                                summarise)
+                                normal_cdf, parse_config_text,
+                                run_experiment, summarise)
 from hawkes_bvm.palm import PALM_BATCHES, info_operator_invert, load_palm
 
 
@@ -177,12 +177,61 @@ _TIED = [0.1] * 40 + [-0.3] * 35 + [0.1] * 25  # n = 100 on two values
 def test_bvm_distance_equals_scipy_kstest(samples, center, horizon, v0):
     samples = np.array(samples)
     z = np.sqrt(horizon) * (samples - center)
-    expect = stats.kstest(z, "norm", args=(0, np.sqrt(v0))).statistic
+
+    def cdf(x):
+        return np.array([normal_cdf(v)
+                         for v in ((x - 0.0) / np.sqrt(v0)).tolist()])
+
+    expect = stats.kstest(z, cdf).statistic
     got = bvm_distance(samples, center, horizon, v0)
     if math.isnan(expect):
         assert math.isnan(got)
     else:
         assert got == expect
+
+
+_TINY = 5e-324  # the smallest subnormal
+_EPS = np.finfo(float).eps
+
+
+def _around(points):
+    """Each point and its two floating-point neighbours."""
+    points = np.asarray(points, dtype=float)
+    return np.concatenate((points, np.nextafter(points, np.inf),
+                           np.nextafter(points, -np.inf)))
+
+
+# the branch points of the Cephes `ndtr` and `lgam` that scipy.special
+# evaluates: for ndtr |a| = 1, sqrt 2 and 8 sqrt 2 (erf or erfc, and the
+# erfc series), the underflow of exp(-a^2 / 2) near |a| = 37.5; for lgam
+# the reflection below -34, the recurrence below 13, the Stirling series
+# below 1000 and 1e8. The two log-gammas part where Cephes gives inf: at
+# a subnormal argument and beyond 2.556348e305 (math.lgamma is finite or
+# raises OverflowError), and at the poles (ValueError)
+_NDTR_POINTS = [0.0, _TINY, 2.2e-308, 1 / math.sqrt(2), 1.0, math.sqrt(2),
+                8.0, 8 * math.sqrt(2), 37.5, 37.68, 37.6773, 38.5, 1e300]
+_GAMMALN_POINTS = [1.0, 2.0, 3.0, 13.0, 1000.0, 1e8, 2.5e305, 0.5, 2.5,
+                   12.5, -0.5, -33.5, -34.5, -35.5, -1e8 - 0.5]
+
+
+def test_normal_cdf_and_lgamma_near_scipy_special():
+    """Phi within 2^-51 of scipy's ndtr: at most two ulp of a value in
+    [0.5, 1), so a KS distance moves by no more. log Gamma within
+    16 eps max(1, |log Gamma|) of scipy's gammaln at every finite
+    non-pole argument; the Gamma prior's normaliser is log Gamma of a
+    positive shape."""
+    a = np.concatenate((_around(_NDTR_POINTS + [-x for x in _NDTR_POINTS]),
+                        np.linspace(-40.0, 40.0, 200_001)))
+    got = np.array([normal_cdf(v) for v in a.tolist()])
+    assert np.all(np.abs(got - special.ndtr(a)) <= 2.0 ** -51)
+    assert normal_cdf(-math.inf) == 0.0 and normal_cdf(math.inf) == 1.0
+    x = np.concatenate((_around(_GAMMALN_POINTS),
+                        np.linspace(-50.0, 50.0, 100_001),
+                        np.geomspace(1e-300, 1e300, 50_001)))
+    x = x[(x > 0) | (x != np.floor(x))]  # no pole
+    got = np.array([math.lgamma(v) for v in x.tolist()])
+    want = special.gammaln(x)
+    assert np.all(np.abs(got - want) <= 16 * _EPS * np.maximum(1.0, abs(want)))
 
 
 def test_bvm_distance_guards():
