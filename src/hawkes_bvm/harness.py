@@ -63,6 +63,33 @@ class ExperimentConfig:
     threads: int
     raw: dict = field(default_factory=dict, compare=False)
 
+    def __post_init__(self):
+        # also run on the config that CLI overrides make with `replace`
+        if not self.horizons:
+            raise ValueError("T must list at least one horizon")
+        if self.replications < 1:
+            raise ValueError("R must be >= 1")
+        for name in ("mcmc_iters", "mcmc_thin", "palm_cells", "palm_points",
+                     "lan_points", "threads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        _check_indices(self.functional, self.f0.K)
+        if self.palm_anchors < PALM_BATCHES:
+            # every Palm batch needs at least one anchor of each mark
+            raise ValueError(f"palm_anchors must be >= {PALM_BATCHES}")
+        if self.mcmc_burn_in is not None and self.mcmc_burn_in < 0:
+            raise ValueError("mcmc_burn_in must be >= 0")
+        if any(j < 1 or self.palm_cells % j for j in self.bias_dims):
+            raise ValueError("each bias_dims entry must be >= 1 and divide "
+                             "palm_cells")
+        for t in self.horizons + (self.lan_tsim,):
+            if not 0.0 < t < np.inf:
+                raise ValueError("T and lan_tsim must be positive and finite")
+        if not 0.0 <= self.p_j <= 1.0:
+            raise ValueError("p_j must be in [0, 1]")
+
     def config_hash(self) -> str:
         """sha256 prefix of the keys but `threads`, with the run's seed."""
         keys = {k: v for k, v in self.raw.items() if k != "threads"}
@@ -70,20 +97,32 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _model_from_config(cfg: dict) -> ModelParams:
-    # pops the inline model keys also beside a model file, which wins
-    K, A, m, kind, nu, h = (cfg.pop(key, default) for key, default in (
-        ("K", "1"), ("A", "1.0"), ("m", "1"), ("kind", "linear"),
-        ("nu", "1.0"), ("h", "0.0")))
-    if "model_file" in cfg:
-        with open(cfg.pop("model_file")) as fh:
+# every config key the program reads but `model_file`, with its default;
+# the inline model keys are read also beside a model file, which wins
+_DEFAULTS = {
+    "K": "1", "A": "1.0", "m": "1", "kind": "linear", "nu": "1.0",
+    "h": "0.0", "prior_basis": "histogram", "prior_c1": "1.0",
+    "prior_jmax": "32", "prior_theta": "shifted-exponential",
+    "prior_kappa": "0.0", "prior_rate": "1.0", "prior_sigma": "1.0",
+    "prior_nu_shape": "2.0", "prior_nu_rate": "1.0",
+    "prior_link": "identity", "functional": "background 1", "T": "2000",
+    "R": "100", "mcmc_iters": "20000", "mcmc_burn_in": None,
+    "mcmc_thin": "5", "p_j": "0.2", "palm_cells": "16",
+    "palm_anchors": "2000", "palm_points": "4000", "bias_dims": "8",
+    "lan_tsim": "2000", "lan_points": "20000", "seed": "0", "threads": "1",
+}
+
+
+def _model_from_config(cfg: dict, model_file: str | None) -> ModelParams:
+    if model_file is not None:
+        with open(model_file) as fh:
             return ModelParams.from_json(fh.read())
-    K, m = int(K), int(m)
-    h_vals = np.array([float(v) for v in h.split()])
+    K, m = int(cfg["K"]), int(cfg["m"])
+    h_vals = np.array([float(v) for v in cfg["h"].split()])
     if h_vals.size != K * K * m:
         raise ValueError("h must list K*K*m cell values")
-    return ModelParams(np.array([float(v) for v in nu.split()]),
-                       h_vals.reshape(K, K, m), float(A), kind)
+    return ModelParams(np.array([float(v) for v in cfg["nu"].split()]),
+                       h_vals.reshape(K, K, m), float(cfg["A"]), cfg["kind"])
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -91,71 +130,35 @@ def load_config(path: str) -> ExperimentConfig:
         return config_from_dict(parse_config_text(fh.read()))
 
 
-def config_from_dict(cfg: dict) -> ExperimentConfig:
-    """Pops each key it reads from a copy of cfg; a key left is refused."""
-    raw, cfg = cfg, dict(cfg)
-    f0 = _model_from_config(cfg)
+def config_from_dict(raw: dict) -> ExperimentConfig:
+    """Pops the keys it reads from a copy; refuses any left, then converts."""
+    rest = dict(raw)
+    model_file = rest.pop("model_file", None)
+    cfg = {key: rest.pop(key, default) for key, default in _DEFAULTS.items()}
+    if rest:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(rest))}")
+    f0 = _model_from_config(cfg, model_file)
     prior = PriorSpec(
-        K=f0.K,
-        basis_kind=cfg.pop("prior_basis", "histogram"),
-        c1=float(cfg.pop("prior_c1", "1.0")),
-        J_max=int(cfg.pop("prior_jmax", "32")),
-        theta_family=cfg.pop("prior_theta", "shifted-exponential"),
-        kappa=float(cfg.pop("prior_kappa", "0.0")),
-        rate=float(cfg.pop("prior_rate", "1.0")),
-        sigma=float(cfg.pop("prior_sigma", "1.0")),
-        nu_shape=float(cfg.pop("prior_nu_shape", "2.0")),
-        nu_rate=float(cfg.pop("prior_nu_rate", "1.0")),
-        link=cfg.pop("prior_link", "identity"),
-        support_end=f0.support_end,
-    )
-    burn = cfg.pop("mcmc_burn_in", None)
-    config = ExperimentConfig(
-        f0=f0,
-        functional=parse_functional(cfg.pop("functional", "background 1")),
-        prior=prior,
-        horizons=tuple(float(v) for v in cfg.pop("T", "2000").split()),
-        replications=int(cfg.pop("R", "100")),
-        mcmc_iters=int(cfg.pop("mcmc_iters", "20000")),
+        K=f0.K, basis_kind=cfg["prior_basis"], c1=float(cfg["prior_c1"]),
+        J_max=int(cfg["prior_jmax"]), theta_family=cfg["prior_theta"],
+        kappa=float(cfg["prior_kappa"]), rate=float(cfg["prior_rate"]),
+        sigma=float(cfg["prior_sigma"]),
+        nu_shape=float(cfg["prior_nu_shape"]),
+        nu_rate=float(cfg["prior_nu_rate"]), link=cfg["prior_link"],
+        support_end=f0.support_end)
+    burn = cfg["mcmc_burn_in"]
+    return ExperimentConfig(
+        f0=f0, functional=parse_functional(cfg["functional"]), prior=prior,
+        horizons=tuple(float(v) for v in cfg["T"].split()),
+        replications=int(cfg["R"]), mcmc_iters=int(cfg["mcmc_iters"]),
         mcmc_burn_in=int(burn) if burn is not None else None,
-        mcmc_thin=int(cfg.pop("mcmc_thin", "5")),
-        p_j=float(cfg.pop("p_j", "0.2")),
-        palm_cells=int(cfg.pop("palm_cells", "16")),
-        palm_anchors=int(cfg.pop("palm_anchors", "2000")),
-        palm_points=int(cfg.pop("palm_points", "4000")),
-        bias_dims=tuple(int(v)
-                        for v in cfg.pop("bias_dims", "8").split()),
-        lan_tsim=float(cfg.pop("lan_tsim", "2000")),
-        lan_points=int(cfg.pop("lan_points", "20000")),
-        seed=int(cfg.pop("seed", "0")),
-        threads=int(cfg.pop("threads", "1")),
-        raw=dict(raw),
-    )
-    if cfg:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(cfg))}")
-    if not config.horizons:
-        raise ValueError("T must list at least one horizon")
-    if config.replications < 1:
-        raise ValueError("R must be >= 1")
-    _check_indices(config.functional, f0.K)
-    for name in ("mcmc_iters", "mcmc_thin", "palm_cells", "palm_points",
-                 "lan_points"):
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be >= 1")
-    if config.palm_anchors < PALM_BATCHES:
-        # every Palm batch needs at least one anchor of each mark
-        raise ValueError(f"palm_anchors must be >= {PALM_BATCHES}")
-    if config.mcmc_burn_in is not None and config.mcmc_burn_in < 0:
-        raise ValueError("mcmc_burn_in must be >= 0")
-    if any(j < 1 or config.palm_cells % j for j in config.bias_dims):
-        raise ValueError("each bias_dims entry must be >= 1 and divide "
-                         "palm_cells")
-    for t in config.horizons + (config.lan_tsim,):
-        if not 0.0 < t < np.inf:
-            raise ValueError("T and lan_tsim must be positive and finite")
-    if not 0.0 <= config.p_j <= 1.0:
-        raise ValueError("p_j must be in [0, 1]")
-    return config
+        mcmc_thin=int(cfg["mcmc_thin"]), p_j=float(cfg["p_j"]),
+        palm_cells=int(cfg["palm_cells"]),
+        palm_anchors=int(cfg["palm_anchors"]),
+        palm_points=int(cfg["palm_points"]),
+        bias_dims=tuple(int(v) for v in cfg["bias_dims"].split()),
+        lan_tsim=float(cfg["lan_tsim"]), lan_points=int(cfg["lan_points"]),
+        seed=int(cfg["seed"]), threads=int(cfg["threads"]), raw=dict(raw))
 
 
 _SQRT1_2 = math.sqrt(0.5)

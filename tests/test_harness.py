@@ -588,6 +588,40 @@ def test_cli_refuses_unread_config_keys(tmp_path, capsys, key, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "infer", "palm", "bvm"])
+def test_cli_names_misspelt_key_not_the_error_of_its_default(tmp_path,
+                                                             capsys,
+                                                             command):
+    # with h at its default of one value, m = 2 alone would fail the
+    # model's check before the misspelt hh is seen
+    cfg = dict(BASE_CFG, m="2", hh="0.5 0.2")
+    del cfg["h"]
+    path = tmp_path / "exp.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    assert cli_main([command, "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "unknown config keys: hh\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "infer", "palm", "bvm"])
+@pytest.mark.parametrize("in_file, flags", [
+    ({"threads": "0"}, []),
+    ({}, ["--threads", "0"]),
+    ({"seed": "-1"}, []),
+    ({}, ["--seed", "-1"]),
+])
+def test_cli_refuses_bad_threads_or_seed_by_name(tmp_path, capsys, command,
+                                                 in_file, flags):
+    # a command-line override passes the config's checks too
+    path = _write_cfg(tmp_path, in_file)
+    out = tmp_path / "o"
+    assert cli_main([command, "--config", path, "--out", str(out),
+                     *flags]) == 2
+    key = "threads" if "threads" in in_file or "--threads" in flags else "seed"
+    assert f"config error: {key} must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "infer", "palm", "bvm"])
 def test_cli_empty_horizon_list_exit_code(tmp_path, capsys, command):
     path = _write_cfg(tmp_path, {"T": ""})
     assert cli_main([command, "--config", path,
