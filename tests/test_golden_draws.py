@@ -19,7 +19,8 @@ The digests depend on numpy's arithmetic and random streams, so the
 numpy and Python versions they were recorded with are kept beside them.
 A deliberate change of the draws, or a new numpy, means recording them
 again: `PYTHONPATH=src python tests/test_golden_draws.py` prints the
-table to paste below.
+table to paste below, and to stderr each key whose digest changed and
+each key added or missing, to list with the change.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import os
 import platform
 import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -315,13 +317,22 @@ def test_infer_outputs_match_golden_digests(case):
 
 
 if __name__ == "__main__":
+    warnings.simplefilter("ignore")  # a chain's acceptance warnings
     print(f"RECORDED_WITH = {_running_with()!r}")
-    for case in _CHAINS:
-        print(f'    "chain/{case}": "{_chain_digest(case)}",')
-    for truth in _TRUTHS:
-        print(f'    "stream/{truth}": "{_stream_digest(truth)}",')
+    table = {f"chain/{case}": _chain_digest(case) for case in _CHAINS}
+    table.update((f"stream/{truth}", _stream_digest(truth))
+                 for truth in _TRUTHS)
     for command, cases in _CLI_CASES.items():
         for case in cases:
-            for name, digest in _cli_digests(command, case)[1].items():
-                print(f'    "{name}": "{digest}",')
+            table.update(_cli_digests(command, case)[1])
+    for name, digest in table.items():
+        print(f'    "{name}": "{digest}",')
+    # what differs from DIGESTS, for the change log
+    for name in sorted(table.keys() | DIGESTS.keys()):
+        if name not in DIGESTS:
+            print(f"added: {name}", file=sys.stderr)
+        elif name not in table:
+            print(f"missing: {name}", file=sys.stderr)
+        elif table[name] != DIGESTS[name]:
+            print(f"changed: {name}", file=sys.stderr)
     sys.exit(0)
