@@ -172,8 +172,9 @@ def normal_cdf(a: float) -> float:
 def bvm_distance(posterior_samples: np.ndarray, center: float,
                  horizon: float, v0: float) -> float:
     """KS distance between the centered-scaled posterior sample and
-    N(0, V0). KS bounds the bounded-Lipschitz metric up to constants and
-    has a tractable null, so it stands in for d_BL here."""
+    N(0, V0). It stands in for the bounded-Lipschitz metric d_BL and
+    tends to 0 with it, but bounds it only with tail control: d_BL <=
+    (2 + 2M) KS + the mass both laws put outside [-M, M], for any M."""
     samples = np.asarray(posterior_samples, dtype=float)
     if v0 <= 0:
         raise ValueError("V0 must be positive")
@@ -300,8 +301,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "palm_converged": efficiency["converged"],
         "bias": bias,
         "replications": results,
-        "metric_note": ("KS distance reported; it bounds the "
-                        "bounded-Lipschitz metric up to constants"),
+        "metric_note": ("KS distance reported; it bounds the bounded-"
+                        "Lipschitz metric only with tail control: d_BL <= "
+                        "(2 + 2M) KS + both laws' mass outside [-M, M]"),
         **summarise(results),
     }
 

@@ -85,7 +85,7 @@ DIGESTS = {
     "bvm/two-horizons/replications.csv":
         "a3e2191d4638a43bd9d55bf88d02b05ce276ed91406775ae427f4ebe7a5c0cc8",
     "bvm/two-horizons/report.json":
-        "a1d5cef630b8e4d9fd6b7c638f37a31f1beeee68adeda4ae11a3b49828aa4c68",
+        "78afa69b5e3aae6ef5a7a1d4c0f8dd8d1956b177a96c21263daec14975beeaa8",
     "bvm/few-draws/plots.gp":
         "97c6e98f6e202fa7f6d910d59c968284bef50dab41434acc229ae0f3e4a720ca",
     "bvm/few-draws/posterior_0.csv":
@@ -99,13 +99,13 @@ DIGESTS = {
     "bvm/few-draws/replications.csv":
         "f66b4be7b9bbd7ad9ce37a61bc712143cb5dd92b27c68f8a661b8ba11e8cfd68",
     "bvm/few-draws/report.json":
-        "4420ef399fe90f28ccf3678c6863857f6cca755936a9eceb4dd22837012c706e",
+        "54a6d94cca41d08c9b7e2c96ab2461488154a8dc5660707e4e5e9df44bafeda1",
     "bvm/all-failed/plots.gp":
         "cd222bcc134042b31de9d57fc935d9a7bad8a2811f4bebb490882a77258416c4",
     "bvm/all-failed/replications.csv":
         "547b5d6b0cfb6b77d06adcb98dcf83d80ae7270453537134fc5ffa5ffd9f2cd9",
     "bvm/all-failed/report.json":
-        "52277be3122ef4acaadcc2c06f142ee42519f1f579abe6a81d9a40e321e4bc60",
+        "6814d4ec7fcf4bc186b0366285a146a1fd77768291ebacd610f223117604c66a",
     "bvm/k2-two-horizons/plots.gp":
         "1beed45b908aa8384adfa451456035c6b4b9a7bbcc55f2e6c269146aa851af34",
     "bvm/k2-two-horizons/posterior_0.csv":
@@ -115,7 +115,7 @@ DIGESTS = {
     "bvm/k2-two-horizons/replications.csv":
         "846e5ce9502b8a11081ecc5983646775e885335f69f6431b15b89a638693b4a5",
     "bvm/k2-two-horizons/report.json":
-        "209edf48b9c7876e1e3d8606b5e77b642d63ab9d824f3744822407ec53f007fd",
+        "46d210849152523ede1f2eaa0c0ac46ceb4dfd7ec59d779f6257754394553c95",
     "palm/k1/efficiency.json":
         "92a8768c8f53e27243d403ab5e25d127f59ac633c4977d38bcff94955f81a52d",
     "palm/k1/palm.json":
