@@ -8,10 +8,11 @@ event times and marks of `simulate_thinning` for a K = 1, a K = 2 and a
 ReLU truth, the first two also on the finer grids the benchmark's LAN
 estimators simulate on, and a K = 2 ReLU truth, and every file the CLI
 writes for small configs: `bvm` (`report.json`, `replications.csv`,
-`plots.gp` and each `posterior_<r>.csv`) on three K = 1 configs and one
-K = 2, `palm` (`palm.json`, `efficiency.json`) converged and not, at
-K = 1 and K = 2, and `infer` (`draws.csv`, `chain.json`) at K = 1, K = 2,
-with the Haar/softplus prior and on a ReLU truth. A change that must
+`plots.gp` and each `posterior_<r>.csv`) on three K = 1 configs, one
+K = 2 and the criterion-7 experiment cut short, `palm` (`palm.json`,
+`efficiency.json`) converged and not, at K = 1 and K = 2, and `infer`
+(`draws.csv`, `chain.json`) at K = 1, K = 2, with the Haar/softplus
+prior and on a ReLU truth. A change that must
 leave every draw, stream and output file as it was is checked against
 them.
 
@@ -44,6 +45,7 @@ from hawkes_bvm.mcmc import run_chain
 from hawkes_bvm.model import ModelParams
 from hawkes_bvm.palm import info_operator_invert
 from hawkes_bvm.simulate import simulate_thinning
+from test_acceptance import _BVM_CFG
 from test_harness import BASE_CFG
 from test_mcmc import _data, _haar_case, _k2_case, _relu_case, _spec
 
@@ -116,6 +118,18 @@ DIGESTS = {
         "846e5ce9502b8a11081ecc5983646775e885335f69f6431b15b89a638693b4a5",
     "bvm/k2-two-horizons/report.json":
         "46d210849152523ede1f2eaa0c0ac46ceb4dfd7ec59d779f6257754394553c95",
+    "bvm/criterion-7/plots.gp":
+        "49f1a87e5b26e9603d1ddb69919bfee5f2c34bfe25a4b5b3396b0f4e66f3feba",
+    "bvm/criterion-7/posterior_0.csv":
+        "eb364784d768a82157916c1ff5460258bdacc3ae78e681a323aee824e4814f60",
+    "bvm/criterion-7/posterior_1.csv":
+        "aed1e26ac02bb467c5aee76c495015c6c15c8112b02bba6cbe3abfa4790c0392",
+    "bvm/criterion-7/posterior_2.csv":
+        "b7313f435c96c4687ebf22653ff841bfc4eeda04efe22e7428a76222e91e940d",
+    "bvm/criterion-7/replications.csv":
+        "a5f84d5fa391cf5943d647dfcd5e1d5919886c2e579e632f7bea820054358eb0",
+    "bvm/criterion-7/report.json":
+        "d697eb7bac0190983986b76a083421a4a87167210bb25db42e3c5f790b8539cf",
     "palm/k1/efficiency.json":
         "92a8768c8f53e27243d403ab5e25d127f59ac633c4977d38bcff94955f81a52d",
     "palm/k1/palm.json":
@@ -202,6 +216,10 @@ _CLI_CASES = {
         # the K = 2 Palm tensors, LAN Gram, bias and W_T
         "k2-two-horizons": (dict(_K2, T="120 240", R="1", mcmc_iters="200"),
                             None, 0),
+        # the criterion-7 experiment at T = 2000, cut to three chains of
+        # 4000 iterations (640 draws each) on one process
+        "criterion-7": (dict(_BVM_CFG, R="3", mcmc_iters="4000",
+                             threads="1"), None, 0),
     },
     "palm": {
         "k1": ({}, None, 0),
