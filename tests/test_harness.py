@@ -603,20 +603,16 @@ def test_cli_names_misspelt_key_not_the_error_of_its_default(tmp_path,
 
 
 @pytest.mark.parametrize("command", ["simulate", "infer", "palm", "bvm"])
-@pytest.mark.parametrize("in_file, flags", [
-    ({"threads": "0"}, []),
-    ({}, ["--threads", "0"]),
-    ({"seed": "-1"}, []),
-    ({}, ["--seed", "-1"]),
-])
+@pytest.mark.parametrize("as_flag", [False, True])
+@pytest.mark.parametrize("key, value", [("threads", "0"), ("seed", "-1")])
 def test_cli_refuses_bad_threads_or_seed_by_name(tmp_path, capsys, command,
-                                                 in_file, flags):
+                                                 as_flag, key, value):
     # a command-line override passes the config's checks too
-    path = _write_cfg(tmp_path, in_file)
+    path = _write_cfg(tmp_path, None if as_flag else {key: value})
+    flags = [f"--{key}", value] if as_flag else []
     out = tmp_path / "o"
     assert cli_main([command, "--config", path, "--out", str(out),
                      *flags]) == 2
-    key = "threads" if "threads" in in_file or "--threads" in flags else "seed"
     assert f"config error: {key} must be >= " in capsys.readouterr().err
     assert not out.exists()
 
