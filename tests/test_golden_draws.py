@@ -6,7 +6,9 @@ Each digest is the sha256 of a fixed run's output: the `to_csv()` and
 `test_chain_draws_equal_reference_evaluation`, the raw bytes of the
 event times and marks of `simulate_thinning` for a K = 1, a K = 2 and a
 ReLU truth, the first two also on the finer grids the benchmark's LAN
-estimators simulate on, and a K = 2 ReLU truth, and every file the CLI
+estimators simulate on, a K = 2 ReLU truth and a K = 1 ReLU truth whose
+lane clamps, the same bytes of `simulate_cluster` for the K = 1 and
+K = 2 linear truths, and every file the CLI
 writes for small configs: `bvm` (`report.json`, `replications.csv`,
 `plots.gp` and each `posterior_<r>.csv`) on three K = 1 configs, one
 K = 2 and the criterion-7 experiment cut short, `palm` (`palm.json`,
@@ -41,10 +43,11 @@ import pytest
 
 from hawkes_bvm import harness
 from hawkes_bvm.cli import main as cli_main
+from hawkes_bvm.likelihood import linear_intensity
 from hawkes_bvm.mcmc import run_chain
 from hawkes_bvm.model import ModelParams
 from hawkes_bvm.palm import info_operator_invert
-from hawkes_bvm.simulate import simulate_thinning
+from hawkes_bvm.simulate import simulate_cluster, simulate_thinning
 from test_acceptance import _BVM_CFG
 from test_harness import BASE_CFG
 from test_mcmc import _data, _haar_case, _k2_case, _relu_case, _spec
@@ -74,6 +77,12 @@ DIGESTS = {
         "3fa5b6e06fe6eb1240b95623d1e67bf786d7492a56bde6b73279aa2e4506df69",
     "stream/k2-relu":
         "bd169be2454292316c4b5eb82b6f0bfe984000925e4ef1449d16738e2b79de30",
+    "stream/k1-relu-clamp":
+        "7c3387402a9180c40619192073c46bcc6de16569ebf441aacfaa8d8a129e7c47",
+    "cluster/k1-linear":
+        "c597fffb935ee1b8cd3c0bd998e60681f3acb081594e909751e79878fb939dd4",
+    "cluster/k2-linear":
+        "03e3eae3f1b0457f3f4c194456294fbc1bdfc39b6d24bab26eb57bab0654d2a9",
     "bvm/two-horizons/plots.gp":
         "7dd2fe1caf95889a0306dd5ba6d8d0fb4ee549aba385cb4f85a41b14e93a997f",
     "bvm/two-horizons/posterior_0.csv":
@@ -193,7 +202,15 @@ _TRUTHS = {
         np.array([1.0, 0.5]),
         np.array([0.3, 0.2, -0.45, 0.1, 0.2, 0.4, 0.1, -0.3]).reshape(2, 2, 2),
         1.0, "relu"), 300.0),
+    # two events within a quarter of A take 1.8 from nu = 1: the lane
+    # clamps
+    "k1-relu-clamp": (ModelParams(np.array([1.0]),
+                                  np.array([[[-0.9, 0.6, 0.6, 0.1]]]), 1.0,
+                                  "relu"), 300.0),
 }
+
+# the truths of _TRUTHS that `simulate_cluster` also pins
+_CLUSTER_TRUTHS = ("k1-linear", "k2-linear")
 
 
 # the k2-mixed benchmark truth and a functional that crosses the marks
@@ -255,9 +272,9 @@ def _chain_digest(case: str) -> str:
     return _sha((draws.to_csv() + draws.summary_json()).encode())
 
 
-def _stream_digest(truth: str) -> str:
+def _stream_digest(truth: str, simulate=simulate_thinning) -> str:
     params, horizon = _TRUTHS[truth]
-    stream = simulate_thinning(params, horizon, seed=41)
+    stream = simulate(params, horizon, seed=41)
     return _sha(stream.times.tobytes() + stream.marks.tobytes())
 
 
@@ -309,6 +326,22 @@ def test_thinning_stream_matches_golden_digest(truth):
     _check(f"stream/{truth}", _stream_digest(truth))
 
 
+@pytest.mark.parametrize("truth", _CLUSTER_TRUTHS)
+def test_cluster_stream_matches_golden_digest(truth):
+    _check(f"cluster/{truth}", _stream_digest(truth, simulate_cluster))
+
+
+def test_clamp_truth_goes_below_zero():
+    # the pinned k1-relu-clamp stream exercises the clamp: its linear
+    # intensity is negative somewhere
+    params, horizon = _TRUTHS["k1-relu-clamp"]
+    stream = simulate_thinning(params, horizon, seed=41)
+    grid = np.arange(0.0, horizon, params.cell_width / 16)
+    lam = linear_intensity(stream, grid, params.nu, params.h,
+                           params.support_end)
+    assert lam.min() < 0.0
+
+
 def _check_cli(command: str, case: str) -> None:
     code, digests = _cli_digests(command, case)
     assert code == _CLI_CASES[command][case][2]
@@ -340,6 +373,8 @@ if __name__ == "__main__":
     table = {f"chain/{case}": _chain_digest(case) for case in _CHAINS}
     table.update((f"stream/{truth}", _stream_digest(truth))
                  for truth in _TRUTHS)
+    table.update((f"cluster/{truth}", _stream_digest(truth, simulate_cluster))
+                 for truth in _CLUSTER_TRUTHS)
     for command, cases in _CLI_CASES.items():
         for case in cases:
             table.update(_cli_digests(command, case)[1])
