@@ -44,6 +44,8 @@ def simulate_thinning(params: ModelParams, horizon: float,
     which equals rng.uniform() = 0 + 1 * u bit for bit; and the mark is
     drawn by rng.choice(K, p=lam/lam_tot)'s own recipe: one rng.random()
     bisected into the cumulative sum of p divided by its last entry.
+    Acceptance is strict: no event lands where the clamped intensity is
+    0. The clamp leaves a linear intensity, at least nu > 0, as it is.
 
     One pass over the window gives the intensities at a candidate and
     the bound for the next one. The bound sums over the events that the
@@ -52,12 +54,12 @@ def simulate_thinning(params: ModelParams, horizon: float,
 
     With K <= 2 each mark's intensity is one float, a lane, to which
     every window event adds its entry of the mark's row h[k, j, :]; the
-    ReLU clamp acts per lane, the total is 0.0 + l0 (+ l1), np.sum's
-    order below 8 terms, and the mark bisects u into
-    [p0 / c1, c1 / c1] with p0 = l0 / lam_tot and c1 = p0 + l1 / lam_tot.
-    With one mark the cdf is [1.0], so the draw is made and the mark is
-    the first. With K >= 3 lambda is a list of K floats and the total
-    adds in np.sum's order (`priors._np_sum`).
+    total is 0.0 + l0 + l1, np.sum's order below 8 terms, and the mark is
+    the first iff u < p0 / c1 (p0 = l0 / lam_tot, c1 = p0 + l1 / lam_tot),
+    the bisection of u into [p0 / c1, c1 / c1 = 1.0]. One mark runs as
+    two with a lane of zeros, which adds nothing and makes p0 / c1 = 1.0.
+    With K >= 3 lambda is a list of K floats summed in np.sum's order
+    (`priors._np_sum`).
     """
     if not math.isfinite(horizon):
         # the loop stops only past the horizon
@@ -69,16 +71,17 @@ def simulate_thinning(params: ModelParams, horizon: float,
     # per (mark k, cell c): the bound's increment
     bound_inc = [[float(hbar[k, :, c].sum()) for c in range(m)]
                  for k in range(K)]
+    nu = params.nu.tolist()
     if K <= 2:
-        # per mark k: its rows h[k, j, :], one per lane j
-        rows = params.h.tolist()
+        # per mark k: its rows h[k, j, :], one per lane j, the second of
+        # zeros when K == 1
+        rows = [r + [[0.0] * m] * (2 - K) for r in params.h.tolist()]
+        nu += [0.0] * (2 - K)
     else:
         # per (mark k, cell c): the row h[k, :, c]
         rows = [[params.h[k, :, c].tolist() for c in range(m)]
                 for k in range(K)]
-    nu = params.nu.tolist()
     nu_total = float(params.nu.sum())
-    relu = params.kind == "relu"
     exponential, random = rng.exponential, rng.random
 
     t = -A - 50.0 * A
@@ -101,21 +104,7 @@ def simulate_thinning(params: ModelParams, horizon: float,
         # over the events the next pop keeps
         t_keep = t - A
         next_bound = nu_total
-        if K == 1:
-            l0 = nu[0]
-            for s, inc, (r0,) in window:
-                age = t - s
-                c = int(age / w)
-                if c < m and s >= t_keep:
-                    next_bound += inc[c]
-                if 0.0 < age <= A:
-                    if c >= m:
-                        c = m - 1
-                    l0 += r0[c]
-            if relu:
-                l0 = l0 if l0 >= 0.0 else 0.0
-            lam_tot = 0.0 + l0
-        elif K == 2:
+        if K <= 2:
             l0, l1 = nu
             for s, inc, (r0, r1) in window:
                 age = t - s
@@ -127,9 +116,8 @@ def simulate_thinning(params: ModelParams, horizon: float,
                         c = m - 1
                     l0 += r0[c]
                     l1 += r1[c]
-            if relu:
-                l0 = l0 if l0 >= 0.0 else 0.0
-                l1 = l1 if l1 >= 0.0 else 0.0
+            l0 = l0 if l0 >= 0.0 else 0.0
+            l1 = l1 if l1 >= 0.0 else 0.0
             lam_tot = 0.0 + l0 + l1
         else:
             lam = nu
@@ -140,18 +128,12 @@ def simulate_thinning(params: ModelParams, horizon: float,
                     next_bound += inc[c]
                 if 0.0 < age <= A:
                     lam = list(map(add, lam, cells[min(c, m - 1)]))
-            if relu:
-                lam = [x if x >= 0.0 else 0.0 for x in lam]
+            lam = [x if x >= 0.0 else 0.0 for x in lam]
             lam_tot = _np_sum(lam)
-        if random() * bound <= lam_tot:
-            if K == 1:
-                # the cdf is [1.0], into which every draw bisects at 0
-                random()
-                k = 0
-            elif K == 2:
+        if random() * bound < lam_tot:
+            if K <= 2:
                 p0 = l0 / lam_tot
-                c1 = p0 + l1 / lam_tot
-                k = bisect.bisect_right([p0 / c1, c1 / c1], random())
+                k = 0 if random() < p0 / (p0 + l1 / lam_tot) else 1
             else:
                 cdf = list(itertools.accumulate([x / lam_tot for x in lam]))
                 last = cdf[-1]
@@ -191,13 +173,9 @@ def simulate_cluster(params: ModelParams, horizon: float,
     all_k: list[np.ndarray] = []
     # per-(parent mark j, child mark k) displacement samplers: cell choice
     # proportional to h values, uniform within the cell
-    cell_probs = np.empty((K, K, m))
-    for j in range(K):
-        for k in range(K):
-            if rho[j, k] > 0:
-                cell_probs[j, k] = params.h[j, k] / params.h[j, k].sum()
-            else:
-                cell_probs[j, k] = 0.0
+    h = params.h
+    cell_probs = np.divide(h, h.sum(axis=2, keepdims=True),
+                           out=np.zeros((K, K, m)), where=rho[..., None] > 0)
 
     gen_t: list[np.ndarray] = []
     gen_k: list[np.ndarray] = []

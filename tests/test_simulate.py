@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hawkes_bvm import simulate
+from hawkes_bvm.likelihood import linear_intensity
 from hawkes_bvm.model import ModelParams, stationary_rates
 from hawkes_bvm.simulate import (_dominating_kernels, simulate_cluster,
                                  simulate_thinning)
@@ -160,6 +161,29 @@ def test_thinning_matches_reference_loop(K, m, kind, A):
             assert len(got) > 0
             assert np.array_equal(got.times, ref.times)
             assert np.array_equal(got.marks, ref.marks)
+
+
+class _AcceptEverything:
+    """A generator whose every candidate comes 1/8 after the last (so each
+    time and age is exact) and whose every uniform is 0.0."""
+
+    def exponential(self, scale):
+        return 0.125
+
+    def random(self):
+        return 0.0
+
+
+def test_thinning_never_accepts_a_zero_intensity_candidate(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _AcceptEverything())
+    # two window events clamp the intensity 1 - 2 * 0.6 to 0
+    p = ModelParams(np.array([1.0]), np.array([[[-0.6]]]), 1.0, "relu")
+    s = simulate_thinning(p, 20.0, seed=0)
+    # the events from 0 on have their whole window in the stream
+    lam = linear_intensity(s, s.times[s.times >= 0.0], p.nu, p.h, 1.0)
+    assert lam.size > 0
+    assert np.all(np.maximum(lam, 0.0) > 0.0)
 
 
 def test_thinning_event_budget(monkeypatch):
