@@ -3,6 +3,7 @@ representors."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ class FunctionalSpec:
 
 def parse_functional(text: str) -> FunctionalSpec:
     """Parse config syntax: 'background k', 'squared_l2 l k',
-    'linear l k [weight]' (constant weight, default 1)."""
+    'linear l k [weight]' (a finite nonzero constant weight, default 1)."""
     parts = text.split()
     if not parts:
         raise ValueError("empty functional spec")
@@ -68,6 +69,9 @@ def parse_functional(text: str) -> FunctionalSpec:
             raise ValueError("linear takes two mark indices and an "
                              "optional constant weight")
         a = float(parts[3]) if len(parts) == 4 else 1.0
+        if not math.isfinite(a) or a == 0.0:
+            raise ValueError("functional weight must be finite and "
+                             f"nonzero: {parts[3]}")
         return FunctionalSpec(kind, l=int(parts[1]), k=int(parts[2]), a=a)
     raise ValueError(f"unknown functional kind {kind!r}")
 

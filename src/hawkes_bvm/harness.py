@@ -19,7 +19,7 @@ from .likelihood import LanEstimator
 from .mcmc import (equal_tailed_interval, ess, posterior_functional,
                    run_chain)
 from .model import ModelParams
-from .palm import (PALM_BATCHES, bias_term, efficient_estimate,
+from .palm import (PALM_MIN_ANCHORS, bias_term, efficient_estimate,
                    estimate_palm, info_operator_invert, optimal_variance)
 from .priors import PriorSpec
 from .simulate import simulate_thinning
@@ -27,7 +27,8 @@ from .stream import atomic_write
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat key = value lines; '#' starts a comment; values stay strings."""
+    """Flat key = value lines; '#' starts a comment; values stay strings;
+    a key may be given once."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -35,8 +36,10 @@ def parse_config_text(text: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"line {lineno}: key {key!r} given twice")
+        out[key] = val
     return out
 
 
@@ -76,9 +79,10 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         _check_indices(self.functional, self.f0.K)
-        if self.palm_anchors < PALM_BATCHES:
-            # every Palm batch needs at least one anchor of each mark
-            raise ValueError(f"palm_anchors must be >= {PALM_BATCHES}")
+        if self.palm_anchors < PALM_MIN_ANCHORS:
+            # the Palm path is sized for palm_anchors anchors; one too
+            # short is found only after it is simulated
+            raise ValueError(f"palm_anchors must be >= {PALM_MIN_ANCHORS}")
         if self.mcmc_burn_in is not None and self.mcmc_burn_in < 0:
             raise ValueError("mcmc_burn_in must be >= 0")
         if any(j < 1 or self.palm_cells % j for j in self.bias_dims):

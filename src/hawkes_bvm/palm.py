@@ -144,8 +144,11 @@ def _grouped_outer(X: CountDesign, inv: np.ndarray,
     return out.reshape(n_group, n_col, inv.shape[1])
 
 
-# the Palm tensors' batch count; palm_anchors must be at least this
+# the Palm tensors' batch count
 PALM_BATCHES = 20
+# the fewest anchors of each mark the Palm tensors are estimated from;
+# palm_anchors must be at least this
+PALM_MIN_ANCHORS = 200
 
 
 def estimate_palm(f0: ModelParams, n_cells: int,
@@ -193,7 +196,7 @@ def estimate_palm(f0: ModelParams, n_cells: int,
     for l in range(K):
         anchors = times[(marks == l + 1) & (times >= 0)
                         & (times <= horizon - A)]
-        if anchors.size < 200:
+        if anchors.size < PALM_MIN_ANCHORS:
             raise ValueError(
                 f"too few anchors for mark {l + 1}: {anchors.size}")
         if anchors.size > n_anchors:

@@ -47,6 +47,9 @@ def test_parse_round_trip():
     assert (s.kind, s.l, s.k) == ("squared_l2", 1, 2)
     s = parse_functional("linear 2 1 0.25")
     assert s.a == 0.25
+    for weight in ("nan", "inf", "-inf", "0", "-0.0"):
+        with pytest.raises(ValueError, match="functional weight"):
+            parse_functional(f"linear 2 1 {weight}")
     with pytest.raises(ValueError):
         parse_functional("cubic 1")
     with pytest.raises(ValueError):

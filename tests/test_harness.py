@@ -13,7 +13,8 @@ from hawkes_bvm.harness import (bvm_distance, config_from_dict,
                                 emit_outputs, job_seeds, load_config,
                                 normal_cdf, parse_config_text,
                                 run_experiment, summarise)
-from hawkes_bvm.palm import PALM_BATCHES, info_operator_invert, load_palm
+from hawkes_bvm.palm import (PALM_BATCHES, PALM_MIN_ANCHORS,
+                             info_operator_invert, load_palm)
 
 
 BASE_CFG = {
@@ -35,6 +36,9 @@ def test_parse_config_text():
     assert cfg == {"a": "1", "b": "x y z"}
     with pytest.raises(ValueError):
         parse_config_text("no equals sign\n")
+    # the second value used to win without a word
+    with pytest.raises(ValueError, match="line 3: key 'K' given twice"):
+        parse_config_text("K = 1\n# c\nK = 2\n")
 
 
 def test_config_from_dict_defaults_and_values():
@@ -66,10 +70,12 @@ def test_config_rejects_functional_mark_before_any_work(functional):
 
 
 def test_config_rejects_fewer_palm_anchors_than_batches():
-    # an anchorless batch would enter the pooled Palm means as zeros
-    with pytest.raises(ValueError, match="palm_anchors"):
-        config_from_dict(dict(BASE_CFG, palm_anchors=str(PALM_BATCHES - 1)))
-    config_from_dict(dict(BASE_CFG, palm_anchors=str(PALM_BATCHES)))
+    # the Palm stage needs PALM_MIN_ANCHORS (more than the batch count)
+    # of each mark, and stops below it only after simulating its path
+    assert PALM_MIN_ANCHORS == 200 > PALM_BATCHES
+    with pytest.raises(ValueError, match="palm_anchors must be >= 200"):
+        config_from_dict(dict(BASE_CFG, palm_anchors="199"))
+    config_from_dict(dict(BASE_CFG, palm_anchors="200"))
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
@@ -615,6 +621,30 @@ def test_cli_refuses_bad_threads_or_seed_by_name(tmp_path, capsys, command,
                      *flags]) == 2
     assert f"config error: {key} must be >= " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "infer", "palm", "bvm"])
+def test_cli_refuses_a_key_given_twice(tmp_path, capsys, command):
+    path = tmp_path / "exp.cfg"
+    text = "".join(f"{k} = {v}\n" for k, v in BASE_CFG.items())
+    path.write_text(text + "K = 2\n")
+    assert cli_main([command, "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+    line = len(BASE_CFG) + 1
+    assert (f"config error: line {line}: key 'K' given twice\n"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["simulate", "infer", "palm", "bvm"])
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0"])
+def test_cli_refuses_a_bad_functional_weight(tmp_path, capsys, command,
+                                             weight):
+    # nan and inf used to pass `infer`; a 0 weight made `bvm` exit 3
+    path = _write_cfg(tmp_path, {"functional": f"linear 1 1 {weight}"})
+    assert cli_main([command, "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+    assert ("config error: functional weight must be finite and nonzero"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["simulate", "infer", "palm", "bvm"])
