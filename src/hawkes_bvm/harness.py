@@ -36,10 +36,11 @@ def parse_config_text(text: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, val = (part.strip() for part in line.split("=", 1))
+        key, val = line.split("=", 1)
+        key = key.strip()
         if key in out:
             raise ValueError(f"line {lineno}: key {key!r} given twice")
-        out[key] = val
+        out[key] = val.strip()
     return out
 
 

@@ -36,7 +36,7 @@ def test_parse_config_text():
     assert cfg == {"a": "1", "b": "x y z"}
     with pytest.raises(ValueError):
         parse_config_text("no equals sign\n")
-    # the second value used to win without a word
+    # a repeated key is refused, not overwritten by its second value
     with pytest.raises(ValueError, match="line 3: key 'K' given twice"):
         parse_config_text("K = 1\n# c\nK = 2\n")
 
@@ -625,10 +625,10 @@ def test_cli_refuses_bad_threads_or_seed_by_name(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("command", ["simulate", "infer", "palm", "bvm"])
 def test_cli_refuses_a_key_given_twice(tmp_path, capsys, command):
-    path = tmp_path / "exp.cfg"
-    text = "".join(f"{k} = {v}\n" for k, v in BASE_CFG.items())
-    path.write_text(text + "K = 2\n")
-    assert cli_main([command, "--config", str(path),
+    path = _write_cfg(tmp_path)  # BASE_CFG sets K = 1
+    with open(path, "a") as fh:
+        fh.write("K = 2\n")
+    assert cli_main([command, "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
     line = len(BASE_CFG) + 1
     assert (f"config error: line {line}: key 'K' given twice\n"
@@ -639,7 +639,7 @@ def test_cli_refuses_a_key_given_twice(tmp_path, capsys, command):
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "0"])
 def test_cli_refuses_a_bad_functional_weight(tmp_path, capsys, command,
                                              weight):
-    # nan and inf used to pass `infer`; a 0 weight made `bvm` exit 3
+    # nan or inf would pass `infer` unseen, and a 0 weight makes V0 = 0
     path = _write_cfg(tmp_path, {"functional": f"linear 1 1 {weight}"})
     assert cli_main([command, "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
