@@ -49,30 +49,42 @@ class FunctionalSpec:
         return f"int a*h_{self.l}{self.k}"
 
 
+def config_number(key: str, text: str, kind: type = float):
+    """kind(text); a text that is not such a number is refused by key."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def parse_functional(text: str) -> FunctionalSpec:
     """Parse config syntax: 'background k', 'squared_l2 l k',
     'linear l k [weight]' (a finite nonzero constant weight, default 1)."""
     parts = text.split()
     if not parts:
         raise ValueError("empty functional spec")
+
+    def num(i: int, to: type = int):
+        return config_number("functional", parts[i], to)
+
     kind = parts[0]
     if kind == "background":
         if len(parts) != 2:
             raise ValueError("background takes one mark index")
-        return FunctionalSpec(kind, k=int(parts[1]))
+        return FunctionalSpec(kind, k=num(1))
     if kind == "squared_l2":
         if len(parts) != 3:
             raise ValueError("squared_l2 takes two mark indices")
-        return FunctionalSpec(kind, l=int(parts[1]), k=int(parts[2]))
+        return FunctionalSpec(kind, l=num(1), k=num(2))
     if kind == "linear":
         if len(parts) not in (3, 4):
             raise ValueError("linear takes two mark indices and an "
                              "optional constant weight")
-        a = float(parts[3]) if len(parts) == 4 else 1.0
+        a = num(3, float) if len(parts) == 4 else 1.0
         if not math.isfinite(a) or a == 0.0:
             raise ValueError("functional weight must be finite and "
                              f"nonzero: {parts[3]}")
-        return FunctionalSpec(kind, l=int(parts[1]), k=int(parts[2]), a=a)
+        return FunctionalSpec(kind, l=num(1), k=num(2), a=a)
     raise ValueError(f"unknown functional kind {kind!r}")
 
 

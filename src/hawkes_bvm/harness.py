@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functionals import (FunctionalSpec, _check_indices, eval_functional,
-                          parse_functional, riesz_representor)
+from .functionals import (FunctionalSpec, _check_indices, config_number,
+                          eval_functional, parse_functional,
+                          riesz_representor)
 from .grids import Direction
 from .likelihood import LanEstimator
 from .mcmc import (equal_tailed_interval, ess, posterior_functional,
@@ -122,12 +123,13 @@ def _model_from_config(cfg: dict, model_file: str | None) -> ModelParams:
     if model_file is not None:
         with open(model_file) as fh:
             return ModelParams.from_json(fh.read())
-    K, m = int(cfg["K"]), int(cfg["m"])
-    h_vals = np.array([float(v) for v in cfg["h"].split()])
+    K, m = (config_number(key, cfg[key], int) for key in ("K", "m"))
+    h_vals = np.array([config_number("h", v) for v in cfg["h"].split()])
     if h_vals.size != K * K * m:
         raise ValueError("h must list K*K*m cell values")
-    return ModelParams(np.array([float(v) for v in cfg["nu"].split()]),
-                       h_vals.reshape(K, K, m), float(cfg["A"]), cfg["kind"])
+    nu = np.array([config_number("nu", v) for v in cfg["nu"].split()])
+    return ModelParams(nu, h_vals.reshape(K, K, m),
+                       config_number("A", cfg["A"]), cfg["kind"])
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -143,27 +145,31 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if rest:
         raise ValueError(f"unknown config keys: {', '.join(sorted(rest))}")
     f0 = _model_from_config(cfg, model_file)
+
+    def num(key: str, kind: type = float):
+        return config_number(key, cfg[key], kind)
     prior = PriorSpec(
-        K=f0.K, basis_kind=cfg["prior_basis"], c1=float(cfg["prior_c1"]),
-        J_max=int(cfg["prior_jmax"]), theta_family=cfg["prior_theta"],
-        kappa=float(cfg["prior_kappa"]), rate=float(cfg["prior_rate"]),
-        sigma=float(cfg["prior_sigma"]),
-        nu_shape=float(cfg["prior_nu_shape"]),
-        nu_rate=float(cfg["prior_nu_rate"]), link=cfg["prior_link"],
+        K=f0.K, basis_kind=cfg["prior_basis"], c1=num("prior_c1"),
+        J_max=num("prior_jmax", int), theta_family=cfg["prior_theta"],
+        kappa=num("prior_kappa"), rate=num("prior_rate"),
+        sigma=num("prior_sigma"), nu_shape=num("prior_nu_shape"),
+        nu_rate=num("prior_nu_rate"), link=cfg["prior_link"],
         support_end=f0.support_end)
     burn = cfg["mcmc_burn_in"]
     return ExperimentConfig(
         f0=f0, functional=parse_functional(cfg["functional"]), prior=prior,
-        horizons=tuple(float(v) for v in cfg["T"].split()),
-        replications=int(cfg["R"]), mcmc_iters=int(cfg["mcmc_iters"]),
-        mcmc_burn_in=int(burn) if burn is not None else None,
-        mcmc_thin=int(cfg["mcmc_thin"]), p_j=float(cfg["p_j"]),
-        palm_cells=int(cfg["palm_cells"]),
-        palm_anchors=int(cfg["palm_anchors"]),
-        palm_points=int(cfg["palm_points"]),
-        bias_dims=tuple(int(v) for v in cfg["bias_dims"].split()),
-        lan_tsim=float(cfg["lan_tsim"]), lan_points=int(cfg["lan_points"]),
-        seed=int(cfg["seed"]), threads=int(cfg["threads"]), raw=dict(raw))
+        horizons=tuple(config_number("T", v) for v in cfg["T"].split()),
+        replications=num("R", int),
+        mcmc_iters=num("mcmc_iters", int),
+        mcmc_burn_in=num("mcmc_burn_in", int) if burn is not None else None,
+        mcmc_thin=num("mcmc_thin", int), p_j=num("p_j"),
+        palm_cells=num("palm_cells", int),
+        palm_anchors=num("palm_anchors", int),
+        palm_points=num("palm_points", int),
+        bias_dims=tuple(config_number("bias_dims", v, int)
+                        for v in cfg["bias_dims"].split()),
+        lan_tsim=num("lan_tsim"), lan_points=num("lan_points", int),
+        seed=num("seed", int), threads=num("threads", int), raw=dict(raw))
 
 
 _SQRT1_2 = math.sqrt(0.5)

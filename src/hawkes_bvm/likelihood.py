@@ -9,8 +9,8 @@ of the compensator, for linear and ReLU kernels alike; `log_likelihood` and
 that gains nothing from the cache's distinct rows, reads the events'
 intensities from one `window_design` and shares the cache's compensator
 weights. `LanEstimator` keeps per-batch second moments of the window
-counts, summed one batch at a time, from which each LAN Gram matrix is a
-contraction.
+counts, built one batch of points at a time, from which each LAN Gram
+matrix is a contraction.
 """
 
 from __future__ import annotations
@@ -205,45 +205,31 @@ def batch_means(values_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, values_b.std(axis=0, ddof=1) / np.sqrt(n_batches)
 
 
-def _lan_moments(X: CountDesign, inv: np.ndarray,
-                 n_batches: int) -> np.ndarray:
-    """M[b, k] = mean over the points p of batch b of z z^T inv[p, k],
-    with z = (1, row p of X), shape (n_batches, K, 1 + n_col, 1 + n_col).
+def _lan_moments(X: CountDesign, inv: np.ndarray) -> np.ndarray:
+    """M[k] = mean over the points p of z z^T inv[p, k], with z = (1,
+    row p of X), shape (K, 1 + n_col, 1 + n_col): one batch's moments.
 
-    Batch by batch, each point's nonzeros of z are paired, each term is
-    (z_r inv[p, k]) z_c, and an entry sums its terms in increasing point
-    order. Each mark's matrix is column-major, stacked along axis 1: the
-    memory layout in which the BLAS products of `gram_batches` have
-    always read it, so their rounding stays the same.
+    Each point's nonzeros of z are paired, each term is (z_r inv[p, k])
+    z_c, and an entry sums its terms in increasing point order.
     """
     n, n_col = X.shape
-    nz, per_batch = 1 + n_col, n // n_batches
-    ends = np.searchsorted(X.keys, np.arange(n_batches + 1)
-                           * (per_batch * n_col))
-    sums = [np.empty((n_batches * nz, nz), order="F") for _ in inv.T]
-    for b in range(n_batches):
-        sl = slice(ends[b], ends[b + 1])
-        rows, cols = np.divmod(X.keys[sl] - b * per_batch * n_col, n_col)
-        # z's nonzeros in point order: each point's constant, then its
-        # stored counts
-        keys = np.concatenate((np.arange(per_batch) * nz,
-                               rows * nz + cols + 1))
-        order = np.argsort(keys, kind="stable")
-        p, c = np.divmod(keys[order], nz)
-        v = np.concatenate((np.ones(per_batch), X.data[sl]))[order]
-        reps = np.bincount(p, minlength=per_batch)[p]
-        # pair entry i with every entry j of its point
-        i = np.repeat(np.arange(p.size), reps)
-        j = (np.arange(i.size) - np.repeat(np.cumsum(reps) - reps, reps)
-             + np.repeat(np.searchsorted(p, p), reps))
-        key, pi, vi, vj = c[i] * nz + c[j], p[i], v[i], v[j]
-        inv_b = inv[b * per_batch:(b + 1) * per_batch]
-        for k, out in enumerate(sums):
-            out[b * nz:(b + 1) * nz] = np.bincount(
-                key, vi * inv_b[:, k][pi] * vj,
-                minlength=nz * nz).reshape(nz, nz)
-    return np.stack([out.reshape(n_batches, nz, nz) for out in sums],
-                    axis=1) / per_batch
+    nz = 1 + n_col
+    rows, cols = np.divmod(X.keys, n_col)
+    # z's nonzeros in point order: each point's constant, then its stored
+    # counts
+    keys = np.concatenate((np.arange(n) * nz, rows * nz + cols + 1))
+    order = np.argsort(keys, kind="stable")
+    p, c = np.divmod(keys[order], nz)
+    v = np.concatenate((np.ones(n), X.data))[order]
+    reps = np.bincount(p, minlength=n)[p]
+    # pair entry i with every entry j of its point
+    i = np.repeat(np.arange(p.size), reps)
+    j = (np.arange(i.size) - np.repeat(np.cumsum(reps) - reps, reps)
+         + np.repeat(np.searchsorted(p, p), reps))
+    key, pi, vi, vj = c[i] * nz + c[j], p[i], v[i], v[j]
+    return np.stack([np.bincount(key, vi * inv_k[pi] * vj,
+                                 minlength=nz * nz).reshape(nz, nz)
+                     for inv_k in inv.T]) / n
 
 
 class LanEstimator:
@@ -269,10 +255,21 @@ class LanEstimator:
         rng = np.random.default_rng(seed)
         stream = simulate_thinning(f0, t_sim, seed=rng.integers(2**63))
         pts = stratified_points(t_sim, n_points, n_batches, rng)
-        X = window_design(stream.times, stream.marks, pts, f0.support_end,
-                          f0.K, f0.n_cells)
-        self.lam0 = f0.nu[None, :] + X @ _g_flat(f0.h)
-        self.moments = _lan_moments(X, 1.0 / self.lam0, n_batches)
+        per_batch, nz = pts.size // n_batches, 1 + f0.K * f0.n_cells
+        self.lam0 = np.empty((pts.size, f0.K))
+        # each mark's matrices column-major, stacked along axis 1: the
+        # layout in which the BLAS products of `gram_batches` have always
+        # read them, so their rounding stays the same
+        self.moments = np.stack(
+            [np.empty((n_batches * nz, nz), order="F").reshape(
+                n_batches, nz, nz) for _ in range(f0.K)], axis=1)
+        # one batch of points at a time: no design of every point is held
+        for b in range(n_batches):
+            sl = slice(b * per_batch, (b + 1) * per_batch)
+            X = window_design(stream.times, stream.marks, pts[sl],
+                              f0.support_end, f0.K, f0.n_cells)
+            self.lam0[sl] = f0.nu[None, :] + X @ _g_flat(f0.h)
+            self.moments[b] = _lan_moments(X, 1.0 / self.lam0[sl])
 
     def gram_batches(self, dirs: list[Direction]) -> np.ndarray:
         """Per-batch LAN Gram matrices, shape (n_batches, D, D)."""
@@ -354,13 +351,12 @@ class LikelihoodCache:
         self.stream = stream
         times, marks = stream.times, stream.marks
         sel = (times > 0) & (times <= horizon)
-        X = window_design(times, marks, times[sel], support_end, K,
-                          n_cells).toarray()
-        k = marks[sel] - 1
         self.X: list[np.ndarray] = []
         self.counts: list[np.ndarray] = []
-        for mark in range(K):
-            Xk = X[k == mark]
+        # one mark's event rows at a time: no dense row of every event
+        for mark in range(1, K + 1):
+            Xk = window_design(times, marks, times[sel & (marks == mark)],
+                               support_end, K, n_cells).toarray()
             rows, counts = _distinct_rows(Xk, np.ones(len(Xk)))
             self.X.append(rows)
             self.counts.append(counts)

@@ -132,16 +132,21 @@ def solve_moment_density(f0: ModelParams, n_grid: int = 512,
         src = np.zeros((N + 1, K, K))
         src[:n_grid + 1] = head[:N + 1]
         U = src.copy()
-        convolve = _fftconvolve0(wts[:, :, :, None], 2 * N + 1)
+        # one kernel per source mark a: wts[:, a, l] for every l
+        convolve = [_fftconvolve0(wts[:, a], 2 * N + 1) for a in range(K)]
         converged = False
         for _ in range(max_iter):
             # extended node values on [-t_max, t_max]
             E = np.concatenate(
                 [U[:0:-1].transpose(0, 2, 1), U], axis=0)  # (2N+1, K, K)
-            # conv[t, l, k] = sum_a (wts[:, a, l] * E[:, a, k])(t)
-            full = convolve(E[:, :, None, :])
-            conv = full[N:2 * N + 1].sum(axis=1)
-            U_new = src + conv
+            # src + conv[t, l, k] = sum_a (wts[:, a, l] * E[:, a, k])(t),
+            # one column k and one source a at a time, added in order of a
+            U_new = src.copy()
+            for k in range(K):
+                col = convolve[0](E[:, 0, k, None])[N:2 * N + 1]
+                for a in range(1, K):
+                    col += convolve[a](E[:, a, k, None])[N:2 * N + 1]
+                U_new[:, :, k] += col
             change = float(np.max(np.abs(U_new - U)))
             U = U_new
             if change <= tol * max(1.0, float(np.max(np.abs(U)))):

@@ -609,6 +609,19 @@ def test_cli_names_misspelt_key_not_the_error_of_its_default(tmp_path,
 
 
 @pytest.mark.parametrize("command", ["simulate", "infer", "palm", "bvm"])
+@pytest.mark.parametrize("key, value", [
+    ("R", "two"), ("functional", "linear 1 1 x"), ("functional", "linear 1 y"),
+    ("nu", "x"), ("T", "100 x"), ("K", "1.0")])
+def test_cli_names_the_key_of_a_value_that_is_no_number(tmp_path, capsys,
+                                                        key, value, command):
+    path = _write_cfg(tmp_path, {key: value})
+    assert cli_main([command, "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "infer", "palm", "bvm"])
 @pytest.mark.parametrize("as_flag", [False, True])
 @pytest.mark.parametrize("key, value", [("threads", "0"), ("seed", "-1")])
 def test_cli_refuses_bad_threads_or_seed_by_name(tmp_path, capsys, command,

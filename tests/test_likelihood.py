@@ -280,6 +280,41 @@ def test_gram_batches_allocate_nothing_per_point():
     assert peak < 2 * 2**20
 
 
+def _transient_bytes(build):
+    """The traced peak of build() minus what its result keeps."""
+    tracemalloc.start()
+    try:
+        kept_obj = build()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kept_obj
+    return peak - kept
+
+
+@pytest.mark.parametrize("n_points", [8_000, 80_000])
+def test_lan_build_holds_one_batch_at_a_time(n_points):
+    # the one-batch build holds the design of every point; at 40 batches
+    # the transient is about a fortieth of that plus the per-batch sums
+    f0 = ModelParams(np.array([1.0, 0.8]), np.full((2, 2, 4), 0.1), 1.0)
+    per_batch, whole = (_transient_bytes(lambda: LanEstimator(
+        f0, n_points=n_points, n_batches=n_batches, seed=3))
+        for n_batches in (40, 1))
+    assert per_batch < 0.08 * whole
+
+
+@pytest.mark.parametrize("horizon", [3000.0, 15000.0])
+def test_cache_build_holds_one_mark_at_a_time(horizon):
+    # bound: 1.75 dense event-row matrices of every mark; a dense matrix
+    # of all the rows plus its per-mark copies took more than 2.25
+    f0 = ModelParams(np.array([1.0, 0.8]), np.full((2, 2, 8), 0.05), 1.0)
+    s = simulate_thinning(f0, horizon, seed=5)
+    n_events = int(np.sum((s.times > 0) & (s.times <= horizon)))
+    transient = _transient_bytes(
+        lambda: LikelihoodCache(s, 2, 8, 1.0, horizon))
+    assert transient < 1.75 * n_events * 2 * 8 * 8
+
+
 def test_expansion_remainder_is_third_order():
     # pathwise: ll(f0 + eps d) - ll(f0) - eps sqrt(T) W_T + eps^2/2 Q
     # with Q the observed quadratic sum of (tilde/lambda)^2 at events

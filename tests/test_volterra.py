@@ -9,6 +9,7 @@ from hawkes_bvm.simulate import simulate_thinning
 from hawkes_bvm.stream import EventStream
 from hawkes_bvm import volterra
 from hawkes_bvm.volterra import empirical_pair_density, solve_moment_density
+from test_likelihood import _transient_bytes
 
 
 def _reference():
@@ -137,17 +138,30 @@ def test_solver_unchanged_on_scipy_signal_convolution(model, n_grid,
     kernels = []
 
     def scipy_convolution(b, n_a):
-        kernels.append(b)
+        kernels.append(n_a)
         return lambda a: signal.fftconvolve(a, b, axes=0)
 
     monkeypatch.setattr(volterra, "_fftconvolve0", scipy_convolution)
     ref = solve_moment_density(model(), n_grid=n_grid)
-    # the solve went through the patched name, once per horizon
-    assert kernels
+    # the solve went through the patched name, exactly one kernel per
+    # source mark on each horizon, from 10 A (N0 nodes) doubling to the last
+    N0, N = 10 * n_grid, ref.node_times.size - 1
+    lengths = [2 * (N0 << i) + 1 for i in range((N // N0).bit_length())]
+    assert kernels == [n for n in lengths for _ in range(model().K)]
     assert np.array_equal(dens.node_times, ref.node_times)
     assert np.array_equal(dens.upsilon, ref.upsilon)
     assert (dens.converged, dens.tail_capped) == (ref.converged,
                                                    ref.tail_capped)
+
+
+@pytest.mark.parametrize("n_grid", [256, 1024])
+def test_solver_holds_one_source_mark_at_a_time(n_grid):
+    # bound: 8 node arrays of K^3 floats; the convolution of every source
+    # mark at once, K^3 floats per padded node, took more than 9
+    dens = solve_moment_density(_k2_cross(), n_grid=n_grid)
+    transient = _transient_bytes(
+        lambda: solve_moment_density(_k2_cross(), n_grid=n_grid))
+    assert transient < 8 * dens.node_times.size * 2**3 * 8
 
 
 def test_solver_reports_iteration_cap():
