@@ -7,10 +7,11 @@ products add each row's terms in stored order as scipy's CSR kernels do.
 of the compensator, for linear and ReLU kernels alike; `log_likelihood` and
 `grad_loglik_nu` are one-shot calls on it. `w_statistic`, one evaluation
 that gains nothing from the cache's distinct rows, reads the events'
-intensities from one `window_design` and shares the cache's compensator
-weights. `LanEstimator` keeps per-batch second moments of the window
-counts, built one batch of points at a time, from which each LAN Gram
-matrix is a contraction.
+intensities from a `window_design` of at most CHUNK events at a time and
+shares the cache's compensator weights, which are summed over the same
+chunks; both keep the bits of one pass over every event. `LanEstimator`
+keeps per-batch second moments of the window counts, built one batch of
+points at a time, from which each LAN Gram matrix is a contraction.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .grids import Direction, check_same_grid
 from .model import ModelParams
 from .simulate import simulate_thinning
 from .stream import EventStream
+
+# the most events `w_statistic` and `_compensator_weights` hold at a time
+CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -143,22 +147,31 @@ def grad_loglik_nu(params: ModelParams, stream: EventStream,
 
 def w_statistic(direction: Direction, f0: ModelParams,
                 stream: EventStream, horizon: float) -> float:
-    """W_T: the normalized LAN score of a direction against the truth."""
+    """W_T: the normalized LAN score of a direction against the truth.
+
+    The events' window designs are built CHUNK events at a time, each
+    chunk's ratios written into one vector of every event's ratio, which
+    is summed once, so no design of every event is held.
+    """
     if f0.kind != "linear":
         raise ValueError("W_T requires the linear model")
     check_same_grid(direction, f0)
     times, marks = stream.times, stream.marks
     sel = (times > 0) & (times <= horizon)
-    X = window_design(times, marks, times[sel], f0.support_end, f0.K,
-                      f0.n_cells)
+    ev_times, ev_marks = times[sel], marks[sel] - 1
     # the perturbation enters the intensity linearly, whatever its sign
-    g = _g_flat(direction.g)
-    at = (np.arange(X.shape[0]), marks[sel] - 1)
-    score = np.sum((direction.xi + X @ g)[at]
-                   / (f0.nu + X @ _g_flat(f0.h))[at])
+    g, h = _g_flat(direction.g), _g_flat(f0.h)
+    ratios = np.empty(ev_times.size)
+    for s in range(0, ev_times.size, CHUNK):
+        X = window_design(times, marks, ev_times[s:s + CHUNK],
+                          f0.support_end, f0.K, f0.n_cells)
+        at = (np.arange(X.shape[0]), ev_marks[s:s + CHUNK])
+        ratios[s:s + CHUNK] = ((direction.xi + X @ g)[at]
+                               / (f0.nu + X @ h)[at])
     W = _compensator_weights(stream, f0.K, f0.n_cells, f0.support_end,
                              horizon)
-    total = score - direction.xi.sum() * horizon - W @ g.sum(axis=1)
+    total = (np.sum(ratios) - direction.xi.sum() * horizon
+             - W @ g.sum(axis=1))
     return float(total / np.sqrt(horizon))
 
 
@@ -166,15 +179,28 @@ def _compensator_weights(stream: EventStream, K: int, m: int, A: float,
                          horizon: float) -> np.ndarray:
     """W[l*m + c]: the total time cell c of a mark-(l+1) event overlaps
     [0, T], so that the linear compensator of mark k is
-    nu_k T + W @ h_k, with h_k the column of `_g_flat(h)`."""
+    nu_k T + W @ h_k, with h_k the column of `_g_flat(h)`.
+
+    For m > 1 a mark's events go CHUNK at a time, and each chunk's
+    overlap rows are folded into the running column sum by one axis-0
+    reduce of (sum so far, chunk rows). numpy adds axis 0 of a 2-d array
+    row after row, so the bits are those of one sum over every row. For
+    m = 1 numpy sums the lone column pairwise, which chunks would regroup,
+    so that case stays one pass: its arrays take 16 bytes an event.
+    """
     times, marks = stream.times, stream.marks
     edges = np.arange(m + 1) * (A / m)
     live = (times + A > 0) & (times < horizon)
     W = np.zeros((K, m))
     for l in range(K):
-        clipped = np.clip(times[live & (marks == l + 1)][:, None]
-                          + edges[None, :], 0.0, horizon)
-        W[l] = np.diff(clipped, axis=1).sum(axis=0)
+        t = times[live & (marks == l + 1)]
+        # at m = 1 one chunk of every event; a mark with no events still
+        # needs a nonzero step
+        step = CHUNK if m > 1 else max(t.size, 1)
+        for s in range(0, t.size, step):
+            rows = np.diff(np.clip(t[s:s + step, None] + edges, 0.0,
+                                   horizon), axis=1)
+            W[l] = (np.vstack((W[l], rows)) if s else rows).sum(axis=0)
     return W.ravel()
 
 

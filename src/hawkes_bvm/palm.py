@@ -9,7 +9,10 @@ linear algebra.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,36 +96,79 @@ class PalmEstimates:
         return cls(support_end, nu.copy(), a, D, p, C)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "A": self.support_end,
-            "mu": self.mu.tolist(),
-            "a_b": self.a_b.tolist(),
-            "D_b": self.D_b.tolist(),
-            "p_b": self.p_b.tolist(),
-            "C_b": self.C_b.tolist(),
-        })
+        return "".join(_json_chunks(self))
 
     @classmethod
     def from_json(cls, text: str) -> "PalmEstimates":
+        """The estimates a `to_json` text holds; a ValueError names the
+        tensor of a text that holds none."""
         doc = json.loads(text)
-        return cls(float(doc["A"]), np.array(doc["mu"]),
-                   np.array(doc["a_b"]), np.array(doc["D_b"]),
-                   np.array(doc["p_b"]), np.array(doc["C_b"]))
+        a_b, D_b, p_b, C_b = (_decode_tensor(name, doc[name])
+                              for name in _TENSORS)
+        mu = np.array(doc["mu"], dtype=float)
+        # B from a_b, K from mu and m from p_b fix every shape
+        B, K, m = a_b.shape[0], mu.size, p_b.shape[-1]
+        for name, tensor, shape in (
+                ("a_b", a_b, (B, K)), ("D_b", D_b, (B, K, K, m)),
+                ("p_b", p_b, (B, K, K, m)), ("C_b", C_b, (B, K, K, K, m, m))):
+            if tensor.shape != shape:
+                raise ValueError(
+                    f"palm.json: {name} has shape {list(tensor.shape)}, but "
+                    f"B = {B}, K = {K} and m = {m} make it {list(shape)}")
+        return cls(float(doc["A"]), mu, a_b, D_b, p_b, C_b)
+
+
+# the batched tensors of `PalmEstimates`, in file order
+_TENSORS = ("a_b", "D_b", "p_b", "C_b")
+
+
+def _json_chunks(palm: PalmEstimates):
+    """The text of `palm.to_json()`, one leading row of a tensor at a
+    time. Each tensor is its shape and one base64 string per leading row
+    of that row's little-endian float64 bytes."""
+    yield (f'{{"A": {json.dumps(palm.support_end)}, '
+           f'"mu": {json.dumps(palm.mu.tolist())}')
+    for name in _TENSORS:
+        tensor = getattr(palm, name)
+        yield f', "{name}": {{"shape": {list(tensor.shape)}, "rows": ['
+        for i, row in enumerate(tensor):
+            data = np.ascontiguousarray(row, dtype="<f8").tobytes()
+            yield f'{", " if i else ""}"{base64.b64encode(data).decode()}"'
+        yield "]}"
+    yield "}"
+
+
+def _decode_tensor(name: str, entry) -> np.ndarray:
+    """One tensor of a palm.json document, each row checked against the
+    tensor's shape."""
+    if not isinstance(entry, dict):
+        raise ValueError(
+            f"palm.json: {name} is lists of numbers, the format before "
+            "base64 rows; re-run `hawkes-bvm palm`")
+    shape, rows = tuple(entry["shape"]), entry["rows"]
+    if not shape or len(rows) != shape[0]:
+        raise ValueError(f"palm.json: {name} has {len(rows)} rows, but its "
+                         f"shape is {list(shape)}")
+    out = np.empty(shape)
+    row_bytes = 8 * math.prod(shape[1:])
+    for i, text in enumerate(rows):
+        try:
+            data = base64.b64decode(text, validate=True)
+        except (binascii.Error, TypeError) as exc:
+            raise ValueError(
+                f"palm.json: {name} row {i} is not base64: {exc}") from None
+        if len(data) != row_bytes:
+            raise ValueError(
+                f"palm.json: {name} row {i} holds {len(data)} bytes, but "
+                f"its shape {list(shape)} makes a row {row_bytes}")
+        out[i] = np.frombuffer(data, dtype="<f8").reshape(shape[1:])
+    return out
 
 
 def save_palm(palm: PalmEstimates, path: str) -> None:
     """Write `palm.to_json()` to path one leading row of each tensor at a
     time, so that the whole text is never held in memory."""
-    def chunks():
-        yield (f'{{"A": {json.dumps(palm.support_end)}, '
-               f'"mu": {json.dumps(palm.mu.tolist())}')
-        for name in ("a_b", "D_b", "p_b", "C_b"):
-            yield f', "{name}": ['
-            for i, row in enumerate(getattr(palm, name)):
-                yield (", " if i else "") + json.dumps(row.tolist())
-            yield "]"
-        yield "}"
-    atomic_write(path, chunks())
+    atomic_write(path, _json_chunks(palm))
 
 
 def load_palm(path: str) -> PalmEstimates:

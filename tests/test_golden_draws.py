@@ -142,15 +142,15 @@ DIGESTS = {
     "palm/k1/efficiency.json":
         "92a8768c8f53e27243d403ab5e25d127f59ac633c4977d38bcff94955f81a52d",
     "palm/k1/palm.json":
-        "6c6ed07df784dc37ee348fa63c6d0c1861beb9fdb388ad8df6bdb8b9987a8ba0",
+        "3f1fbb2400079dff25ee2d24a62a5fa0ff0e5fd762e5c8c03d1cf39295f19118",
     "palm/k1-not-converged/efficiency.json":
         "df68c485b03de5ca2390cb6d773eb01212398f5ed2e8e229a6090b3f5a1754b4",
     "palm/k1-not-converged/palm.json":
-        "6c6ed07df784dc37ee348fa63c6d0c1861beb9fdb388ad8df6bdb8b9987a8ba0",
+        "3f1fbb2400079dff25ee2d24a62a5fa0ff0e5fd762e5c8c03d1cf39295f19118",
     "palm/k2/efficiency.json":
         "d403f0551ebba420cdafdbf24c2d9769a017944361cced853960a12807631bde",
     "palm/k2/palm.json":
-        "1b6bad3790b3d88e674428c84c058de2cafb298401650b68ac29538403a15968",
+        "693c69575f869fe121c29d2c17c21519420ffbb806ae902dfc0eb13961e41e74",
     "infer/k1/chain.json":
         "45cef2dc70a7c3e6a3dec4c37e9170e59bfa0ca49a029f15d8d1de1581ddf9e1",
     "infer/k1/draws.csv":

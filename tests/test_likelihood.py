@@ -9,8 +9,9 @@ from hypothesis import given, strategies as st
 
 import scipy_reference
 from hawkes_bvm.grids import Direction
-from hawkes_bvm.likelihood import (LanEstimator, LikelihoodCache,
-                                   _distinct_rows, _g_flat, grad_loglik_nu,
+from hawkes_bvm.likelihood import (CHUNK, LanEstimator, LikelihoodCache,
+                                   _compensator_weights, _distinct_rows,
+                                   _g_flat, grad_loglik_nu,
                                    linear_intensity, log_likelihood,
                                    stratified_points, w_statistic,
                                    window_design)
@@ -313,6 +314,81 @@ def test_cache_build_holds_one_mark_at_a_time(horizon):
     transient = _transient_bytes(
         lambda: LikelihoodCache(s, 2, 8, 1.0, horizon))
     assert transient < 1.75 * n_events * 2 * 8 * 8
+
+
+def _one_shot_weights(stream, K, m, A, horizon):
+    """The compensator weights from one (n_events, m + 1) array of every
+    live event of a mark: the bits the chunked weights must keep."""
+    times, marks = stream.times, stream.marks
+    edges = np.arange(m + 1) * (A / m)
+    live = (times + A > 0) & (times < horizon)
+    W = np.zeros((K, m))
+    for l in range(K):
+        clipped = np.clip(times[live & (marks == l + 1)][:, None]
+                          + edges[None, :], 0.0, horizon)
+        W[l] = np.diff(clipped, axis=1).sum(axis=0)
+    return W.ravel()
+
+
+def _one_shot_w(direction, f0, stream, horizon):
+    """W_T from one window design of every event and the one-shot
+    weights: the bits the chunked W_T must keep."""
+    times, marks = stream.times, stream.marks
+    sel = (times > 0) & (times <= horizon)
+    X = window_design(times, marks, times[sel], f0.support_end, f0.K,
+                      f0.n_cells)
+    g = _g_flat(direction.g)
+    at = (np.arange(X.shape[0]), marks[sel] - 1)
+    score = np.sum((direction.xi + X @ g)[at]
+                   / (f0.nu + X @ _g_flat(f0.h))[at])
+    W = _one_shot_weights(stream, f0.K, f0.n_cells, f0.support_end,
+                          horizon)
+    total = score - direction.xi.sum() * horizon - W @ g.sum(axis=1)
+    return float(total / np.sqrt(horizon))
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                               3 * CHUNK + 5])
+@pytest.mark.parametrize("m", [1, 2, 16])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_chunked_w_keeps_the_one_shot_bits(K, m, n, mixed):
+    # n events in (0, T) at rate 4m: all of mark 1, so that mark 1 has n
+    # live events and every other mark none, or (mixed) of any mark, with
+    # three events before 0 and one at T. At that rate a cell's running
+    # sum outgrows the event times, so its additions round, and a changed
+    # order of addition shows in the bits
+    rng = np.random.default_rng([K, m, n, mixed])
+    T = max(n / (4.0 * m), 5.0)
+    times = np.sort(rng.uniform(0.0, T, size=n))
+    marks = np.ones(n, dtype=int)
+    if mixed:
+        times = np.concatenate(([-0.9, -0.5, -0.1], times, [T]))
+        marks = rng.integers(1, K + 1, size=times.size)
+    stream = EventStream(times, marks, -1.0, T)
+    f0 = ModelParams(rng.uniform(0.5, 1.5, size=K),
+                     rng.uniform(0.0, 0.6 / (K * m), size=(K, K, m)), 1.0)
+    d = Direction(rng.normal(size=K), rng.normal(size=(K, K, m)), 1.0)
+    want = _one_shot_weights(stream, K, m, 1.0, T).tobytes()
+    assert _compensator_weights(stream, K, m, 1.0, T).tobytes() == want
+    assert LikelihoodCache(stream, K, m, 1.0, T).W.tobytes() == want
+    assert (w_statistic(d, f0, stream, T).hex()
+            == _one_shot_w(d, f0, stream, T).hex())
+
+
+def test_w_statistic_holds_one_chunk_of_events_at_a_time():
+    # the bvm truth of the benchmark's K = 2 workload on its 16-cell
+    # operator grid, about 24,000 events: one design of every event and
+    # (n_events, m + 1) weight arrays took 278 bytes an event, chunks of
+    # CHUNK events 55; bound: ten float64 an event
+    h = np.array([0.4, 0.2, 0.1, 0.05, 0.15, 0.1, 0.3, 0.2]).reshape(2, 2, 2)
+    f0 = ModelParams(np.array([0.6, 0.4]), np.repeat(h, 8, axis=2), 1.0)
+    s = simulate_thinning(f0, 15000.0, seed=7)
+    rng = np.random.default_rng(8)
+    d = Direction(rng.normal(size=2), rng.normal(size=(2, 2, 16)), 1.0)
+    n_events = int(np.sum((s.times > 0) & (s.times <= 15000.0)))
+    transient = _transient_bytes(lambda: w_statistic(d, f0, s, 15000.0))
+    assert transient < 10 * 8 * n_events
 
 
 def test_expansion_remainder_is_third_order():

@@ -1,3 +1,6 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -209,14 +212,18 @@ def test_bias_cauchy_schwarz_bound():
 
 
 def test_palm_json_and_file_round_trip(tmp_path):
-    palm = PalmEstimates.poisson(np.array([2.0, 0.5]), 1.0, 3)
-    rt = PalmEstimates.from_json(palm.to_json())
-    assert np.array_equal(rt.C_b, palm.C_b)
-    assert rt.support_end == palm.support_end
+    _check_round_trip(PalmEstimates.poisson(np.array([2.0, 0.5]), 1.0, 3),
+                      tmp_path)
+
+
+def _check_round_trip(palm, tmp_path):
+    """palm back from its JSON text and from its file, bit for bit."""
     path = str(tmp_path / "palm.json")
     save_palm(palm, path)
-    back = load_palm(path)
-    assert np.array_equal(back.p_b, palm.p_b)
+    for back in (PalmEstimates.from_json(palm.to_json()), load_palm(path)):
+        assert back.support_end == palm.support_end
+        for name in ("mu", "a_b", "D_b", "p_b", "C_b"):
+            assert np.array_equal(getattr(back, name), getattr(palm, name))
 
 
 def test_saved_palm_file_is_to_json_byte_for_byte(tmp_path):
@@ -228,6 +235,73 @@ def test_saved_palm_file_is_to_json_byte_for_byte(tmp_path):
         path = tmp_path / "palm.json"
         save_palm(est, str(path))
         assert path.read_text() == est.to_json()
+
+
+def _palm_case(K):
+    """Estimated Palm tensors at K marks: B = 3 batches, m = 4 cells."""
+    f0 = ModelParams(np.linspace(1.2, 0.8, K),
+                     np.full((K, K, 2), 0.2 / K), 1.0)
+    return estimate_palm(f0, 4, n_anchors=300, n_points=400, n_batches=3,
+                         seed=K)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_estimated_palm_file_round_trip_keeps_every_bit(tmp_path, K):
+    _check_round_trip(_palm_case(K), tmp_path)
+
+
+def test_palm_json_refuses_a_row_of_the_wrong_length():
+    doc = json.loads(_palm_case(2).to_json())
+    doc["D_b"]["rows"][1] = base64.b64encode(bytes(8)).decode()
+    with pytest.raises(ValueError, match="D_b row 1 holds 8 bytes"):
+        PalmEstimates.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("row", ["not base64!", 3])
+def test_palm_json_refuses_a_row_that_is_not_base64(row):
+    doc = json.loads(_palm_case(2).to_json())
+    doc["p_b"]["rows"][0] = row
+    with pytest.raises(ValueError, match="p_b row 0 is not base64"):
+        PalmEstimates.from_json(json.dumps(doc))
+
+
+def test_palm_json_refuses_a_row_count_off_the_leading_axis():
+    doc = json.loads(_palm_case(2).to_json())
+    doc["C_b"]["rows"].pop()
+    with pytest.raises(ValueError, match="C_b has 2 rows"):
+        PalmEstimates.from_json(json.dumps(doc))
+
+
+def _other_palm(axis):
+    """Palm estimates that differ from `_palm_case(2)` (B = 3, K = 2,
+    m = 4) in one of B, K and m."""
+    if axis == "B":
+        return PalmEstimates.poisson(np.array([1.2, 0.8]), 1.0, 4)
+    if axis == "K":
+        return _palm_case(1)
+    f0 = ModelParams(np.array([1.2, 0.8]), np.full((2, 2, 2), 0.1), 1.0)
+    return estimate_palm(f0, 2, n_anchors=300, n_points=400, n_batches=3,
+                         seed=2)
+
+
+@pytest.mark.parametrize("name, axis", [("p_b", "B"), ("a_b", "K"),
+                                        ("C_b", "m")])
+def test_palm_json_refuses_tensors_that_disagree(name, axis):
+    entry = json.loads(_other_palm(axis).to_json())[name]
+    doc = json.loads(_palm_case(2).to_json())
+    doc[name] = entry
+    with pytest.raises(ValueError, match=f"palm.json: {name} has shape"):
+        PalmEstimates.from_json(json.dumps(doc))
+
+
+def test_palm_json_refuses_the_list_format():
+    palm = PalmEstimates.poisson(np.array([2.0, 0.5]), 1.0, 3)
+    text = json.dumps({"A": palm.support_end, "mu": palm.mu.tolist(),
+                       **{name: getattr(palm, name).tolist()
+                          for name in ("a_b", "D_b", "p_b", "C_b")}})
+    with pytest.raises(ValueError,
+                       match="a_b is lists of numbers.*re-run `hawkes-bvm"):
+        PalmEstimates.from_json(text)
 
 
 def test_grid_mismatch_rejected():
