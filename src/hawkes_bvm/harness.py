@@ -124,12 +124,18 @@ def _model_from_config(cfg: dict, model_file: str | None) -> ModelParams:
         with open(model_file) as fh:
             return ModelParams.from_json(fh.read())
     K, m = (config_number(key, cfg[key], int) for key in ("K", "m"))
+    A = config_number("A", cfg["A"])
+    if K < 1 or m < 1:
+        raise ValueError(f"{'K' if K < 1 else 'm'} must be >= 1")
+    if not 0.0 < A < math.inf:
+        raise ValueError("A must be positive and finite")
+    nu = np.array([config_number("nu", v) for v in cfg["nu"].split()])
+    if nu.size != K:
+        raise ValueError("nu must list K rates")
     h_vals = np.array([config_number("h", v) for v in cfg["h"].split()])
     if h_vals.size != K * K * m:
         raise ValueError("h must list K*K*m cell values")
-    nu = np.array([config_number("nu", v) for v in cfg["nu"].split()])
-    return ModelParams(nu, h_vals.reshape(K, K, m),
-                       config_number("A", cfg["A"]), cfg["kind"])
+    return ModelParams(nu, h_vals.reshape(K, K, m), A, cfg["kind"])
 
 
 def load_config(path: str) -> ExperimentConfig:

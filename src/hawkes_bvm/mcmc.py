@@ -19,9 +19,9 @@ the rates' prior terms (from one `tolist()` of nu) and each mark's log
 terms. A mark's intensity is nonpositive at some event exactly when
 nu_k + low[k] <= 0, with low[k] the smallest excitation: correctly
 rounded addition is monotone, so that one comparison decides as the
-elementwise minimum of nu_k + rows does. Every sum and log keeps numpy's
-arithmetic (see `priors`), and no shortcut skips or adds a generator
-call, so each draw is the one the plain evaluation gives.
+elementwise minimum of nu_k + rows does. Every log is numpy's, every
+prior sum is correctly rounded (see `priors`), and no shortcut skips or
+adds a generator call, so each draw is the one the plain evaluation gives.
 """
 
 from __future__ import annotations

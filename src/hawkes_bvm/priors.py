@@ -5,18 +5,18 @@ The terms a chain evaluates on every proposal (`PriorSpec.nu_logpdf`,
 `theta_logpdf`, `kernel_admissible` and `rates_admissible`) run on Python
 floats: they see from one to a few hundred numbers per call, and on
 arrays that small numpy's per-call overhead costs several times the
-arithmetic. They keep numpy's arithmetic bit for bit, so that a chain's
-draws do not depend on how the terms are written:
+arithmetic. So that a chain's draws do not depend on how the terms are
+written:
 
 - every log is numpy's own on the Python float (`math.log` differs from
   `np.log` in the last bit on some inputs);
-- every sum adds its terms in the order `np.sum` uses (`_np_sum`), not
-  left to right, which differs from 8 terms on;
+- every sum is correctly rounded (`_sum`, by `math.fsum`), so it gives
+  the same float in any order of its terms;
 - every expression keeps the operation order of the array form, and a
   constant hoisted out of it is computed by the same expression.
 
-`tests/test_priors.py` keeps the array forms as the reference and
-requires equal results.
+`tests/test_priors.py` keeps the array forms, with `math.fsum` for their
+sums, as the reference and requires equal results.
 
 A chain splits `log_prior` along what each proposal changes. Its
 expansion of a (J, theta) (`mcmc._Expansion`) owns the nu-free terms,
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -120,38 +121,14 @@ def _basis_cached(kind: str, J: int, support_end: float) -> BasisFamily:
     return haar_basis(resolution, support_end)
 
 
-def _np_sum(x: list) -> float:
-    """Sum of a list of floats in the order of `np.sum` over a contiguous
-    float64 array: left to right below 8 terms; up to 128 terms 8
-    interleaved accumulators combined pairwise, then the remainder in
-    order; above 128 the two halves, the first a multiple of 8 long,
-    summed alike. numpy adds the result to its identity 0.0, so a sum of
-    zeros is +0.0; the empty sum is 0.0."""
-    n = len(x)
-    if n < 8:
-        res = 0.0
-        for v in x:
-            res += v
-        return res
-    if n > 128:
-        n2 = n // 2
-        n2 -= n2 % 8
-        return _np_sum(x[:n2]) + _np_sum(x[n2:])
-    r0, r1, r2, r3, r4, r5, r6, r7 = x[:8]
-    m = n - n % 8
-    for i in range(8, m, 8):
-        r0 += x[i]
-        r1 += x[i + 1]
-        r2 += x[i + 2]
-        r3 += x[i + 3]
-        r4 += x[i + 4]
-        r5 += x[i + 5]
-        r6 += x[i + 6]
-        r7 += x[i + 7]
-    res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for i in range(m, n):
-        res += x[i]
-    return 0.0 + res
+def _sum(terms: list[float]) -> float:
+    """`math.fsum`: correctly rounded, so the same in any order of terms.
+    Where fsum raises (intermediate overflow, inf - inf), the float sum
+    left to right, which has then overflowed to +-inf or nan."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return functools.reduce(operator.add, terms, 0.0)
 
 
 def _rejects_below(x: list, bound: float, strict: bool) -> bool:
@@ -278,8 +255,7 @@ class PriorSpec:
         hneg_sup = [0.0] * K
         for i in range(0, len(flat), n):  # the cells of slot (l, k)
             row = flat[i:i + n]
-            rho_plus.append(w * _np_sum([v if v > 0.0 else 0.0
-                                         for v in row]))
+            rho_plus.append(w * _sum([v if v > 0.0 else 0.0 for v in row]))
             k = i // n % K
             hneg_sup[k] = max(hneg_sup[k], -min(row))
         # with one mark the Perron root is the entry compared with 1 here
@@ -339,11 +315,11 @@ class PriorSpec:
             if _rejects_below(x, self.kappa, strict=True):
                 return -np.inf
             kappa = self.kappa
-            return len(x) * c - self.rate * _np_sum([v - kappa for v in x])
+            return len(x) * c - self.rate * _sum([v - kappa for v in x])
         sigma = self.sigma
         z = [v / sigma for v in x]
         # t * t is numpy's `** 2` on an array (np.square)
-        return -0.5 * _np_sum([t * t for t in z]) - len(x) * c
+        return -0.5 * _sum([t * t for t in z]) - len(x) * c
 
     def nu_logpdf(self, nu: np.ndarray | list[float]) -> float:
         x = _floats(nu)
@@ -354,7 +330,7 @@ class PriorSpec:
     def _nu_log_terms(self, x: list[float]) -> float:
         """The Gamma log density of positive rates, with no check."""
         a1, b = self.nu_shape - 1, self.nu_rate
-        return (_np_sum([a1 * float(np.log(v)) - b * v for v in x])
+        return (_sum([a1 * float(np.log(v)) - b * v for v in x])
                 + len(x) * self._nu_log_norm)
 
 
@@ -364,12 +340,10 @@ def log_prior(nu: np.ndarray, J: int, theta: np.ndarray,
     total = spec.dim_log_pmf(J)
     if total == -np.inf:
         return -np.inf
-    h = spec.theta_to_h(J, theta)
-    if not spec.in_model_class(np.asarray(nu, dtype=float), h):
+    nu = np.asarray(nu, dtype=float)
+    if not spec.in_model_class(nu, spec.theta_to_h(J, theta)):
         return -np.inf
-    total += spec.nu_logpdf(np.asarray(nu, dtype=float))
-    total += spec.theta_logpdf(theta)
-    return total
+    return total + spec.nu_logpdf(nu) + spec.theta_logpdf(theta)
 
 
 def sample_prior(spec: PriorSpec,

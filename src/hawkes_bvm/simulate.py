@@ -16,7 +16,6 @@ from operator import add
 import numpy as np
 
 from .model import ModelParams, spectral_radius
-from .priors import _np_sum
 from .stream import EventStream
 
 _MAX_EVENTS = 50_000_000
@@ -58,8 +57,9 @@ def simulate_thinning(params: ModelParams, horizon: float,
     the first iff u < p0 / c1 (p0 = l0 / lam_tot, c1 = p0 + l1 / lam_tot),
     the bisection of u into [p0 / c1, c1 / c1 = 1.0]. One mark runs as
     two with a lane of zeros, which adds nothing and makes p0 / c1 = 1.0.
-    With K >= 3 lambda is a list of K floats summed in np.sum's order
-    (`priors._np_sum`).
+    With K >= 3 lambda is a list of K floats, totalled by `math.fsum`
+    (no overflow: the total is at most the bound, below 1e12): the draws
+    of the array loop, but a total that may round unlike its np.sum.
     """
     if not math.isfinite(horizon):
         # the loop stops only past the horizon
@@ -129,7 +129,7 @@ def simulate_thinning(params: ModelParams, horizon: float,
                 if 0.0 < age <= A:
                     lam = list(map(add, lam, cells[min(c, m - 1)]))
             lam = [x if x >= 0.0 else 0.0 for x in lam]
-            lam_tot = _np_sum(lam)
+            lam_tot = math.fsum(lam)
         if random() * bound < lam_tot:
             if K <= 2:
                 p0 = l0 / lam_tot

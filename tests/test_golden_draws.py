@@ -260,6 +260,15 @@ _CLI_CASES = {
 }
 
 
+# the acceptance warnings each `infer` case's short chain emits, as
+# patterns of their messages; every other case emits none
+_INFER_WARNINGS = {
+    "k2": [r"jump acceptance rate 0\.00 "],
+    "haar-softplus": [r"jump acceptance rate 0\.00 "],
+    "relu": [r"theta acceptance rate 0\.06 ", r"jump acceptance rate 0\.06 "],
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -364,7 +373,10 @@ def test_palm_outputs_match_golden_digests(case):
 
 @pytest.mark.parametrize("case", list(_CLI_CASES["infer"]))
 def test_infer_outputs_match_golden_digests(case):
-    _check_cli("infer", case)
+    with contextlib.ExitStack() as expected:
+        for pattern in _INFER_WARNINGS.get(case, []):
+            expected.enter_context(pytest.warns(UserWarning, match=pattern))
+        _check_cli("infer", case)
 
 
 if __name__ == "__main__":

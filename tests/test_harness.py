@@ -416,6 +416,21 @@ def test_load_config_file(tmp_path):
     assert config.replications == 2
 
 
+def _readme_block(heading: str) -> str:
+    """The first fenced block of README.md after the text `heading`."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        text = fh.read()
+    return text[text.index(heading):].split("```\n")[1]
+
+
+def test_readme_config_example_loads():
+    text = _readme_block("Model keys") + _readme_block("Experiment keys")
+    config = config_from_dict(parse_config_text(text))
+    assert config.f0.K == 1 and config.mcmc_iters == 20000
+    assert config.mcmc_burn_in == 4000
+
+
 def test_cli_simulate(tmp_path):
     path = _write_cfg(tmp_path)
     out = str(tmp_path / "sim")
@@ -459,15 +474,20 @@ def test_cli_bad_model_exit_code(tmp_path):
                      "--out", str(tmp_path / "o2")]) == 2
 
 
+# the first key of each case is the one refused, and named on stderr
 @pytest.mark.parametrize("extra", [
     {"A": "nan"},
     {"A": "inf", "h": "0"},
     {"m": "0", "h": ""},  # divided by zero: exit 1 with a traceback
+    {"nu": "1 2"},  # two rates for one mark
+    {"K": "-1"},
 ])
-def test_cli_bad_model_grid_exit_code(tmp_path, extra):
+def test_cli_bad_model_grid_exit_code(tmp_path, capsys, extra):
     path = _write_cfg(tmp_path, extra)
     assert cli_main(["simulate", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
+    key = next(iter(extra))
+    assert capsys.readouterr().err.startswith(f"config error: {key} ")
 
 
 def test_cli_bvm_report_identical_across_threads(tmp_path):

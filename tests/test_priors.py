@@ -1,4 +1,5 @@
 import math
+import random
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from hawkes_bvm.model import spectral_radius
-from hawkes_bvm.priors import (PriorSpec, _np_sum, haar_basis,
+from hawkes_bvm.priors import (PriorSpec, _sum, haar_basis,
                                histogram_basis, log_prior, rate_schedule,
                                sample_prior, softplus)
 
@@ -246,30 +247,86 @@ _sum_terms = st.one_of(
 )
 
 
+def _float_sum(x):
+    total = 0.0
+    for v in x:
+        total += v
+    return total
+
+
+def _fsum_or_none(x):
+    try:
+        return math.fsum(x)
+    except (OverflowError, ValueError):  # intermediate overflow, inf - inf
+        return None
+
+
 @given(st.integers(0, 300).flatmap(
-    lambda n: st.lists(_sum_terms, min_size=n, max_size=n)))
-@example([])
-@example([-0.0] * 3)
-@example([-0.0] * 9)
-@example([-0.0] * 200)
-@example([math.inf] + [1.0] * 15 + [-math.inf])
-def test_np_sum_matches_numpy_bit_for_bit(x):
-    with np.errstate(all="ignore"):
-        expect = float(np.sum(np.array(x, dtype=float)))
-    assert _same_float(_np_sum(x), expect)
+    lambda n: st.lists(_sum_terms, min_size=n, max_size=n)),
+    st.integers(0, 2 ** 32))
+@example([], 0)
+@example([-0.0] * 3, 0)
+@example([-0.0] * 200, 0)
+@example([1.0, 1e100, 1.0, -1e100] * 4, 1)  # cancels: 8.0, not 0.0
+@example([1e308, 1e308], 0)
+@example([-1e308, -1e308, 1e308], 0)
+@example([math.inf] + [1.0] * 15 + [-math.inf], 0)
+@example([1e308, 1e308, -math.inf], 0)
+def test_sum_is_fsum_in_any_order(x, seed):
+    shuffled = list(x)
+    random.Random(seed).shuffle(shuffled)
+    expect = _fsum_or_none(x)
+    if expect is None:
+        # fsum raised: the float sum, which overflowed or met inf - inf
+        assert _same_float(_sum(x), _float_sum(x))
+        return
+    assert _same_float(_sum(x), expect)
+    # correctly rounded: every order that fsum sums gives the same bits
+    if _fsum_or_none(shuffled) is not None:
+        assert _same_float(_sum(shuffled), expect)
 
 
-def test_np_sum_matches_numpy_at_every_length():
-    rng = np.random.default_rng(40)
-    assert _same_float(_np_sum([]), 0.0)
-    for n in range(301):
-        for _ in range(10):
-            x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
-            assert _same_float(_np_sum(x.tolist()), float(np.sum(x)))
+@pytest.mark.parametrize("x, expect", [
+    ([1e308, 1e308], math.inf),
+    ([-1e308, -1e308, 1e308], -math.inf),
+    ([math.inf, -math.inf], math.nan),
+    ([1e308, 1e308, -math.inf], math.nan),
+])
+def test_sum_overflows_to_inf_or_nan(x, expect):
+    with pytest.raises((OverflowError, ValueError)):
+        math.fsum(x)
+    assert _same_float(_sum(x), expect)
 
 
-# The array forms these terms had before they moved to Python floats; the
-# rewritten methods must return equal values, -inf and None included.
+def test_overflowing_prior_terms_keep_their_results():
+    # each sum overflows, where math.fsum raises
+    gauss = PriorSpec(K=1, theta_family="gaussian", sigma=1.0)
+    assert gauss.theta_logpdf(np.array([1.2e154] * 2)) == -math.inf
+    expo = PriorSpec(K=1, theta_family="shifted-exponential")
+    assert expo.theta_logpdf(np.array([1e308] * 2)) == -math.inf
+    assert expo.nu_logpdf(np.array([1e308] * 2)) == -math.inf
+    assert expo.kernel_admissible(np.full((1, 1, 2), 1e308)) is None
+
+
+def test_theta_logpdf_is_the_same_in_any_order():
+    # at K = 2, J = 4 the Gaussian sum of squares has 16 terms: summed in
+    # np.sum's order, 75 of these 200 permutations changed its bits
+    spec = PriorSpec(K=2, theta_family="gaussian", sigma=0.7)
+    rng = np.random.default_rng(29)
+    theta = rng.standard_normal((2, 2, 4))
+    expect = spec.theta_logpdf(theta)
+    for _ in range(200):
+        permuted = rng.permutation(theta.ravel()).reshape(theta.shape)
+        assert _same_float(spec.theta_logpdf(permuted), expect)
+
+
+# The array forms these terms had before they moved to Python floats, each
+# sum now math.fsum over the same numpy terms; the rewritten methods must
+# return equal values, -inf and None included.
+
+def _fsum(terms):
+    return math.fsum(np.ravel(terms).tolist())
+
 
 def _ref_theta_to_h(spec, J, theta):
     basis = spec.basis(J)
@@ -283,7 +340,8 @@ def _ref_kernel_admissible(spec, h):
     if not np.isfinite(h).all():
         return None
     w = spec.support_end / h.shape[2]
-    rho_plus = w * np.maximum(h, 0.0).sum(axis=2)
+    hplus = np.maximum(h, 0.0)
+    rho_plus = w * np.array([[_fsum(cells) for cells in row] for row in hplus])
     if rho_plus.max(initial=0.0) >= 1.0:
         return None
     if spectral_radius(rho_plus) >= 1.0:
@@ -301,8 +359,8 @@ def _ref_theta_logpdf(spec, theta):
         if x.min() < spec.kappa:
             return -np.inf
         return float(x.size * np.log(spec.rate)
-                     - spec.rate * np.sum(x - spec.kappa))
-    return float(-0.5 * np.sum((x / spec.sigma) ** 2)
+                     - spec.rate * _fsum(x - spec.kappa))
+    return float(-0.5 * _fsum((x / spec.sigma) ** 2)
                  - x.size * (np.log(spec.sigma) + 0.5 * np.log(2 * np.pi)))
 
 
@@ -311,7 +369,7 @@ def _ref_nu_logpdf(spec, nu):
     if x.min() <= 0:
         return -np.inf
     a, b = spec.nu_shape, spec.nu_rate
-    return float(((a - 1) * np.log(x) - b * x).sum()
+    return float(_fsum((a - 1) * np.log(x) - b * x)
                  + x.size * (a * np.log(b) - math.lgamma(a)))
 
 
