@@ -80,7 +80,7 @@ def main(argv=None) -> int:
             print(f"wrote {len(draws)} draws to {out_dir}/draws.csv")
         elif args.command == "palm":
             eff = compute_efficiency(config)
-            save_palm(eff["palm"], os.path.join(out_dir, "palm.json"))
+            save_palm(eff["palm"], os.path.join(out_dir, "palm.npz"))
             summary = {
                 "v0": eff["v0"], "psi0": eff["psi0"],
                 "residual": eff["residual"],

@@ -337,32 +337,29 @@ def run_chain(stream: EventStream, horizon: float, spec: PriorSpec,
     target = PosteriorTarget(stream, horizon, spec)
     state = ChainState.initial(target, rng)
     scales = Scales()
-    adapt = min(max(burn_in, 0), iters)
-    for it in range(adapt):
-        state, acc = mcmc_step(state, target, rng, scales, p_j)
-        # sqrt is correctly rounded in math and numpy alike
-        gamma = 1.0 / math.sqrt(it + 1.0)
-        scales.nu *= float(np.exp(gamma * (acc["nu"] / acc["nu_n"] - 0.3)))
-        scales.theta *= float(np.exp(
-            gamma * (acc["theta"] / acc["theta_n"] - 0.3)))
     # accepted and proposed moves of each type after burn-in
-    nu_ok = nu_n = theta_ok = theta_n = jump_ok = jump_n = 0
+    tally = dict.fromkeys(("nu", "nu_n", "theta", "theta_n", "jump",
+                           "jump_n"), 0)
     nus, js, thetas = [], [], []
-    for it in range(adapt, iters):
+    for it in range(iters):
         state, acc = mcmc_step(state, target, rng, scales, p_j)
-        nu_ok += acc["nu"]
-        nu_n += acc["nu_n"]
-        theta_ok += acc["theta"]
-        theta_n += acc["theta_n"]
-        jump_ok += acc["jump"]
-        jump_n += acc["jump_n"]
+        if it < burn_in:
+            # sqrt is correctly rounded in math and numpy alike
+            gamma = 1.0 / math.sqrt(it + 1.0)
+            scales.nu *= float(np.exp(
+                gamma * (acc["nu"] / acc["nu_n"] - 0.3)))
+            scales.theta *= float(np.exp(
+                gamma * (acc["theta"] / acc["theta_n"] - 0.3)))
+            continue
+        for key in tally:
+            tally[key] += acc[key]
         if (it - burn_in) % thin == 0:
             nus.append(state.nu.copy())
             js.append(state.J)
             thetas.append(state.theta.copy())
     rates = {}
-    for name, ok, n in (("nu", nu_ok, nu_n), ("theta", theta_ok, theta_n),
-                        ("jump", jump_ok, jump_n)):
+    for name in ("nu", "theta", "jump"):
+        ok, n = tally[name], tally[f"{name}_n"]
         # null in JSON, which has no nan: a move type never proposed
         rates[name] = ok / n if n else None
         if warn and n and not 0.1 <= rates[name] <= 0.6:

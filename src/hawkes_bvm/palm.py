@@ -9,10 +9,8 @@ linear algebra.
 
 from __future__ import annotations
 
-import base64
-import binascii
-import json
-import math
+import io
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,85 +93,47 @@ class PalmEstimates:
                     C[0, l, j, k, :, :] = nu[j] * w / nu[k]
         return cls(support_end, nu.copy(), a, D, p, C)
 
-    def to_json(self) -> str:
-        return "".join(_json_chunks(self))
 
-    @classmethod
-    def from_json(cls, text: str) -> "PalmEstimates":
-        """The estimates a `to_json` text holds; a ValueError names the
-        tensor of a text that holds none."""
-        doc = json.loads(text)
-        a_b, D_b, p_b, C_b = (_decode_tensor(name, doc[name])
-                              for name in _TENSORS)
-        mu = np.array(doc["mu"], dtype=float)
-        # B from a_b, K from mu and m from p_b fix every shape
-        B, K, m = a_b.shape[0], mu.size, p_b.shape[-1]
-        for name, tensor, shape in (
-                ("a_b", a_b, (B, K)), ("D_b", D_b, (B, K, K, m)),
-                ("p_b", p_b, (B, K, K, m)), ("C_b", C_b, (B, K, K, K, m, m))):
-            if tensor.shape != shape:
-                raise ValueError(
-                    f"palm.json: {name} has shape {list(tensor.shape)}, but "
-                    f"B = {B}, K = {K} and m = {m} make it {list(shape)}")
-        return cls(float(doc["A"]), mu, a_b, D_b, p_b, C_b)
-
-
-# the batched tensors of `PalmEstimates`, in file order
-_TENSORS = ("a_b", "D_b", "p_b", "C_b")
-
-
-def _json_chunks(palm: PalmEstimates):
-    """The text of `palm.to_json()`, one leading row of a tensor at a
-    time. Each tensor is its shape and one base64 string per leading row
-    of that row's little-endian float64 bytes."""
-    yield (f'{{"A": {json.dumps(palm.support_end)}, '
-           f'"mu": {json.dumps(palm.mu.tolist())}')
-    for name in _TENSORS:
-        tensor = getattr(palm, name)
-        yield f', "{name}": {{"shape": {list(tensor.shape)}, "rows": ['
-        for i, row in enumerate(tensor):
-            data = np.ascontiguousarray(row, dtype="<f8").tobytes()
-            yield f'{", " if i else ""}"{base64.b64encode(data).decode()}"'
-        yield "]}"
-    yield "}"
-
-
-def _decode_tensor(name: str, entry) -> np.ndarray:
-    """One tensor of a palm.json document, each row checked against the
-    tensor's shape."""
-    if not isinstance(entry, dict):
-        raise ValueError(
-            f"palm.json: {name} is lists of numbers, the format before "
-            "base64 rows; re-run `hawkes-bvm palm`")
-    shape, rows = tuple(entry["shape"]), entry["rows"]
-    if not shape or len(rows) != shape[0]:
-        raise ValueError(f"palm.json: {name} has {len(rows)} rows, but its "
-                         f"shape is {list(shape)}")
-    out = np.empty(shape)
-    row_bytes = 8 * math.prod(shape[1:])
-    for i, text in enumerate(rows):
-        try:
-            data = base64.b64decode(text, validate=True)
-        except (binascii.Error, TypeError) as exc:
-            raise ValueError(
-                f"palm.json: {name} row {i} is not base64: {exc}") from None
-        if len(data) != row_bytes:
-            raise ValueError(
-                f"palm.json: {name} row {i} holds {len(data)} bytes, but "
-                f"its shape {list(shape)} makes a row {row_bytes}")
-        out[i] = np.frombuffer(data, dtype="<f8").reshape(shape[1:])
-    return out
+# the arrays of a Palm file
+_ARRAYS = ("A", "mu", "a_b", "D_b", "p_b", "C_b")
 
 
 def save_palm(palm: PalmEstimates, path: str) -> None:
-    """Write `palm.to_json()` to path one leading row of each tensor at a
-    time, so that the whole text is never held in memory."""
-    atomic_write(path, _json_chunks(palm))
+    """Write palm to exactly path as one uncompressed numpy archive of
+    `_ARRAYS`, which reads back bit for bit."""
+    buf = io.BytesIO()
+    # a file object: np.savez appends ".npz" to a path
+    np.savez(buf, A=palm.support_end, mu=palm.mu, a_b=palm.a_b,
+             D_b=palm.D_b, p_b=palm.p_b, C_b=palm.C_b)
+    atomic_write(path, buf.getvalue())
 
 
 def load_palm(path: str) -> PalmEstimates:
-    with open(path) as fh:
-        return PalmEstimates.from_json(fh.read())
+    """The estimates a `save_palm` archive holds; a ValueError names the
+    path of a file that is not such an archive or whose tensors
+    disagree."""
+    with open(path, "rb") as fh:
+        if not zipfile.is_zipfile(fh):
+            raise ValueError(f"{path} is not a numpy .npz archive; re-run "
+                             "`hawkes-bvm palm`")
+        fh.seek(0)
+        with np.load(fh) as npz:
+            missing = [name for name in _ARRAYS if name not in npz.files]
+            if missing:
+                raise ValueError(
+                    f"{path} holds no {', '.join(missing)}; re-run "
+                    "`hawkes-bvm palm`")
+            A, mu, a_b, D_b, p_b, C_b = (npz[name] for name in _ARRAYS)
+    # B from a_b, K from mu and m from p_b fix every shape
+    B, K, m = a_b.shape[0], mu.size, p_b.shape[-1]
+    for name, tensor, shape in (
+            ("a_b", a_b, (B, K)), ("D_b", D_b, (B, K, K, m)),
+            ("p_b", p_b, (B, K, K, m)), ("C_b", C_b, (B, K, K, K, m, m))):
+        if tensor.shape != shape:
+            raise ValueError(
+                f"{path}: {name} has shape {list(tensor.shape)}, but "
+                f"B = {B}, K = {K} and m = {m} make it {list(shape)}")
+    return PalmEstimates(float(A), mu, a_b, D_b, p_b, C_b)
 
 
 def _grouped_outer(X: CountDesign, inv: np.ndarray,

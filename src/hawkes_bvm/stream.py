@@ -6,7 +6,6 @@ import io
 import math
 import os
 import tempfile
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,17 +13,14 @@ import numpy as np
 _JITTER = 1e-13
 
 
-def atomic_write(path: str, text: str | Iterable[str]) -> None:
-    """Write text, a string or an iterable of strings written one after
-    another, to path through a temporary file in the same directory, so
-    a reader never sees a partial file."""
+def atomic_write(path: str, data: str | bytes) -> None:
+    """Write data, text or bytes, to path through a temporary file in
+    the same directory, so a reader never sees a partial file."""
     tmp = tempfile.NamedTemporaryFile(
-        "w", dir=os.path.dirname(os.path.abspath(path)), delete=False)
+        "wb" if isinstance(data, bytes) else "w",
+        dir=os.path.dirname(os.path.abspath(path)), delete=False)
     try:
-        if isinstance(text, str):
-            tmp.write(text)
-        else:
-            tmp.writelines(text)
+        tmp.write(data)
         tmp.close()
         os.replace(tmp.name, path)
     except BaseException:
@@ -94,10 +90,6 @@ class EventStream:
 
     def __len__(self) -> int:
         return self.times.size
-
-    @property
-    def K(self) -> int:
-        return int(self.marks.max()) if len(self) else 1
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -11,7 +11,7 @@ lane clamps, the same bytes of `simulate_cluster` for the K = 1 and
 K = 2 linear truths, and every file the CLI
 writes for small configs: `bvm` (`report.json`, `replications.csv`,
 `plots.gp` and each `posterior_<r>.csv`) on three K = 1 configs, one
-K = 2 and the criterion-7 experiment cut short, `palm` (`palm.json`,
+K = 2 and the criterion-7 experiment cut short, `palm` (`palm.npz`,
 `efficiency.json`) converged and not, at K = 1 and K = 2, and `infer`
 (`draws.csv`, `chain.json`) at K = 1, K = 2, with the Haar/softplus
 prior and on a ReLU truth. A change that must
@@ -141,16 +141,16 @@ DIGESTS = {
         "d697eb7bac0190983986b76a083421a4a87167210bb25db42e3c5f790b8539cf",
     "palm/k1/efficiency.json":
         "92a8768c8f53e27243d403ab5e25d127f59ac633c4977d38bcff94955f81a52d",
-    "palm/k1/palm.json":
-        "3f1fbb2400079dff25ee2d24a62a5fa0ff0e5fd762e5c8c03d1cf39295f19118",
+    "palm/k1/palm.npz":
+        "dbd726ceb329c579c0bfff00144a0087f6c71e9907966c065af2552b1291d7a7",
     "palm/k1-not-converged/efficiency.json":
         "df68c485b03de5ca2390cb6d773eb01212398f5ed2e8e229a6090b3f5a1754b4",
-    "palm/k1-not-converged/palm.json":
-        "3f1fbb2400079dff25ee2d24a62a5fa0ff0e5fd762e5c8c03d1cf39295f19118",
+    "palm/k1-not-converged/palm.npz":
+        "dbd726ceb329c579c0bfff00144a0087f6c71e9907966c065af2552b1291d7a7",
     "palm/k2/efficiency.json":
         "d403f0551ebba420cdafdbf24c2d9769a017944361cced853960a12807631bde",
-    "palm/k2/palm.json":
-        "693c69575f869fe121c29d2c17c21519420ffbb806ae902dfc0eb13961e41e74",
+    "palm/k2/palm.npz":
+        "5115d20e1e85251bf1fb4b527b0ab8f26458d28cd435e50f7a8ed9e920bb1839",
     "infer/k1/chain.json":
         "45cef2dc70a7c3e6a3dec4c37e9170e59bfa0ca49a029f15d8d1de1581ddf9e1",
     "infer/k1/draws.csv":

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -416,12 +417,17 @@ def test_load_config_file(tmp_path):
     assert config.replications == 2
 
 
-def _readme_block(heading: str) -> str:
-    """The first fenced block of README.md after the text `heading`."""
+def _readme_from(heading: str) -> str:
+    """README.md from the first occurrence of the text `heading` on."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(path) as fh:
         text = fh.read()
-    return text[text.index(heading):].split("```\n")[1]
+    return text[text.index(heading):]
+
+
+def _readme_block(heading: str) -> str:
+    """The first fenced block of README.md after the text `heading`."""
+    return _readme_from(heading).split("```\n")[1]
 
 
 def test_readme_config_example_loads():
@@ -429,6 +435,20 @@ def test_readme_config_example_loads():
     config = config_from_dict(parse_config_text(text))
     assert config.f0.K == 1 and config.mcmc_iters == 20000
     assert config.mcmc_burn_in == 4000
+
+
+def test_readme_config_format_names_every_key_at_its_default():
+    section = _readme_from("## Config format").split("\n## ")[0]
+    shown = {}
+    for block in section.split("```\n")[1::2]:
+        shown.update(parse_config_text(block))
+    # the keys of the fenced blocks and of inline `key = value` spans,
+    # but for the format's own
+    named = set(shown) | set(re.findall(r"`(\w+) = ", section)) - {"key"}
+    assert named == set(harness._DEFAULTS) | {"model_file"}
+    # mcmc_burn_in's default is mcmc_iters/5, which the block shows
+    assert shown == {key: default or shown[key]
+                     for key, default in harness._DEFAULTS.items()}
 
 
 def test_cli_simulate(tmp_path):
@@ -529,7 +549,7 @@ def test_cli_palm_writes_palm_and_efficiency(tmp_path, monkeypatch, tol,
     path = _write_cfg(tmp_path, {"bias_dims": "4"})
     out = tmp_path / "palm"
     assert cli_main(["palm", "--config", path, "--out", str(out)]) == code
-    saved = load_palm(str(out / "palm.json"))
+    saved = load_palm(str(out / "palm.npz"))
     assert (saved.K, saved.n_cells) == (1, 4)
     summary = _strict_json(out / "efficiency.json")
     assert summary["converged"] is (code == 0)

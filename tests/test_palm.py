@@ -1,5 +1,6 @@
 import base64
 import json
+import os
 
 import numpy as np
 import pytest
@@ -217,24 +218,27 @@ def test_palm_json_and_file_round_trip(tmp_path):
 
 
 def _check_round_trip(palm, tmp_path):
-    """palm back from its JSON text and from its file, bit for bit."""
-    path = str(tmp_path / "palm.json")
+    """palm back from its file, bit for bit."""
+    path = str(tmp_path / "palm.npz")
     save_palm(palm, path)
-    for back in (PalmEstimates.from_json(palm.to_json()), load_palm(path)):
-        assert back.support_end == palm.support_end
-        for name in ("mu", "a_b", "D_b", "p_b", "C_b"):
-            assert np.array_equal(getattr(back, name), getattr(palm, name))
+    back = load_palm(path)
+    assert back.support_end == palm.support_end
+    for name in ("mu", "a_b", "D_b", "p_b", "C_b"):
+        assert np.array_equal(getattr(back, name), getattr(palm, name))
 
 
-def test_saved_palm_file_is_to_json_byte_for_byte(tmp_path):
-    # written one leading row at a time; several batches, marks and cells
+def test_saved_palm_file_is_byte_deterministic(tmp_path):
+    # written to exactly its path, whatever the suffix; several batches,
+    # marks and cells
     f0 = ModelParams(np.array([1.2, 1.0]), np.full((2, 2, 2), 0.1), 1.0)
     palm = estimate_palm(f0, 4, n_anchors=300, n_points=400, n_batches=3,
                          seed=5)
     for est in (palm, PalmEstimates.poisson(np.array([2.0]), 1.0, 1)):
-        path = tmp_path / "palm.json"
-        save_palm(est, str(path))
-        assert path.read_text() == est.to_json()
+        first, again = tmp_path / "palm.json", tmp_path / "again.json"
+        save_palm(est, str(first))
+        save_palm(est, str(again))
+        assert first.read_bytes() == again.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["again.json", "palm.json"]
 
 
 def _palm_case(K):
@@ -250,26 +254,10 @@ def test_estimated_palm_file_round_trip_keeps_every_bit(tmp_path, K):
     _check_round_trip(_palm_case(K), tmp_path)
 
 
-def test_palm_json_refuses_a_row_of_the_wrong_length():
-    doc = json.loads(_palm_case(2).to_json())
-    doc["D_b"]["rows"][1] = base64.b64encode(bytes(8)).decode()
-    with pytest.raises(ValueError, match="D_b row 1 holds 8 bytes"):
-        PalmEstimates.from_json(json.dumps(doc))
-
-
-@pytest.mark.parametrize("row", ["not base64!", 3])
-def test_palm_json_refuses_a_row_that_is_not_base64(row):
-    doc = json.loads(_palm_case(2).to_json())
-    doc["p_b"]["rows"][0] = row
-    with pytest.raises(ValueError, match="p_b row 0 is not base64"):
-        PalmEstimates.from_json(json.dumps(doc))
-
-
-def test_palm_json_refuses_a_row_count_off_the_leading_axis():
-    doc = json.loads(_palm_case(2).to_json())
-    doc["C_b"]["rows"].pop()
-    with pytest.raises(ValueError, match="C_b has 2 rows"):
-        PalmEstimates.from_json(json.dumps(doc))
+def _arrays(palm):
+    """The arrays `save_palm` writes for palm, by name."""
+    return {"A": palm.support_end, "mu": palm.mu, "a_b": palm.a_b,
+            "D_b": palm.D_b, "p_b": palm.p_b, "C_b": palm.C_b}
 
 
 def _other_palm(axis):
@@ -286,22 +274,40 @@ def _other_palm(axis):
 
 @pytest.mark.parametrize("name, axis", [("p_b", "B"), ("a_b", "K"),
                                         ("C_b", "m")])
-def test_palm_json_refuses_tensors_that_disagree(name, axis):
-    entry = json.loads(_other_palm(axis).to_json())[name]
-    doc = json.loads(_palm_case(2).to_json())
-    doc[name] = entry
-    with pytest.raises(ValueError, match=f"palm.json: {name} has shape"):
-        PalmEstimates.from_json(json.dumps(doc))
+def test_palm_json_refuses_tensors_that_disagree(tmp_path, name, axis):
+    arrays = _arrays(_palm_case(2))
+    arrays[name] = getattr(_other_palm(axis), name)
+    path = str(tmp_path / "palm.npz")
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=f"palm.npz: {name} has shape"):
+        load_palm(path)
 
 
-def test_palm_json_refuses_the_list_format():
-    palm = PalmEstimates.poisson(np.array([2.0, 0.5]), 1.0, 3)
-    text = json.dumps({"A": palm.support_end, "mu": palm.mu.tolist(),
-                       **{name: getattr(palm, name).tolist()
-                          for name in ("a_b", "D_b", "p_b", "C_b")}})
+def test_load_palm_refuses_the_base64_json_format(tmp_path):
+    # the format before numpy archives: base64 rows of float64 bytes
+    row = base64.b64encode(np.array([0.5]).tobytes()).decode()
+    tensor = {"shape": [1, 1], "rows": [row]}
+    path = tmp_path / "palm.json"
+    path.write_text(json.dumps({"A": 1.0, "mu": [2.0], "a_b": tensor}))
     with pytest.raises(ValueError,
-                       match="a_b is lists of numbers.*re-run `hawkes-bvm"):
-        PalmEstimates.from_json(text)
+                       match="palm.json is not a numpy .npz archive"):
+        load_palm(str(path))
+
+
+def test_load_palm_refuses_an_npy_file(tmp_path):
+    path = str(tmp_path / "palm.npy")
+    np.save(path, _palm_case(2).C_b)
+    with pytest.raises(ValueError, match="palm.npy is not a numpy .npz"):
+        load_palm(path)
+
+
+def test_load_palm_refuses_an_archive_without_c_b(tmp_path):
+    arrays = _arrays(PalmEstimates.poisson(np.array([2.0, 0.5]), 1.0, 3))
+    del arrays["C_b"]
+    path = str(tmp_path / "palm.npz")
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="palm.npz holds no C_b"):
+        load_palm(path)
 
 
 def test_grid_mismatch_rejected():

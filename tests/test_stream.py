@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hawkes_bvm.stream import EventStream
+from hawkes_bvm.stream import EventStream, atomic_write
 
 
 def test_sorting_and_marks():
@@ -10,7 +12,6 @@ def test_sorting_and_marks():
                     0.0, 1.0)
     assert np.allclose(s.times, [0.1, 0.3, 0.5])
     assert list(s.marks) == [1, 1, 2]
-    assert s.K == 2
     assert np.allclose(s.times[s.marks == 1], [0.1, 0.3])
 
 
@@ -88,4 +89,18 @@ def test_csv_requires_header():
 def test_empty_stream():
     s = EventStream(np.array([]), np.array([]), 0.0, 1.0)
     assert len(s) == 0
-    assert s.K == 1
+
+
+@pytest.mark.parametrize("data, raw", [
+    ("time,mark\n0.5,1\n", b"time,mark\n0.5,1\n"),
+    (b"PK\x03\x04\x00\xff", b"PK\x03\x04\x00\xff")])
+def test_atomic_write_writes_text_or_bytes_exactly(tmp_path, data, raw):
+    path = tmp_path / "out"
+    atomic_write(str(path), data)
+    assert path.read_bytes() == raw
+    assert os.listdir(tmp_path) == ["out"]
+    # a failed write removes its temporary file and keeps the old one
+    with pytest.raises(TypeError):
+        atomic_write(str(path), 3)
+    assert os.listdir(tmp_path) == ["out"]
+    assert path.read_bytes() == raw
