@@ -393,25 +393,27 @@ def equal_tailed_interval(samples: np.ndarray,
 
 
 def ess(samples: np.ndarray) -> float:
-    """Effective sample size by initial-positive-sequence truncation of
-    the autocorrelation function."""
+    """Effective sample size n / tau by Geyer's initial positive sequence:
+    tau = 1 + 2 * sum of the autocorrelation pairs rho_t + rho_{t+1}
+    (t = 1, 3, ...) up to the first non-positive pair.
+
+    Each rho_t is a direct lagged product sum(x_i x_{i+t}) / sum(x_i^2)
+    of the centered sample, taken only up to that pair, so a chain that
+    mixes well costs a few dot products, not a transform over all n
+    lags."""
     x = np.asarray(samples, dtype=float)
     n = x.size
     if n < 10:
         raise ValueError("need at least 10 samples")
     x = x - x.mean()
-    var = np.dot(x, x) / n
-    if var == 0.0:
+    c0 = np.dot(x, x)
+    if c0 == 0.0:
         return float(n)  # constant chain: no autocorrelation information
-    nfft = int(2 ** np.ceil(np.log2(2 * n)))
-    f = np.fft.rfft(x, nfft)
-    acov = np.fft.irfft(f * np.conj(f), nfft)[:n].real / n
-    rho = acov / acov[0]
-    # sum consecutive pairs while they stay positive
     tau = 1.0
     t = 1
     while t + 1 < n:
-        pair = rho[t] + rho[t + 1]
+        pair = (np.dot(x[:n - t], x[t:])
+                + np.dot(x[:n - t - 1], x[t + 1:])) / c0
         if pair <= 0.0:
             break
         tau += 2.0 * pair

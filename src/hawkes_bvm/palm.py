@@ -9,7 +9,7 @@ linear algebra.
 
 from __future__ import annotations
 
-import io
+import functools
 import zipfile
 from dataclasses import dataclass
 
@@ -101,11 +101,10 @@ _ARRAYS = ("A", "mu", "a_b", "D_b", "p_b", "C_b")
 def save_palm(palm: PalmEstimates, path: str) -> None:
     """Write palm to exactly path as one uncompressed numpy archive of
     `_ARRAYS`, which reads back bit for bit."""
-    buf = io.BytesIO()
-    # a file object: np.savez appends ".npz" to a path
-    np.savez(buf, A=palm.support_end, mu=palm.mu, a_b=palm.a_b,
-             D_b=palm.D_b, p_b=palm.p_b, C_b=palm.C_b)
-    atomic_write(path, buf.getvalue())
+    # into the open temporary file: np.savez appends ".npz" to a path
+    atomic_write(path, functools.partial(
+        np.savez, A=palm.support_end, mu=palm.mu, a_b=palm.a_b,
+        D_b=palm.D_b, p_b=palm.p_b, C_b=palm.C_b))
 
 
 def load_palm(path: str) -> PalmEstimates:
@@ -309,7 +308,10 @@ def bias_term(basis_dirs: list[Direction], f_dir: Direction,
 
     Returns (B_J, batch-means SE, ridge flag). Projection coefficients
     come from the pooled Gram; the SE propagates per-batch Gram entries
-    through the fixed coefficients.
+    through the fixed coefficients. The flag is set, and 1e-10 added to
+    the basis Gram's diagonal, when that Gram's 1-norm condition number
+    exceeds 1e12 (inf for a singular Gram). It is taken through the same
+    LU factorisation as the solves, not an SVD.
     """
     dirs = list(basis_dirs) + [f_dir, psi_L]
     nb = len(basis_dirs)
@@ -317,7 +319,7 @@ def bias_term(basis_dirs: list[Direction], f_dir: Direction,
     G = gram_b.mean(axis=0)
     G_bb = G[:nb, :nb]
     flagged = False
-    if np.linalg.cond(G_bb) > 1e12:
+    if np.linalg.cond(G_bb, 1) > 1e12:
         G_bb = G_bb + 1e-10 * np.eye(nb)
         flagged = True
     g_bf = G[:nb, nb]

@@ -6,24 +6,33 @@ import io
 import math
 import os
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
 _JITTER = 1e-13
 
 
-def atomic_write(path: str, data: str | bytes) -> None:
+def atomic_write(path: str,
+                 data: str | bytes | Callable[[BinaryIO], object]) -> None:
     """Write data, text or bytes, to path through a temporary file in
-    the same directory, so a reader never sees a partial file."""
+    the same directory, so a reader never sees a partial file. A
+    callable data writes the bytes itself into the open binary file, so
+    they need not all be held in memory."""
     tmp = tempfile.NamedTemporaryFile(
-        "wb" if isinstance(data, bytes) else "w",
+        "w" if isinstance(data, str) else "wb",
         dir=os.path.dirname(os.path.abspath(path)), delete=False)
     try:
-        tmp.write(data)
+        if callable(data):
+            data(tmp)
+        else:
+            tmp.write(data)
         tmp.close()
         os.replace(tmp.name, path)
     except BaseException:
+        tmp.close()
         os.unlink(tmp.name)
         raise
 
@@ -32,7 +41,8 @@ def atomic_write(path: str, data: str | bytes) -> None:
 class EventStream:
     """Marked event times on [window_start, horizon], strictly increasing.
 
-    The window's ends are finite and window_start <= horizon; a stream
+    The window's ends and every event time are finite, window_start <=
+    horizon and the times, in any order, lie in the window; a stream
     read from a file is checked like any other.
 
     Marks are 1-based (1..K). Exact time ties are broken by a recorded
@@ -57,18 +67,21 @@ class EventStream:
         marks = np.asarray(self.marks, dtype=int)
         if times.shape != marks.shape or times.ndim != 1:
             raise ValueError("times and marks must be 1-d of equal length")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("event times must be finite")
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        marks = marks[order]
         if times.size and (times[0] < self.window_start
                            or times[-1] > self.horizon):
             raise ValueError("event times outside [window_start, horizon]")
         if np.any(marks < 1):
             raise ValueError("marks must be 1-based positive integers")
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-        marks = marks[order]
         n_jittered = 0
         if times.size > 1:
-            n_jittered = int(times.size - np.unique(times).size)
+            # sorted, a tie is a zero step; each tied time is jittered
             dup = np.flatnonzero(np.diff(times) <= 0.0)
+            n_jittered = int(dup.size)
             while dup.size:
                 times[dup + 1] = np.nextafter(times[dup] + _JITTER, np.inf)
                 dup = np.flatnonzero(np.diff(times) <= 0.0)

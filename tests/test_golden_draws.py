@@ -96,7 +96,7 @@ DIGESTS = {
     "bvm/two-horizons/replications.csv":
         "a3e2191d4638a43bd9d55bf88d02b05ce276ed91406775ae427f4ebe7a5c0cc8",
     "bvm/two-horizons/report.json":
-        "78afa69b5e3aae6ef5a7a1d4c0f8dd8d1956b177a96c21263daec14975beeaa8",
+        "289749fc87df92b5f28f3dc7926e8afeb6dbc3e52543627631cbfee8564dbdec",
     "bvm/few-draws/plots.gp":
         "97c6e98f6e202fa7f6d910d59c968284bef50dab41434acc229ae0f3e4a720ca",
     "bvm/few-draws/posterior_0.csv":
@@ -110,7 +110,7 @@ DIGESTS = {
     "bvm/few-draws/replications.csv":
         "f66b4be7b9bbd7ad9ce37a61bc712143cb5dd92b27c68f8a661b8ba11e8cfd68",
     "bvm/few-draws/report.json":
-        "54a6d94cca41d08c9b7e2c96ab2461488154a8dc5660707e4e5e9df44bafeda1",
+        "59bceb2d175d1d1b87fbff6e284e9397d51b9073b072ecfc83ce2329c828eb02",
     "bvm/all-failed/plots.gp":
         "cd222bcc134042b31de9d57fc935d9a7bad8a2811f4bebb490882a77258416c4",
     "bvm/all-failed/replications.csv":
@@ -126,7 +126,7 @@ DIGESTS = {
     "bvm/k2-two-horizons/replications.csv":
         "846e5ce9502b8a11081ecc5983646775e885335f69f6431b15b89a638693b4a5",
     "bvm/k2-two-horizons/report.json":
-        "46d210849152523ede1f2eaa0c0ac46ceb4dfd7ec59d779f6257754394553c95",
+        "288c2f9d75dbd3df8e919c4d2e489493bc60e60a38f23681275487531af0476d",
     "bvm/criterion-7/plots.gp":
         "49f1a87e5b26e9603d1ddb69919bfee5f2c34bfe25a4b5b3396b0f4e66f3feba",
     "bvm/criterion-7/posterior_0.csv":
@@ -138,7 +138,7 @@ DIGESTS = {
     "bvm/criterion-7/replications.csv":
         "a5f84d5fa391cf5943d647dfcd5e1d5919886c2e579e632f7bea820054358eb0",
     "bvm/criterion-7/report.json":
-        "d697eb7bac0190983986b76a083421a4a87167210bb25db42e3c5f790b8539cf",
+        "79ec1c5699817fdbecffb150e2b7986162374b4577ea100267e5e2df46baf294",
     "palm/k1/efficiency.json":
         "92a8768c8f53e27243d403ab5e25d127f59ac633c4977d38bcff94955f81a52d",
     "palm/k1/palm.npz":

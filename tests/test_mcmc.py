@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -306,6 +307,54 @@ def test_ess_ar1():
     for i in range(1, n):
         x[i] = 0.5 * x[i - 1] + eps[i]
     assert ess(x) / n == pytest.approx(1.0 / 3.0, rel=0.25)
+
+
+def _fft_ess(x):
+    """Reference ESS: the autocorrelations of the centered sample from one
+    zero-padded FFT over all lags, Geyer's initial positive pairs summed;
+    with the number of autocorrelations the pair sums read."""
+    n = x.size
+    x = x - x.mean()
+    nfft = int(2 ** np.ceil(np.log2(2 * n)))
+    f = np.fft.rfft(x, nfft)
+    acov = np.fft.irfft(f * np.conj(f), nfft)[:n]
+    if acov[0] == 0.0:
+        return float(n), 0
+    rho = acov / acov[0]
+    tau, t = 1.0, 1
+    while t + 1 < n:
+        pair = rho[t] + rho[t + 1]
+        if pair <= 0.0:
+            return float(n / tau), t + 1
+        tau += 2.0 * pair
+        t += 2
+    return float(n / tau), t - 1
+
+
+def _ar1(rho, n, seed):
+    eps = np.random.default_rng(seed).standard_normal(n)
+    x = np.empty(n)
+    x[0] = eps[0]
+    for i in range(1, n):
+        x[i] = rho * x[i - 1] + eps[i]
+    return x
+
+
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(40).standard_normal(3200),
+    _ar1(0.5, 3200, 41), _ar1(0.9, 3200, 42), _ar1(0.99, 3200, 43),
+    _ar1(0.9, 20_000, 44), np.full(50, -2.5),
+    np.random.default_rng(45).standard_normal(10), _ar1(0.99, 10, 46)],
+    ids=["iid", "ar0.5", "ar0.9", "ar0.99", "ar0.9-n20000", "constant",
+         "iid-n10", "ar0.99-n10"])
+def test_ess_matches_the_fft_reference(x):
+    want, lags = _fft_ess(x)
+    # each pair costs two lagged products, after the lag-0 one: ess reads
+    # the autocorrelations up to the first non-positive pair, no further
+    with mock.patch.object(np, "dot", wraps=np.dot) as dot:
+        got = ess(x)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert dot.call_count == 1 + lags
 
 
 def test_ess_needs_samples():

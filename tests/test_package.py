@@ -78,3 +78,34 @@ def test_import_and_commands_load_no_scipy(tmp_path):
         report = json.loads(
             (tmp_path / "out" / str(i) / "report.json").read_text())
         assert all(r["ks"] is not None for r in report["replications"])
+
+
+def test_k1_bvm_never_imports_numpy_fft(tmp_path):
+    # ess takes direct lagged products, so a K = 1 bvm run (with its
+    # efficiency stage and bias terms) needs no numpy.fft
+    config = tmp_path / "k1.cfg"
+    config.write_text(_SMALL_CONFIG.replace("bias_dims = 1",
+                                            "bias_dims = 1 4"))
+    probe = textwrap.dedent("""
+        import json
+        import sys
+
+        from hawkes_bvm.cli import main
+        code = main(["bvm", "--config", sys.argv[1], "--out", sys.argv[2],
+                     "--threads", "1"])
+        print(json.dumps({"code": code, "fft": "numpy.fft" in sys.modules}))
+    """)
+    src = os.path.dirname(os.path.dirname(hawkes_bvm.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(config), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == {"code": 0,
+                                                       "fft": False}
+    # the run took an ESS and decided both ridge flags
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["replications"][0]["ess"] > 0
+    assert sorted(report["bias"]) == ["1", "4"]

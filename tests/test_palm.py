@@ -1,6 +1,8 @@
 import base64
+import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +214,39 @@ def test_bias_cauchy_schwarz_bound():
     assert abs(bj) <= np.sqrt(max(resid_f, 0) * max(resid_p, 0)) + 1e-10
 
 
+class _FixedGram:
+    """A stand-in LanEstimator whose one batch Gram is G."""
+
+    def __init__(self, G):
+        self.G = G
+
+    def gram_batches(self, dirs):
+        assert len(dirs) == self.G.shape[0]
+        return self.G[None]
+
+
+def _ones_plus(eps):
+    """The 4 x 4 basis Gram J + eps I and zero rows for f and psi_L: its
+    1-norm condition is 6/eps + 1 and its 2-norm condition 4/eps + 1."""
+    G = np.zeros((6, 6))
+    G[:4, :4] = np.ones((4, 4)) + eps * np.eye(4)
+    G[4:, 4:] = np.eye(2)
+    return G
+
+
+@pytest.mark.parametrize("G, flagged", [
+    # 1-norm condition just above 1e12 (the 2-norm one is below it)
+    (_ones_plus(6.0 / 1.01e12), True),
+    (_ones_plus(6.0 / 0.99e12), False),
+    # singular: the 1-norm condition is inf
+    (_ones_plus(0.0), True)])
+def test_bias_term_flags_by_the_one_norm_condition(G, flagged):
+    bj, se, ridge = bias_term([None] * 4, None, None, _FixedGram(G))
+    assert ridge is flagged
+    # the ridge makes even the singular Gram solvable
+    assert np.isfinite(bj) and se == 0.0
+
+
 def test_palm_json_and_file_round_trip(tmp_path):
     _check_round_trip(PalmEstimates.poisson(np.array([2.0, 0.5]), 1.0, 3),
                       tmp_path)
@@ -239,6 +274,27 @@ def test_saved_palm_file_is_byte_deterministic(tmp_path):
         save_palm(est, str(again))
         assert first.read_bytes() == again.read_bytes()
         assert sorted(os.listdir(tmp_path)) == ["again.json", "palm.json"]
+
+
+def test_save_palm_streams_the_archive_into_its_file(tmp_path):
+    # k2-mixed's tensor shapes: B = 20, K = 2, m = 32; C_b is 1.31 MB
+    rng = np.random.default_rng(3)
+    B, K, m = 20, 2, 32
+    palm = PalmEstimates(1.0, rng.random(K), rng.random((B, K)),
+                         rng.random((B, K, K, m)), rng.random((B, K, K, m)),
+                         rng.random((B, K, K, K, m, m)))
+    path = tmp_path / "palm.npz"
+    tracemalloc.start()
+    try:
+        save_palm(palm, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buf = io.BytesIO()
+    np.savez(buf, **_arrays(palm))
+    assert path.read_bytes() == buf.getvalue()
+    # about one copy of C_b, not the archive in memory twice (2.67 MB)
+    assert peak <= 1.4e6
 
 
 def _palm_case(K):

@@ -30,6 +30,33 @@ def test_out_of_window_rejected():
         EventStream(np.array([0.5]), np.array([0]), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("times", [[0.5, np.nan], [np.nan, 0.5],
+                                   [0.5, np.inf], [-np.inf, 0.5]])
+def test_non_finite_event_times_rejected(times):
+    # NaN sorts last, where the window check `> horizon` is False for it
+    with pytest.raises(ValueError, match="event times must be finite"):
+        EventStream(np.array(times), np.ones(len(times), dtype=int),
+                    0.0, 1.0)
+    text = "time,mark\n" + "".join(f"{t!r},1\n" for t in times)
+    with pytest.raises(ValueError, match="event times must be finite"):
+        EventStream.from_csv(text, 0.0, 1.0)
+
+
+def test_unsorted_times_outside_the_window_rejected():
+    # the window is checked on the sorted times, not the given first/last
+    for times in ([0.5, -1.0, 0.3], [0.5, 2.0, 0.3]):
+        with pytest.raises(ValueError, match="outside"):
+            EventStream(np.array(times), np.ones(3, dtype=int), 0.0, 1.0)
+
+
+def test_n_jittered_counts_every_tied_time():
+    # two tie groups, unsorted: 2 + 1 times move
+    s = EventStream(np.array([0.5, 0.2, 0.2, 0.5, 0.2, 0.7]),
+                    np.array([1, 2, 1, 1, 2, 1]), 0.0, 1.0)
+    assert s.n_jittered == 3
+    assert np.all(np.diff(s.times) > 0)
+
+
 @pytest.mark.parametrize("window_start, horizon", [
     (2.0, 1.0), (-1.0, np.nan), (np.nan, 1.0), (-np.inf, 1.0),
     (-1.0, np.inf)])
@@ -104,3 +131,20 @@ def test_atomic_write_writes_text_or_bytes_exactly(tmp_path, data, raw):
         atomic_write(str(path), 3)
     assert os.listdir(tmp_path) == ["out"]
     assert path.read_bytes() == raw
+
+
+def test_atomic_write_streams_from_a_writer_function(tmp_path):
+    path = tmp_path / "out"
+    atomic_write(str(path), lambda fh: fh.write(b"PK\x03\x04"))
+    assert path.read_bytes() == b"PK\x03\x04"
+    assert os.listdir(tmp_path) == ["out"]
+
+    def fail(fh):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    # a writer that fails leaves the old file and no temporary file
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write(str(path), fail)
+    assert os.listdir(tmp_path) == ["out"]
+    assert path.read_bytes() == b"PK\x03\x04"
