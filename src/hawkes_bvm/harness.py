@@ -17,7 +17,7 @@ from .functionals import (FunctionalSpec, _check_indices, config_number,
                           riesz_representor)
 from .grids import Direction
 from .likelihood import LanEstimator
-from .mcmc import (equal_tailed_interval, ess, posterior_functional,
+from .mcmc import (equal_tailed_interval, ess, median, posterior_functional,
                    run_chain)
 from .model import ModelParams
 from .palm import (PALM_MIN_ANCHORS, bias_term, efficient_estimate,
@@ -271,7 +271,7 @@ def _replication(config: ExperimentConfig, f0_fine: ModelParams,
             # ESS of the functional's draws; ess needs at least 10
             "ess": ess(samples) if samples.size >= 10 else None,
             "acceptance": draws.acceptance,
-            "samples": samples.tolist(),
+            "samples": samples,
         }
     except Exception as exc:  # noqa: BLE001 - replication isolation
         return {"ok": False, "horizon": horizon, "reason": repr(exc)}
@@ -363,7 +363,7 @@ def summarise(records: list[dict]) -> dict:
     return {
         "coverage": coverage,
         "mean_sd_sqrtT": float(np.mean(sds * np.sqrt(ts))) if ok else None,
-        "median_ks": float(np.median(ks_vals)) if ks_vals else None,
+        "median_ks": median(ks_vals) if ks_vals else None,
     }
 
 
@@ -401,7 +401,8 @@ def emit_outputs(report: dict, out_dir: str) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
     for i in ok:
-        body = "\n".join(repr(v) for v in records[i]["samples"])
+        samples = np.asarray(records[i]["samples"], dtype=float)
+        body = "\n".join(map(repr, samples.tolist()))
         path = os.path.join(out_dir, f"posterior_{i}.csv")
         atomic_write(path, f"psi\n{body}\n")
 

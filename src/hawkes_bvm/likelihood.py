@@ -105,6 +105,13 @@ def linear_intensity(stream: EventStream, queries: np.ndarray,
     return nu + X @ _g_flat(h)
 
 
+def sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted 1-d array, as np.unique gives
+    them: each entry that differs from the one before. (A plain 1-d
+    np.unique imports numpy.ma, 1.2 MB of memory, to check for a mask.)"""
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def sweep_pieces(times: np.ndarray, m: int, w: float,
                  bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Midpoints and widths of the pieces between consecutive
@@ -113,7 +120,8 @@ def sweep_pieces(times: np.ndarray, m: int, w: float,
     bound. The window design at cell width w is constant on each piece."""
     lo, hi = bounds.min(), bounds.max()
     offs = (times[:, None] + np.arange(m + 1)[None, :] * w).ravel()
-    bp = np.unique(np.concatenate((bounds, offs[(offs > lo) & (offs < hi)])))
+    bp = sorted_distinct(
+        np.sort(np.concatenate((bounds, offs[(offs > lo) & (offs < hi)]))))
     return 0.5 * (bp[:-1] + bp[1:]), np.diff(bp)
 
 

@@ -26,6 +26,8 @@ adds a generator call, so each draw is the one the plain evaluation gives.
 
 from __future__ import annotations
 
+import array
+import functools
 import io
 import json
 import math
@@ -272,11 +274,14 @@ def mcmc_step(state: ChainState, target: PosteriorTarget,
 
 @dataclass
 class PosteriorDraws:
-    """Thinned post-burn-in states plus run metadata."""
+    """Thinned post-burn-in states plus run metadata. Draw i has the
+    rates nus[i], a row of one (n, K) array, the dimension js[i] and the
+    coefficients theta(i), a (K, K, js[i]) view into `theta_flat`, which
+    holds every draw's coefficients back to back in draw order."""
 
-    nus: list
+    nus: np.ndarray
     js: list
-    thetas: list
+    theta_flat: np.ndarray
     acceptance: dict
     seed: int
     iters: int
@@ -287,8 +292,20 @@ class PosteriorDraws:
     def __len__(self) -> int:
         return len(self.js)
 
+    @functools.cached_property
+    def _theta_starts(self) -> np.ndarray:
+        K = self.spec.K
+        return np.concatenate(([0], np.cumsum(
+            np.array(self.js, dtype=np.intp) * (K * K))))
+
+    def theta(self, i: int) -> np.ndarray:
+        i = range(len(self))[i]  # a negative i counts from the end
+        K, starts = self.spec.K, self._theta_starts
+        return self.theta_flat[starts[i]:starts[i + 1]].reshape(
+            K, K, self.js[i])
+
     def h_values(self, i: int) -> np.ndarray:
-        return self.spec.theta_to_h(self.js[i], self.thetas[i])
+        return self.spec.theta_to_h(self.js[i], self.theta(i))
 
     def l2_distance(self, i: int, f0: ModelParams) -> float:
         """||f - f0||_2 of draw i: rate part plus all kernel slots."""
@@ -307,7 +324,7 @@ class PosteriorDraws:
         buf.write(f"iter,J,{nu_cols},theta\n")
         for i in range(len(self)):
             theta_flat = ";".join(
-                repr(float(v)) for v in self.thetas[i].ravel())
+                repr(float(v)) for v in self.theta(i).ravel())
             nu_str = ",".join(repr(float(v)) for v in self.nus[i])
             buf.write(f"{i},{self.js[i]},{nu_str},{theta_flat}\n")
         return buf.getvalue()
@@ -333,6 +350,8 @@ def run_chain(stream: EventStream, horizon: float, spec: PriorSpec,
     burn-in only (Robbins-Monro) and are frozen afterwards."""
     if burn_in is None:
         burn_in = iters // 5
+    if thin < 1:
+        raise ValueError("thin must be >= 1")
     rng = np.random.default_rng(seed)
     target = PosteriorTarget(stream, horizon, spec)
     state = ChainState.initial(target, rng)
@@ -340,7 +359,12 @@ def run_chain(stream: EventStream, horizon: float, spec: PriorSpec,
     # accepted and proposed moves of each type after burn-in
     tally = dict.fromkeys(("nu", "nu_n", "theta", "theta_n", "jump",
                            "jump_n"), 0)
-    nus, js, thetas = [], [], []
+    # the kept sweeps are burn_in, burn_in + thin, ... (those >= 0); their
+    # rates fill one array and their coefficients, whose size varies with
+    # J, one growing flat buffer, so no draw holds an array of its own
+    first = burn_in if burn_in >= 0 else burn_in % thin
+    nus = np.empty((len(range(first, iters, thin)), spec.K))
+    js, theta_buf = [], array.array("d")
     for it in range(iters):
         state, acc = mcmc_step(state, target, rng, scales, p_j)
         if it < burn_in:
@@ -354,9 +378,9 @@ def run_chain(stream: EventStream, horizon: float, spec: PriorSpec,
         for key in tally:
             tally[key] += acc[key]
         if (it - burn_in) % thin == 0:
-            nus.append(state.nu.copy())
+            nus[len(js)] = state.nu
             js.append(state.J)
-            thetas.append(state.theta.copy())
+            theta_buf.frombytes(state.theta.tobytes())
     rates = {}
     for name in ("nu", "theta", "jump"):
         ok, n = tally[name], tally[f"{name}_n"]
@@ -366,8 +390,8 @@ def run_chain(stream: EventStream, horizon: float, spec: PriorSpec,
             warnings.warn(
                 f"{name} acceptance rate {rates[name]:.2f} outside "
                 "[0.1, 0.6]", stacklevel=2)
-    return PosteriorDraws(nus, js, thetas, rates, seed, iters, burn_in,
-                          thin, spec)
+    return PosteriorDraws(nus, js, np.frombuffer(theta_buf), rates, seed,
+                          iters, burn_in, thin, spec)
 
 
 def posterior_functional(draws: PosteriorDraws, fspec) -> dict:
@@ -386,10 +410,46 @@ def posterior_functional(draws: PosteriorDraws, fspec) -> dict:
 
 def equal_tailed_interval(samples: np.ndarray,
                           level: float) -> tuple[float, float]:
-    """The equal-tailed credible interval of a posterior sample."""
+    """The equal-tailed credible interval of a posterior sample: the
+    values of np.quantile(samples, [alpha, 1 - alpha]) from one sort."""
     alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(samples, [alpha, 1.0 - alpha])
-    return float(lo), float(hi)
+    x = np.sort(samples)
+    return _sorted_quantile(x, alpha), _sorted_quantile(x, 1.0 - alpha)
+
+
+def _sorted_quantile(x: np.ndarray, q: float) -> float:
+    """np.quantile(x, q) of a sorted sample by numpy's default linear
+    rule, bit for bit, without the numpy.ma import np.quantile makes:
+    the index v = (n - 1) q, clipped to the last one, and the
+    interpolation a + (b - a) t, or b - (b - a) (1 - t) when t >= 0.5.
+    A NaN sorts last and gives NaN, as in numpy."""
+    n = x.size
+    if np.isnan(x[-1]):
+        return float(x[-1])
+    v = (n - 1) * q
+    if v >= n - 1:
+        # numpy clips both neighbours to index -1 and takes t against it
+        i = j = n - 1
+        t = v + 1.0
+    else:
+        i = math.floor(v)
+        j, t = i + 1, v - i
+    a, b = float(x[i]), float(x[j])
+    d = b - a
+    return b - d * (1.0 - t) if t >= 0.5 else a + d * t
+
+
+def median(values) -> float:
+    """np.median of a nonempty sample, bit for bit, without the numpy.ma
+    import np.median makes: the middle value, or (a + b) / 2 of the two
+    middle values; NaN if a value is NaN."""
+    x = np.sort(np.asarray(values, dtype=float))
+    n = x.size
+    if np.isnan(x[-1]):
+        return float(x[-1])
+    if n % 2:
+        return float(x[n // 2])
+    return (float(x[n // 2 - 1]) + float(x[n // 2])) / 2.0
 
 
 def ess(samples: np.ndarray) -> float:

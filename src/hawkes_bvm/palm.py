@@ -17,8 +17,8 @@ import numpy as np
 
 from .grids import Direction, check_same_grid
 from .likelihood import (CountDesign, LanEstimator, batch_means,
-                         linear_intensity, stratified_points, window_design,
-                         w_statistic)
+                         linear_intensity, sorted_distinct, stratified_points,
+                         window_design, w_statistic)
 from .model import ModelParams, stationary_rates
 from .simulate import simulate_thinning
 from .stream import EventStream, atomic_write
@@ -206,7 +206,7 @@ def estimate_palm(f0: ModelParams, n_cells: int,
                 f"too few anchors for mark {l + 1}: {anchors.size}")
         if anchors.size > n_anchors:
             idx = np.linspace(0, anchors.size - 1, n_anchors).astype(int)
-            anchors = anchors[np.unique(idx)]
+            anchors = anchors[sorted_distinct(idx)]
         if anchors.size < n_batches:
             raise ValueError(
                 f"mark {l + 1} keeps {anchors.size} anchors for "

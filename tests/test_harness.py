@@ -379,6 +379,21 @@ def test_replications_csv_fields_are_numbers(tmp_path):
                 float(value)
 
 
+def test_replication_records_hold_samples_as_one_float64_array(tmp_path):
+    # 8 bytes a draw, not a 32-byte Python float and its list slot;
+    # posterior_<r>.csv still prints each draw as repr of a plain float
+    report = run_experiment(config_from_dict(dict(BASE_CFG,
+                                                  mcmc_iters="200")))
+    emit_outputs(report, str(tmp_path))
+    for i, r in enumerate(report["replications"]):
+        assert r["ok"]
+        assert type(r["samples"]) is np.ndarray
+        assert r["samples"].dtype == np.float64 and r["samples"].size == 80
+        text = (tmp_path / f"posterior_{i}.csv").read_text()
+        assert text == "psi\n" + "".join(
+            f"{float(v)!r}\n" for v in r["samples"])
+
+
 def test_replication_reports_ess():
     report = run_experiment(config_from_dict(dict(BASE_CFG)))
     for r in report["replications"]:

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hawkes_bvm.mcmc import (ChainState, PosteriorTarget, Scales, _Expansion,
-                             ess, mcmc_step, merge_coefficients,
+                             _sorted_quantile, equal_tailed_interval, ess,
+                             mcmc_step, median, merge_coefficients,
                              project_bins, run_chain, posterior_functional,
                              split_coefficients)
 from hawkes_bvm.functionals import FunctionalSpec
@@ -186,6 +189,64 @@ def test_draw_count_and_no_invalid_states():
         assert draws.js[i] in spec.admissible_dims()
 
 
+@pytest.mark.parametrize("iters, burn_in, thin, n", [
+    (100, 100, 5, 0), (50, 100, 5, 0), (101, 100, 5, 1), (12, -3, 5, 2)])
+def test_draw_count_at_the_ends(iters, burn_in, thin, n):
+    # the kept sweeps are burn_in, burn_in + thin, ... below iters; a
+    # negative burn-in keeps the sweeps >= 0 on the same grid (2 and 7)
+    stream, T = _data(T=50.0)
+    draws = run_chain(stream, T, _spec(), iters=iters, burn_in=burn_in,
+                      thin=thin, seed=7, warn=False)
+    assert len(draws) == n
+    assert draws.nus.shape == (n, 1) and draws.theta_flat.size == sum(
+        draws.js)
+    if n == 0:
+        assert draws.summary_json().count('"n_draws": 0') == 1
+        assert draws.to_csv() == "iter,J,nu_1,theta\n"
+
+
+def test_draws_live_in_two_flat_arrays():
+    stream, T, spec, _ = _k2_case()
+    draws = run_chain(stream, T, spec, iters=600, seed=8, p_j=0.5,
+                      warn=False)
+    assert len(set(draws.js)) > 1
+    # one rate array and one coefficient buffer, draws back to back
+    assert draws.nus.shape == (len(draws), 2)
+    assert draws.theta_flat.size == 4 * sum(draws.js)
+    start = 0
+    for i in range(len(draws)):
+        theta = draws.theta(i)
+        assert theta.shape == (2, 2, draws.js[i])
+        assert np.shares_memory(theta, draws.theta_flat)
+        assert np.array_equal(
+            theta.ravel(), draws.theta_flat[start:start + theta.size])
+        start += theta.size
+    assert np.array_equal(draws.theta(-1), draws.theta(len(draws) - 1))
+    with pytest.raises(IndexError):
+        draws.theta(len(draws))
+    with pytest.raises(ValueError):
+        run_chain(stream, T, spec, iters=10, thin=0, warn=False)
+
+
+def test_chain_retains_only_its_draws():
+    # 3,200 kept draws of a K = 1 chain: rates and coefficients in two
+    # flat arrays (about 0.09 MB), where an array per rate and per theta
+    # held about 0.9 MB
+    stream, T = _data(T=50.0)
+    spec = _spec()
+    run_chain(stream, T, spec, iters=50, seed=3, warn=False)  # warm caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        draws = run_chain(stream, T, spec, iters=20_000, thin=5, seed=3,
+                          warn=False)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(draws) == 3200
+    assert retained <= 0.3 * 2**20
+
+
 def test_identical_proposal_always_accepted():
     # a degenerate proposal equal to the state has log-ratio 0
     stream, T = _data(T=50.0)
@@ -275,7 +336,7 @@ def test_csv_round_trip_of_draws():
     assert int(parts[1]) == draws.js[i]
     assert float(parts[2]) == draws.nus[i][0]
     theta = np.array([float(v) for v in parts[3].split(";")])
-    assert np.array_equal(theta, draws.thetas[i].ravel())
+    assert np.array_equal(theta, draws.theta(i).ravel())
 
 
 def test_posterior_functional_summary():
@@ -355,6 +416,53 @@ def test_ess_matches_the_fft_reference(x):
         got = ess(x)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert dot.call_count == 1 + lags
+
+
+# magnitudes 1e-3 to 1e3 of either sign; drawing the sample from a few
+# such values (with repetition) gives ties
+_VALUE = st.tuples(st.floats(1e-3, 1e3), st.booleans()).map(
+    lambda t: -t[0] if t[1] else t[0])
+_SAMPLE = st.lists(_VALUE, min_size=1, max_size=30).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+_QS = (0.025, 0.05, 0.95, 0.975)
+
+
+def _same_bits(got, want):
+    want = float(want)
+    assert type(got) is float
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@given(_SAMPLE, st.sampled_from(_QS))
+@example([0.7], 0.025)
+@example([0.7, -3.1], 0.975)
+@example([2.0, 1.0, 2.0], 0.05)
+@example([0.4, math.nan, 0.1, 0.2], 0.05)
+@example([math.nan], 0.95)
+def test_quantile_is_numpy_quantile(sample, q):
+    x = np.array(sample)
+    _same_bits(_sorted_quantile(np.sort(x), q), np.quantile(x, q))
+
+
+@given(_SAMPLE, st.sampled_from([0.90, 0.95]))
+@example([1.5, math.nan, 0.3], 0.90)
+def test_equal_tailed_interval_is_numpy_quantile(sample, level):
+    x = np.array(sample)
+    alpha = (1.0 - level) / 2.0
+    got = equal_tailed_interval(x, level)
+    for g, w in zip(got, np.quantile(x, [alpha, 1.0 - alpha])):
+        _same_bits(g, w)
+
+
+@given(_SAMPLE)
+@example([0.7])
+@example([1e3, 999.9999999999999])
+@example([3.0, 1.0, 2.0])
+@example([3.0, 1.0, 2.0, 2.0])
+@example([0.2, math.nan, 0.1])
+def test_median_is_numpy_median(sample):
+    _same_bits(median(sample), np.median(np.array(sample)))
 
 
 def test_ess_needs_samples():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 import hawkes_bvm
 
 # names deleted from the package because only tests called them
@@ -80,32 +82,52 @@ def test_import_and_commands_load_no_scipy(tmp_path):
         assert all(r["ks"] is not None for r in report["replications"])
 
 
-def test_k1_bvm_never_imports_numpy_fft(tmp_path):
-    # ess takes direct lagged products, so a K = 1 bvm run (with its
-    # efficiency stage and bias terms) needs no numpy.fft
-    config = tmp_path / "k1.cfg"
-    config.write_text(_SMALL_CONFIG.replace("bias_dims = 1",
-                                            "bias_dims = 1 4"))
+# a signed ReLU kernel: its chain evaluates the likelihood on the exact
+# path, whose compensator sweeps the event pieces (`sweep_pieces`)
+_RELU_CONFIG = (_SMALL_CONFIG.replace("m = 1\n", "m = 4\n")
+                .replace("h = 0.5\n", "h = -0.4 -0.2 0.3 0.1\nkind = relu\n")
+                + "prior_theta = gaussian\nprior_sigma = 0.3\n")
+
+
+# numpy submodules that a command must not import: numpy.ma (1.2 MB of
+# memory; np.quantile, np.median and a plain 1-d np.unique import it) and,
+# since ess takes direct lagged products, numpy.fft on the K = 1 bvm path
+# (with its efficiency stage and bias terms)
+@pytest.mark.parametrize("command, config, modules", [
+    ("bvm", _SMALL_CONFIG.replace("bias_dims = 1", "bias_dims = 1 4"),
+     ["numpy.fft", "numpy.ma"]),
+    ("infer", _RELU_CONFIG, ["numpy.ma"]),
+    ("palm", _SMALL_CONFIG, ["numpy.ma"])],
+    ids=["bvm-k1", "infer-relu", "palm"])
+def test_command_leaves_numpy_modules_unimported(tmp_path, command, config,
+                                                 modules):
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
     probe = textwrap.dedent("""
         import json
         import sys
 
         from hawkes_bvm.cli import main
-        code = main(["bvm", "--config", sys.argv[1], "--out", sys.argv[2],
-                     "--threads", "1"])
-        print(json.dumps({"code": code, "fft": "numpy.fft" in sys.modules}))
+        code = main([sys.argv[1], "--config", sys.argv[2], "--out",
+                     sys.argv[3], "--threads", "1"])
+        print(json.dumps({"code": code, "loaded": [
+            m for m in sys.argv[4:] if m in sys.modules]}))
     """)
     src = os.path.dirname(os.path.dirname(hawkes_bvm.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", probe, str(config), str(tmp_path / "out")],
+        [sys.executable, "-c", probe, command, str(path),
+         str(tmp_path / "out"), *modules],
         env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout.splitlines()[-1]) == {"code": 0,
-                                                       "fft": False}
-    # the run took an ESS and decided both ridge flags
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["replications"][0]["ess"] > 0
-    assert sorted(report["bias"]) == ["1", "4"]
+                                                       "loaded": []}
+    if command == "bvm":
+        # the run took an ESS, a credible interval, the median KS
+        # distance and decided both ridge flags
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["replications"][0]["ess"] > 0
+        assert report["median_ks"] is not None
+        assert sorted(report["bias"]) == ["1", "4"]
