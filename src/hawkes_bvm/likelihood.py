@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,15 +219,34 @@ def _g_flat(g: np.ndarray) -> np.ndarray:
     return g.transpose(0, 2, 1).reshape(K * m, K)
 
 
+def _points_per_batch(n_points: int, n_batches: int) -> int:
+    """The batch size of `stratified_points`: n_points rounded up to a
+    multiple of n_batches, divided by n_batches."""
+    if n_points < 1:
+        raise ValueError("n_points must be >= 1")
+    if n_batches < 1:
+        raise ValueError("n_batches must be >= 1")
+    return -(-n_points // n_batches)
+
+
+def stratified_batches(horizon: float, n_points: int, n_batches: int,
+                       rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """`stratified_points` one batch at a time: the same points, bit for
+    bit, since consecutive uniform draws are those of one draw."""
+    per_batch = _points_per_batch(n_points, n_batches)
+    width = horizon / (per_batch * n_batches)
+    return ((np.arange(b * per_batch, (b + 1) * per_batch)
+             + rng.uniform(size=per_batch)) * width
+            for b in range(n_batches))
+
+
 def stratified_points(horizon: float, n_points: int, n_batches: int,
                       rng: np.random.Generator) -> np.ndarray:
     """One uniform point per stratum of [0, horizon], with n_points
     rounded up to a multiple of n_batches so that consecutive points
     split into equal batches."""
-    if n_points % n_batches:
-        n_points += n_batches - n_points % n_batches
-    return (np.arange(n_points) + rng.uniform(size=n_points)) * (
-        horizon / n_points)
+    return np.concatenate(
+        list(stratified_batches(horizon, n_points, n_batches, rng)))
 
 
 def batch_means(values_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,23 +304,25 @@ class LanEstimator:
                  seed: int | np.random.SeedSequence = 0):
         if f0.kind != "linear":
             raise ValueError("LAN estimator requires the linear model")
+        per_batch = _points_per_batch(n_points, n_batches)
         self.f0 = f0
         self.n_batches = n_batches
         rng = np.random.default_rng(seed)
         stream = simulate_thinning(f0, t_sim, seed=rng.integers(2**63))
-        pts = stratified_points(t_sim, n_points, n_batches, rng)
-        per_batch, nz = pts.size // n_batches, 1 + f0.K * f0.n_cells
-        self.lam0 = np.empty((pts.size, f0.K))
+        nz = 1 + f0.K * f0.n_cells
+        self.lam0 = np.empty((n_batches * per_batch, f0.K))
         # each mark's matrices column-major, stacked along axis 1: the
         # layout in which the BLAS products of `gram_batches` have always
         # read them, so their rounding stays the same
         self.moments = np.stack(
             [np.empty((n_batches * nz, nz), order="F").reshape(
                 n_batches, nz, nz) for _ in range(f0.K)], axis=1)
-        # one batch of points at a time: no design of every point is held
-        for b in range(n_batches):
+        # one batch of points at a time: neither the points nor the
+        # design of every point is held
+        for b, pts in enumerate(stratified_batches(t_sim, n_points,
+                                                   n_batches, rng)):
             sl = slice(b * per_batch, (b + 1) * per_batch)
-            X = window_design(stream.times, stream.marks, pts[sl],
+            X = window_design(stream.times, stream.marks, pts,
                               f0.support_end, f0.K, f0.n_cells)
             self.lam0[sl] = f0.nu[None, :] + X @ _g_flat(f0.h)
             self.moments[b] = _lan_moments(X, 1.0 / self.lam0[sl])

@@ -41,6 +41,28 @@ import numpy as np
 from .model import spectral_radius
 
 
+def _rows_independent(M: np.ndarray) -> bool:
+    """Whether the rows of M are linearly independent: no more rows than
+    columns, and each row less its projections on the rows before it
+    (Gram-Schmidt, run twice) keeps a norm above sqrt(eps) times M's
+    Frobenius norm. Rows dependent up to rounding keep about eps times
+    it. Unlike `np.linalg.matrix_rank`, this runs no SVD, whose LAPACK
+    routine nothing else in a run calls."""
+    n, m = M.shape
+    if n > m:
+        return False
+    tol = math.sqrt(np.finfo(float).eps * float(np.sum(M * M)))
+    Q = np.empty((n, m))
+    for i, r in enumerate(M):
+        for _ in range(2):
+            r = r - (Q[:i] @ r) @ Q[:i]
+        norm = math.sqrt(float(r @ r))
+        if norm <= tol:
+            return False
+        Q[i] = r / norm
+    return True
+
+
 @dataclass(frozen=True)
 class BasisFamily:
     """A finite family of piecewise-constant basis functions on [0, A].
@@ -58,7 +80,7 @@ class BasisFamily:
         M = np.asarray(self.matrix, dtype=float)
         if M.ndim != 2 or not np.all(np.isfinite(M)):
             raise ValueError("matrix must be finite and 2-d")
-        if np.linalg.matrix_rank(M) < M.shape[0]:
+        if not _rows_independent(M):
             raise ValueError("basis functions must be independent")
         M = M.copy(); M.flags.writeable = False
         object.__setattr__(self, "matrix", M)

@@ -7,6 +7,7 @@ return events on [-A, T] and are reproducible given a seed.
 
 from __future__ import annotations
 
+import array
 import bisect
 import itertools
 import math
@@ -45,6 +46,11 @@ def simulate_thinning(params: ModelParams, horizon: float,
     bisected into the cumulative sum of p divided by its last entry.
     Acceptance is strict: no event lands where the clamped intensity is
     0. The clamp leaves a linear intensity, at least nu > 0, as it is.
+
+    The kept events go into typed buffers, `array.array("d")` for the
+    times and `array.array("q")` for the marks, which numpy then reads
+    without a copy: 16 bytes per event, where Python lists held over 40
+    (a pointer each and, for every time, a 24-byte float object).
 
     One pass over the window gives the intensities at a candidate and
     the bound for the next one. The bound sums over the events that the
@@ -85,8 +91,7 @@ def simulate_thinning(params: ModelParams, horizon: float,
     exponential, random = rng.exponential, rng.random
 
     t = -A - 50.0 * A
-    times: list[float] = []
-    marks: list[int] = []
+    times, marks = array.array("d"), array.array("q")
     # the events within A of the current time, each as (time, its mark's
     # bound increments, its mark's rows)
     window: deque[tuple[float, list, list]] = deque()
@@ -146,7 +151,8 @@ def simulate_thinning(params: ModelParams, horizon: float,
             if len(times) > _MAX_EVENTS:
                 raise OverflowError("event budget exceeded")
         bound = next_bound
-    return EventStream(np.array(times), np.array(marks), -A, horizon)
+    return EventStream(np.frombuffer(times), np.frombuffer(marks, np.int64),
+                       -A, horizon)
 
 
 def simulate_cluster(params: ModelParams, horizon: float,

@@ -52,6 +52,21 @@ def _fftconvolve0(b: np.ndarray,
     return convolve
 
 
+def _source(head: np.ndarray, N: int) -> np.ndarray:
+    """The source term h^T(t_j) D(mu) on the nodes 0..N: `head` on the
+    first nodes, zeros beyond. Each Picard step starts from a new one, so
+    no copy of it is held beside U."""
+    src = np.zeros((N + 1,) + head.shape[1:])
+    src[:head.shape[0]] = head[:N + 1]
+    return src
+
+
+def _extended(U: np.ndarray, a: int, k: int) -> np.ndarray:
+    """Column (a, k) of Upsilon on the nodes -N..N, shape (2N+1, 1), from
+    U on the nodes 0..N and Upsilon(-t) = Upsilon(t)^T."""
+    return np.concatenate((U[:0:-1, k, a], U[:, a, k]))[:, None]
+
+
 @dataclass(frozen=True)
 class MomentDensity:
     """Upsilon on the node grid {0, delta, ..., t_max} plus the rates.
@@ -107,6 +122,8 @@ def solve_moment_density(f0: ModelParams, n_grid: int = 512,
     and whether the cap, not the tail, ended the extension."""
     if f0.kind != "linear":
         raise ValueError("moment density requires the linear model")
+    if n_grid < 1:
+        raise ValueError("n_grid must be >= 1")
     K, m, A = f0.K, f0.n_cells, f0.support_end
     if n_grid % m:
         raise ValueError("n_grid must be a multiple of the h-grid size")
@@ -129,25 +146,25 @@ def solve_moment_density(f0: ModelParams, n_grid: int = 512,
     t_max = 10.0 * A
     while True:
         N = int(round(t_max / delta))
-        src = np.zeros((N + 1, K, K))
-        src[:n_grid + 1] = head[:N + 1]
-        U = src.copy()
+        U = _source(head, N)
         # one kernel per source mark a: wts[:, a, l] for every l
         convolve = [_fftconvolve0(wts[:, a], 2 * N + 1) for a in range(K)]
         converged = False
         for _ in range(max_iter):
-            # extended node values on [-t_max, t_max]
-            E = np.concatenate(
-                [U[:0:-1].transpose(0, 2, 1), U], axis=0)  # (2N+1, K, K)
             # src + conv[t, l, k] = sum_a (wts[:, a, l] * E[:, a, k])(t),
-            # one column k and one source a at a time, added in order of a
-            U_new = src.copy()
+            # src the source term and E[:, a, k] column (a, k) extended to
+            # [-t_max, t_max]; one column k and one source a at a time,
+            # each extended as it is convolved, added in order of a
+            U_new = _source(head, N)
             for k in range(K):
-                col = convolve[0](E[:, 0, k, None])[N:2 * N + 1]
+                # a copy, which frees the rest of the padded convolution
+                col = convolve[0](_extended(U, 0, k))[N:2 * N + 1].copy()
                 for a in range(1, K):
-                    col += convolve[a](E[:, a, k, None])[N:2 * N + 1]
+                    col += convolve[a](_extended(U, a, k))[N:2 * N + 1]
                 U_new[:, :, k] += col
-            change = float(np.max(np.abs(U_new - U)))
+            # the sup-change, in U's own memory
+            change = float(np.max(np.abs(np.subtract(U_new, U, out=U),
+                                         out=U)))
             U = U_new
             if change <= tol * max(1.0, float(np.max(np.abs(U)))):
                 converged = True

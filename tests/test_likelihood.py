@@ -13,7 +13,8 @@ from hawkes_bvm.likelihood import (CHUNK, LanEstimator, LikelihoodCache,
                                    _compensator_weights, _distinct_rows,
                                    _g_flat, grad_loglik_nu,
                                    linear_intensity, log_likelihood,
-                                   stratified_points, w_statistic,
+                                   stratified_batches, stratified_points,
+                                   w_statistic,
                                    window_design)
 from hawkes_bvm.model import ModelParams
 from hawkes_bvm.simulate import simulate_thinning
@@ -302,6 +303,35 @@ def test_lan_build_holds_one_batch_at_a_time(n_points):
         f0, n_points=n_points, n_batches=n_batches, seed=3))
         for n_batches in (40, 1))
     assert per_batch < 0.08 * whole
+
+
+@pytest.mark.parametrize("n_points,n_batches",
+                         [(8_000, 40), (7_999, 40), (10, 3), (5, 1)])
+def test_stratified_batches_equal_one_draw(n_points, n_batches):
+    # the points of one uniform draw of every stratum, bit for bit
+    rng = np.random.default_rng(9)
+    n = -(-n_points // n_batches) * n_batches
+    ref = (np.arange(n) + rng.uniform(size=n)) * (30.0 / n)
+    rng = np.random.default_rng(9)
+    batches = list(stratified_batches(30.0, n_points, n_batches, rng))
+    assert len(batches) == n_batches
+    assert np.array_equal(np.concatenate(batches), ref)
+    rng = np.random.default_rng(9)
+    assert np.array_equal(stratified_points(30.0, n_points, n_batches, rng),
+                          ref)
+
+
+@pytest.mark.parametrize("n_points,n_batches,name",
+                         [(0, 40, "n_points"), (-5, 40, "n_points"),
+                          (100, 0, "n_batches"), (100, -1, "n_batches")])
+def test_stratified_sizes_are_refused_by_name(n_points, n_batches, name):
+    f0 = ModelParams(np.array([1.0]), np.array([[[0.5]]]), 1.0)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=name):
+        LanEstimator(f0, t_sim=10.0, n_points=n_points,
+                     n_batches=n_batches)
+    with pytest.raises(ValueError, match=name):
+        stratified_points(10.0, n_points, n_batches, rng)
 
 
 @pytest.mark.parametrize("horizon", [3000.0, 15000.0])

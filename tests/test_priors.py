@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from hawkes_bvm.model import spectral_radius
-from hawkes_bvm.priors import (PriorSpec, _sum, haar_basis,
+from hawkes_bvm.priors import (BasisFamily, PriorSpec, _sum, haar_basis,
                                histogram_basis, log_prior, rate_schedule,
                                sample_prior, softplus)
 
@@ -30,6 +30,44 @@ def test_haar_orthonormal():
     for res in (0, 1, 2):
         b = haar_basis(res, 2.0)
         assert np.allclose(b.gram(), np.eye(b.size), atol=1e-12)
+
+
+def _refuse_svd(monkeypatch):
+    def svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    # where matrix_rank and pinv look it up
+    monkeypatch.setattr(np.linalg._linalg, "svd", svd)
+
+
+def test_bases_are_built_without_an_svd(monkeypatch):
+    _refuse_svd(monkeypatch)
+    for j in range(1, 65):
+        assert histogram_basis(j, 2.0).size == j
+    for res in range(6):
+        assert haar_basis(res, 3.0).size == 2 ** (res + 1)
+
+
+@pytest.mark.parametrize("A", [1.0, 3.0, 0.7])
+@pytest.mark.parametrize("res", [1, 3, 5])
+def test_dependent_basis_rows_are_refused(monkeypatch, A, res):
+    _refuse_svd(monkeypatch)
+    H = haar_basis(res, A).matrix
+    n = H.shape[0]
+    rng = np.random.default_rng(res)
+    i, j, l = rng.choice(n, 3, replace=False)
+    duplicate, zero, total, mix = H.copy(), H.copy(), H.copy(), H.copy()
+    duplicate[l] = H[i]
+    zero[l] = 0.0
+    total[l] = H[i] + H[j]
+    mix[l] = 0.3 * H[i] - 1.7 * H[j]
+    for M in (duplicate, zero, total, mix, np.vstack((H[:1], H[:1])),
+              np.vstack((H, H[:1])), np.zeros((1, n))):
+        with pytest.raises(ValueError, match="independent"):
+            BasisFamily("haar", A, M)
+    # independent rows six orders of magnitude apart are kept
+    scaled = H * np.logspace(-3, 3, n)[:, None]
+    assert np.array_equal(BasisFamily("haar", A, scaled).matrix, scaled)
 
 
 def test_dimension_pmf_log_ratio():

@@ -7,6 +7,7 @@ from hawkes_bvm.model import ModelParams, stationary_rates
 from hawkes_bvm.simulate import (_dominating_kernels, simulate_cluster,
                                  simulate_thinning)
 from hawkes_bvm.stream import EventStream
+from test_likelihood import _transient_bytes
 
 
 def _rate(stream, horizon, mark=None):
@@ -209,3 +210,15 @@ def test_thinning_bound_overflow():
     p = ModelParams(np.array([1.0]), np.array([[[1e13]]]), 1e-14)
     with pytest.raises(OverflowError, match="bound overflow"):
         simulate_thinning(p, 100.0, seed=1)
+
+
+def test_thinning_keeps_events_in_typed_buffers():
+    # bound: 48 bytes per event beyond the stream; with Python lists,
+    # a pointer each and a float object for every time, it took 73
+    p = ModelParams(np.array([0.6, 0.4]),
+                    np.array([[[0.4, 0.2], [0.1, 0.05]],
+                              [[0.15, 0.1], [0.3, 0.2]]]), 1.0)
+    n_events = len(simulate_thinning(p, 15000.0, seed=5))
+    transient = _transient_bytes(lambda: simulate_thinning(p, 15000.0,
+                                                           seed=5))
+    assert transient < 48 * n_events

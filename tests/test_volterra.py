@@ -164,6 +164,23 @@ def test_solver_holds_one_source_mark_at_a_time(n_grid):
     assert transient < 8 * dens.node_times.size * 2**3 * 8
 
 
+@pytest.mark.parametrize("n_grid", [256, 1024])
+def test_solver_holds_no_extended_array(n_grid):
+    # bound: 7.5 node arrays of K^2 floats; with the extended array of
+    # every column on [-t_max, t_max], a full source array beside U and
+    # the temporaries of the sup-change, it took more than 9.2
+    dens = solve_moment_density(_k2_cross(), n_grid=n_grid)
+    transient = _transient_bytes(
+        lambda: solve_moment_density(_k2_cross(), n_grid=n_grid))
+    assert transient < 7.5 * dens.node_times.size * 2**2 * 8
+
+
+@pytest.mark.parametrize("n_grid", [0, -2])
+def test_solver_refuses_an_empty_grid(n_grid):
+    with pytest.raises(ValueError, match="n_grid"):
+        solve_moment_density(_reference(), n_grid=n_grid)
+
+
 def test_solver_reports_iteration_cap():
     dens = solve_moment_density(_reference(), n_grid=64, max_iter=1)
     assert not dens.converged
