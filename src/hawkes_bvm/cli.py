@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -35,19 +34,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="overrides the config seed")
-        p.add_argument("--threads", type=int, default=None)
+        # config text, read by the key table's seed and threads rows
+        p.add_argument("--seed", help="overrides the config seed")
+        p.add_argument("--threads", help="overrides the config threads")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
         overrides = {name: getattr(args, name) for name in ("seed", "threads")
                      if getattr(args, name) is not None}
-        config = dataclasses.replace(config, **overrides)
+        config = load_config(args.config, **overrides)
         out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)
     except (OSError, ValueError, KeyError) as exc:

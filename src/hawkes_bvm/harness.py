@@ -8,7 +8,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,7 +47,8 @@ def parse_config_text(text: str) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed for one BvM experiment."""
+    """Everything needed for one BvM experiment; `config_from_dict`, which
+    checks every value, is its one maker."""
 
     f0: ModelParams
     functional: FunctionalSpec
@@ -66,35 +67,7 @@ class ExperimentConfig:
     lan_points: int
     seed: int
     threads: int
-    raw: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        # also run on the config that CLI overrides make with `replace`
-        if not self.horizons:
-            raise ValueError("T must list at least one horizon")
-        if self.replications < 1:
-            raise ValueError("R must be >= 1")
-        for name in ("mcmc_iters", "mcmc_thin", "palm_cells", "palm_points",
-                     "lan_points", "threads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        _check_indices(self.functional, self.f0.K)
-        if self.palm_anchors < PALM_MIN_ANCHORS:
-            # the Palm path is sized for palm_anchors anchors; one too
-            # short is found only after it is simulated
-            raise ValueError(f"palm_anchors must be >= {PALM_MIN_ANCHORS}")
-        if self.mcmc_burn_in is not None and self.mcmc_burn_in < 0:
-            raise ValueError("mcmc_burn_in must be >= 0")
-        if any(j < 1 or self.palm_cells % j for j in self.bias_dims):
-            raise ValueError("each bias_dims entry must be >= 1 and divide "
-                             "palm_cells")
-        for t in self.horizons + (self.lan_tsim,):
-            if not 0.0 < t < np.inf:
-                raise ValueError("T and lan_tsim must be positive and finite")
-        if not 0.0 <= self.p_j <= 1.0:
-            raise ValueError("p_j must be in [0, 1]")
+    raw: dict = field(compare=False)
 
     def config_hash(self) -> str:
         """sha256 prefix of the keys but `threads`, with the run's seed."""
@@ -103,79 +76,106 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-# every config key the program reads but `model_file`, with its default;
-# the inline model keys are read also beside a model file, which wins
-_DEFAULTS = {
-    "K": "1", "A": "1.0", "m": "1", "kind": "linear", "nu": "1.0",
-    "h": "0.0", "prior_basis": "histogram", "prior_c1": "1.0",
-    "prior_jmax": "32", "prior_theta": "shifted-exponential",
-    "prior_kappa": "0.0", "prior_rate": "1.0", "prior_sigma": "1.0",
-    "prior_nu_shape": "2.0", "prior_nu_rate": "1.0",
-    "prior_link": "identity", "functional": "background 1", "T": "2000",
-    "R": "100", "mcmc_iters": "20000", "mcmc_burn_in": None,
-    "mcmc_thin": "5", "p_j": "0.2", "palm_cells": "16",
-    "palm_anchors": "2000", "palm_points": "4000", "bias_dims": "8",
-    "lan_tsim": "2000", "lan_points": "20000", "seed": "0", "threads": "1",
+# the readers of `_KEYS`: each turns a key's text into its value, or
+# refuses the text with a message that starts with the key
+def _within(kind: type, ok, rule: str):
+    """A reader of a `kind` number x with ok(x); `rule` says what ok is."""
+    def read(key: str, text: str):
+        x = config_number(key, text, kind)
+        if not ok(x):
+            raise ValueError(f"{key} must be {rule}")
+        return x
+    return read
+
+
+def _count(least: int):
+    return _within(int, lambda n: n >= least, f">= {least}")
+
+
+def _listed(read):
+    return lambda key, text: tuple(read(key, v) for v in text.split())
+
+
+_positive = _within(float, lambda x: 0.0 < x < math.inf,
+                    "positive and finite")
+_int = functools.partial(config_number, kind=int)
+_text = lambda key, text: text  # noqa: E731
+
+# every key the program reads but `model_file`: (its default as config
+# text, its reader); ModelParams and PriorSpec check their values further,
+# and config_from_dict the rules that involve two keys
+_KEYS = {
+    "K": ("1", _count(1)), "A": ("1.0", _positive), "m": ("1", _count(1)),
+    "kind": ("linear", _text), "nu": ("1.0", _listed(config_number)),
+    "h": ("0.0", _listed(config_number)),
+    "prior_basis": ("histogram", _text), "prior_rate": ("1.0", config_number),
+    "prior_jmax": ("32", _int), "prior_theta": ("shifted-exponential", _text),
+    "prior_kappa": ("0.0", config_number), "prior_c1": ("1.0", config_number),
+    "prior_sigma": ("1.0", config_number),
+    "prior_nu_shape": ("2.0", config_number),
+    "prior_nu_rate": ("1.0", config_number), "prior_link": ("identity", _text),
+    "functional": ("background 1", lambda key, text: parse_functional(text)),
+    "T": ("2000", _listed(_positive)), "R": ("100", _count(1)),
+    # an mcmc_burn_in not given is mcmc_iters/5
+    "mcmc_iters": ("20000", _count(1)), "mcmc_burn_in": (None, _count(0)),
+    "mcmc_thin": ("5", _count(1)), "palm_cells": ("16", _count(1)),
+    "p_j": ("0.2", _within(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")),
+    # the Palm path is sized for palm_anchors anchors; one too short is
+    # found only after it is simulated
+    "palm_anchors": ("2000", _count(PALM_MIN_ANCHORS)),
+    "palm_points": ("4000", _count(1)), "bias_dims": ("8", _listed(_int)),
+    "lan_tsim": ("2000", _positive), "lan_points": ("20000", _count(1)),
+    "seed": ("0", _count(0)), "threads": ("1", _count(1)),
 }
 
 
-def _model_from_config(cfg: dict, model_file: str | None) -> ModelParams:
-    if model_file is not None:
-        with open(model_file) as fh:
-            return ModelParams.from_json(fh.read())
-    K, m = (config_number(key, cfg[key], int) for key in ("K", "m"))
-    A = config_number("A", cfg["A"])
-    if K < 1 or m < 1:
-        raise ValueError(f"{'K' if K < 1 else 'm'} must be >= 1")
-    if not 0.0 < A < math.inf:
-        raise ValueError("A must be positive and finite")
-    nu = np.array([config_number("nu", v) for v in cfg["nu"].split()])
-    if nu.size != K:
-        raise ValueError("nu must list K rates")
-    h_vals = np.array([config_number("h", v) for v in cfg["h"].split()])
-    if h_vals.size != K * K * m:
-        raise ValueError("h must list K*K*m cell values")
-    return ModelParams(nu, h_vals.reshape(K, K, m), A, cfg["kind"])
-
-
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, **overrides: str) -> ExperimentConfig:
+    """The config of the file at `path`, with `overrides` (config text by
+    key, as the CLI's --seed gives it) in place of the file's values."""
     with open(path) as fh:
-        return config_from_dict(parse_config_text(fh.read()))
+        return config_from_dict(dict(parse_config_text(fh.read()),
+                                     **overrides))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Pops the keys it reads from a copy; refuses any left, then converts."""
-    rest = dict(raw)
-    model_file = rest.pop("model_file", None)
-    cfg = {key: rest.pop(key, default) for key, default in _DEFAULTS.items()}
-    if rest:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(rest))}")
-    f0 = _model_from_config(cfg, model_file)
-
-    def num(key: str, kind: type = float):
-        return config_number(key, cfg[key], kind)
+    """Refuses a key it does not read, reads every key through its row of
+    `_KEYS`, then checks what involves more than one key. The model keys
+    are read also beside a model file, which wins."""
+    unknown = set(raw) - set(_KEYS) - {"model_file"}
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    v = {}
+    for key, (default, read) in _KEYS.items():
+        text = raw.get(key, default)
+        v[key] = None if text is None else read(key, text)
+    if "model_file" in raw:
+        with open(raw["model_file"]) as fh:
+            f0 = ModelParams.from_json(fh.read())
+    else:
+        K, m = v["K"], v["m"]
+        if len(v["nu"]) != K:
+            raise ValueError("nu must list K rates")
+        if len(v["h"]) != K * K * m:
+            raise ValueError("h must list K*K*m cell values")
+        f0 = ModelParams(np.array(v["nu"]), np.reshape(v["h"], (K, K, m)),
+                         v["A"], v["kind"])
+    _check_indices(v["functional"], f0.K)
+    if not v["T"]:
+        raise ValueError("T must list at least one horizon")
+    if any(j < 1 or v["palm_cells"] % j for j in v["bias_dims"]):
+        raise ValueError("each bias_dims entry must be >= 1 and divide "
+                         "palm_cells")
     prior = PriorSpec(
-        K=f0.K, basis_kind=cfg["prior_basis"], c1=num("prior_c1"),
-        J_max=num("prior_jmax", int), theta_family=cfg["prior_theta"],
-        kappa=num("prior_kappa"), rate=num("prior_rate"),
-        sigma=num("prior_sigma"), nu_shape=num("prior_nu_shape"),
-        nu_rate=num("prior_nu_rate"), link=cfg["prior_link"],
+        K=f0.K, basis_kind=v["prior_basis"], c1=v["prior_c1"],
+        J_max=v["prior_jmax"], theta_family=v["prior_theta"],
+        kappa=v["prior_kappa"], rate=v["prior_rate"],
+        sigma=v["prior_sigma"], nu_shape=v["prior_nu_shape"],
+        nu_rate=v["prior_nu_rate"], link=v["prior_link"],
         support_end=f0.support_end)
-    burn = cfg["mcmc_burn_in"]
-    return ExperimentConfig(
-        f0=f0, functional=parse_functional(cfg["functional"]), prior=prior,
-        horizons=tuple(config_number("T", v) for v in cfg["T"].split()),
-        replications=num("R", int),
-        mcmc_iters=num("mcmc_iters", int),
-        mcmc_burn_in=num("mcmc_burn_in", int) if burn is not None else None,
-        mcmc_thin=num("mcmc_thin", int), p_j=num("p_j"),
-        palm_cells=num("palm_cells", int),
-        palm_anchors=num("palm_anchors", int),
-        palm_points=num("palm_points", int),
-        bias_dims=tuple(config_number("bias_dims", v, int)
-                        for v in cfg["bias_dims"].split()),
-        lan_tsim=num("lan_tsim"), lan_points=num("lan_points", int),
-        seed=num("seed", int), threads=num("threads", int), raw=dict(raw))
+    same = {f.name: v[f.name] for f in fields(ExperimentConfig)
+            if f.name in v}
+    return ExperimentConfig(f0=f0, prior=prior, horizons=v["T"],
+                            replications=v["R"], raw=dict(raw), **same)
 
 
 _SQRT1_2 = math.sqrt(0.5)

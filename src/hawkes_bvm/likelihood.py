@@ -220,7 +220,7 @@ def _g_flat(g: np.ndarray) -> np.ndarray:
 
 
 def _points_per_batch(n_points: int, n_batches: int) -> int:
-    """The batch size of `stratified_points`: n_points rounded up to a
+    """The batch size of `stratified_batches`: n_points rounded up to a
     multiple of n_batches, divided by n_batches."""
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
@@ -231,22 +231,15 @@ def _points_per_batch(n_points: int, n_batches: int) -> int:
 
 def stratified_batches(horizon: float, n_points: int, n_batches: int,
                        rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """`stratified_points` one batch at a time: the same points, bit for
-    bit, since consecutive uniform draws are those of one draw."""
+    """One uniform point per stratum of [0, horizon], in n_batches
+    consecutive batches of equal size, n_points rounded up to a multiple
+    of n_batches. The points are those of one draw of every stratum, bit
+    for bit, since consecutive uniform draws are those of one draw."""
     per_batch = _points_per_batch(n_points, n_batches)
     width = horizon / (per_batch * n_batches)
     return ((np.arange(b * per_batch, (b + 1) * per_batch)
              + rng.uniform(size=per_batch)) * width
             for b in range(n_batches))
-
-
-def stratified_points(horizon: float, n_points: int, n_batches: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """One uniform point per stratum of [0, horizon], with n_points
-    rounded up to a multiple of n_batches so that consecutive points
-    split into equal batches."""
-    return np.concatenate(
-        list(stratified_batches(horizon, n_points, n_batches, rng)))
 
 
 def batch_means(values_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grids import Direction, check_same_grid
 from .likelihood import (CountDesign, LanEstimator, batch_means,
-                         linear_intensity, sorted_distinct, stratified_points,
+                         linear_intensity, sorted_distinct, stratified_batches,
                          window_design, w_statistic)
 from .model import ModelParams, stationary_rates
 from .simulate import simulate_thinning
@@ -183,16 +183,17 @@ def estimate_palm(f0: ModelParams, n_cells: int,
     mids = (np.arange(m) + 0.5) * (A / m)
     times, marks = stream.times, stream.marks
 
-    # stationary-time tensors a and D
-    pts = stratified_points(horizon, n_points, n_batches, rng)
-    per_batch_pts = pts.size // n_batches
-    inv = 1.0 / linear_intensity(stream, pts, f0.nu, f0.h, A)
-    a_b = inv.reshape(n_batches, per_batch_pts, K).sum(axis=1)
-    D_b = _grouped_outer(window_design(times, marks, pts, A, K, m), inv,
-                         np.arange(pts.size) // per_batch_pts, n_batches)
-    D_b = D_b.reshape(n_batches, K, m, K).transpose(0, 1, 3, 2)
-    a_b /= per_batch_pts
-    D_b /= per_batch_pts
+    # stationary-time tensors a and D, one batch of points at a time
+    a_b = np.empty((n_batches, K))
+    D_b = np.empty((n_batches, K, m, K))
+    for b, pts in enumerate(stratified_batches(horizon, n_points, n_batches,
+                                               rng)):
+        inv = 1.0 / linear_intensity(stream, pts, f0.nu, f0.h, A)
+        a_b[b] = inv.sum(axis=0) / pts.size
+        D = _grouped_outer(window_design(times, marks, pts, A, K, m), inv,
+                           np.zeros(pts.size, dtype=int), 1)
+        D_b[b] = D.reshape(K, m, K) / pts.size
+    D_b = D_b.transpose(0, 1, 3, 2)
 
     # anchored Palm tensors p and C, at the grid midpoints after each
     # anchor; C counts every window event but those tied with the anchor

@@ -69,22 +69,27 @@ class EventStream:
             raise ValueError("times and marks must be 1-d of equal length")
         if not np.all(np.isfinite(times)):
             raise ValueError("event times must be finite")
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-        marks = marks[order]
+        if np.any(times[1:] < times[:-1]):
+            order = np.argsort(times, kind="stable")
+            times, marks = times[order], marks[order]
+        else:
+            # views: made read-only, they leave the caller's arrays as
+            # they are
+            times, marks = times.view(), marks.view()
         if times.size and (times[0] < self.window_start
                            or times[-1] > self.horizon):
             raise ValueError("event times outside [window_start, horizon]")
         if np.any(marks < 1):
             raise ValueError("marks must be 1-based positive integers")
-        n_jittered = 0
-        if times.size > 1:
-            # sorted, a tie is a zero step; each tied time is jittered
-            dup = np.flatnonzero(np.diff(times) <= 0.0)
-            n_jittered = int(dup.size)
+        # sorted, a tie is a step that does not increase; each tied time
+        # is jittered, in a copy, never in the caller's array
+        dup = np.flatnonzero(times[1:] <= times[:-1])
+        n_jittered = int(dup.size)
+        if dup.size:
+            times = times.copy()
             while dup.size:
                 times[dup + 1] = np.nextafter(times[dup] + _JITTER, np.inf)
-                dup = np.flatnonzero(np.diff(times) <= 0.0)
+                dup = np.flatnonzero(times[1:] <= times[:-1])
             if times[-1] > self.horizon:
                 # ties at the horizon: move the jittered run back below it
                 times[-1] = self.horizon

@@ -143,6 +143,57 @@ def test_config_model_file(tmp_path):
     cfg["model_file"] = str(path)
     config = config_from_dict(cfg)
     assert config.f0.nu[0] == 2.0
+    # the file wins over well-formed model keys beside it, even a K and
+    # nu that disagree with it; a malformed one is refused by key
+    config = config_from_dict(dict(cfg, K="2", m="3", nu="1 1", A="5"))
+    assert (config.f0.K, config.f0.n_cells, config.f0.nu[0]) == (1, 1, 2.0)
+    for key, value in (("K", "x"), ("K", "0"), ("A", "0"), ("m", "1.5"),
+                       ("nu", "1 y"), ("h", "z")):
+        with pytest.raises(ValueError, match=f"^{key}[: ]"):
+            config_from_dict(dict(cfg, **{key: value}))
+
+
+# for each row of harness._KEYS, a value just outside its rule and the
+# start of the message that refuses it: the key, but for the text keys
+# that ModelParams, PriorSpec and parse_functional check
+_OUTSIDE = {
+    "K": ("0", "K must be >= 1"), "A": ("inf", "A must be positive"),
+    "m": ("0", "m must be >= 1"), "kind": ("hawkes", "kind must be"),
+    "nu": ("1 x", "nu: "), "h": ("0.5 x", "h: "),
+    "prior_basis": ("spline", "unknown basis kind"),
+    "prior_rate": ("x", "prior_rate: "), "prior_jmax": ("1.5", "prior_jmax: "),
+    "prior_theta": ("gamma", "unknown coefficient family"),
+    "prior_kappa": ("x", "prior_kappa: "), "prior_c1": ("x", "prior_c1: "),
+    "prior_sigma": ("x", "prior_sigma: "),
+    "prior_nu_shape": ("x", "prior_nu_shape: "),
+    "prior_nu_rate": ("x", "prior_nu_rate: "),
+    "prior_link": ("exp", "unknown link"),
+    "functional": ("cubic 1", "unknown functional kind"),
+    "T": ("0", "T must be positive and finite"), "R": ("0", "R must be >= 1"),
+    "mcmc_iters": ("0", "mcmc_iters must be >= 1"),
+    "mcmc_burn_in": ("-1", "mcmc_burn_in must be >= 0"),
+    "mcmc_thin": ("0", "mcmc_thin must be >= 1"),
+    "p_j": ("1.5", "p_j must be in [0, 1]"),
+    "palm_cells": ("0", "palm_cells must be >= 1"),
+    "palm_anchors": ("199", "palm_anchors must be >= 200"),
+    "palm_points": ("0", "palm_points must be >= 1"),
+    "bias_dims": ("1.5", "bias_dims: "),
+    "lan_tsim": ("inf", "lan_tsim must be positive and finite"),
+    "lan_points": ("0", "lan_points must be >= 1"),
+    "seed": ("-1", "seed must be >= 0"),
+    "threads": ("0", "threads must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("key", harness._KEYS)
+def test_every_config_key_reads_its_default_and_refuses_by_key(key):
+    # T = 0, R = 0 and most of the other values were refused by no test
+    default, read = harness._KEYS[key]
+    if default is not None:  # mcmc_burn_in's default is mcmc_iters/5
+        read(key, default)
+    value, message = _OUTSIDE[key]
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        config_from_dict(dict(BASE_CFG, **{key: value}))
 
 
 def test_config_rejects_bad_h_length():
@@ -460,10 +511,10 @@ def test_readme_config_format_names_every_key_at_its_default():
     # the keys of the fenced blocks and of inline `key = value` spans,
     # but for the format's own
     named = set(shown) | set(re.findall(r"`(\w+) = ", section)) - {"key"}
-    assert named == set(harness._DEFAULTS) | {"model_file"}
+    assert named == set(harness._KEYS) | {"model_file"}
     # mcmc_burn_in's default is mcmc_iters/5, which the block shows
     assert shown == {key: default or shown[key]
-                     for key, default in harness._DEFAULTS.items()}
+                     for key, (default, _) in harness._KEYS.items()}
 
 
 def test_cli_simulate(tmp_path):
@@ -678,16 +729,18 @@ def test_cli_names_the_key_of_a_value_that_is_no_number(tmp_path, capsys,
 
 @pytest.mark.parametrize("command", ["simulate", "infer", "palm", "bvm"])
 @pytest.mark.parametrize("as_flag", [False, True])
-@pytest.mark.parametrize("key, value", [("threads", "0"), ("seed", "-1")])
+@pytest.mark.parametrize("key, value", [("threads", "0"), ("seed", "-1"),
+                                        ("threads", "1.5"), ("seed", "x")])
 def test_cli_refuses_bad_threads_or_seed_by_name(tmp_path, capsys, command,
                                                  as_flag, key, value):
-    # a command-line override passes the config's checks too
+    # a command-line override is read by the key's own row, as the file is
     path = _write_cfg(tmp_path, None if as_flag else {key: value})
     flags = [f"--{key}", value] if as_flag else []
     out = tmp_path / "o"
     assert cli_main([command, "--config", path, "--out", str(out),
                      *flags]) == 2
-    assert f"config error: {key} must be >= " in capsys.readouterr().err
+    rule = " must be >= " if value.lstrip("-").isdigit() else ": "
+    assert f"config error: {key}{rule}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -13,8 +13,7 @@ from hawkes_bvm.likelihood import (CHUNK, LanEstimator, LikelihoodCache,
                                    _compensator_weights, _distinct_rows,
                                    _g_flat, grad_loglik_nu,
                                    linear_intensity, log_likelihood,
-                                   stratified_batches, stratified_points,
-                                   w_statistic,
+                                   stratified_batches, w_statistic,
                                    window_design)
 from hawkes_bvm.model import ModelParams
 from hawkes_bvm.simulate import simulate_thinning
@@ -217,7 +216,8 @@ def test_gram_batches_match_dense_reference(case):
     # the estimator's sample, redrawn from the same seed in the same order
     rng = np.random.default_rng(seed)
     stream = simulate_thinning(f0, 30.0, seed=rng.integers(2**63))
-    pts = stratified_points(30.0, n_points, n_batches, rng)
+    pts = np.concatenate(list(stratified_batches(30.0, n_points, n_batches,
+                                                 rng)))
     K, m, n = f0.K, f0.n_cells, pts.size
     X = window_design(stream.times, stream.marks, pts, 1.0, K,
                       m).toarray().reshape(n, K, m)
@@ -250,7 +250,8 @@ def test_lan_moments_and_gram_equal_scipy_reference(case, n_points,
                        n_batches=n_batches, seed=seed)
     rng = np.random.default_rng(seed)
     stream = simulate_thinning(f0, 30.0, seed=rng.integers(2**63))
-    pts = stratified_points(30.0, n_points, n_batches, rng)
+    pts = np.concatenate(list(stratified_batches(30.0, n_points, n_batches,
+                                                 rng)))
     X = scipy_reference.window_design(stream.times, stream.marks, pts, 1.0,
                                       f0.K, f0.n_cells)
     lam0 = f0.nu[None, :] + X @ _g_flat(f0.h)
@@ -316,9 +317,6 @@ def test_stratified_batches_equal_one_draw(n_points, n_batches):
     batches = list(stratified_batches(30.0, n_points, n_batches, rng))
     assert len(batches) == n_batches
     assert np.array_equal(np.concatenate(batches), ref)
-    rng = np.random.default_rng(9)
-    assert np.array_equal(stratified_points(30.0, n_points, n_batches, rng),
-                          ref)
 
 
 @pytest.mark.parametrize("n_points,n_batches,name",
@@ -331,7 +329,7 @@ def test_stratified_sizes_are_refused_by_name(n_points, n_batches, name):
         LanEstimator(f0, t_sim=10.0, n_points=n_points,
                      n_batches=n_batches)
     with pytest.raises(ValueError, match=name):
-        stratified_points(10.0, n_points, n_batches, rng)
+        stratified_batches(10.0, n_points, n_batches, rng)
 
 
 @pytest.mark.parametrize("horizon", [3000.0, 15000.0])

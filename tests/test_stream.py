@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,3 +149,65 @@ def test_atomic_write_streams_from_a_writer_function(tmp_path):
         atomic_write(str(path), fail)
     assert os.listdir(tmp_path) == ["out"]
     assert path.read_bytes() == b"PK\x03\x04"
+
+
+def test_sorted_input_is_kept_without_a_sort_or_a_copy():
+    # every simulator hands over increasing times; a sort order and two
+    # sorted copies took more than 30 bytes per event
+    n = 200_000
+    times = np.linspace(0.0, 1000.0, n)
+    marks = np.tile(np.array([1, 2], dtype=np.int64), n // 2)
+    tracemalloc.start()
+    try:
+        EventStream(times, marks, 0.0, 1000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n
+
+
+@pytest.mark.parametrize("times", [[0.1, 0.3, 0.5], [0.5, 0.1, 0.3],
+                                   [0.2, 0.2, 0.5], [0.5, 1.0, 1.0]])
+def test_the_callers_arrays_are_left_as_they_are(times):
+    t, k = np.array(times), np.array([1, 2, 1])
+    t0, k0 = t.copy(), k.copy()
+    s = EventStream(t, k, 0.0, 1.0)
+    assert np.array_equal(t, t0) and np.array_equal(k, k0)
+    assert t.flags.writeable and k.flags.writeable
+    assert not (s.times.flags.writeable or s.marks.flags.writeable)
+
+
+def _stable_sort_and_jitter(times, marks, horizon):
+    """The stream's times, marks and jitter count by a stable argsort and
+    a jitter of every step that is not positive, always on copies."""
+    order = np.argsort(times, kind="stable")
+    t, k = times[order], marks[order]
+    dup = np.flatnonzero(np.diff(t) <= 0.0)
+    n_jittered = dup.size
+    while dup.size:
+        t[dup + 1] = np.nextafter(t[dup] + 1e-13, np.inf)
+        dup = np.flatnonzero(np.diff(t) <= 0.0)
+    if t.size and t[-1] > horizon:
+        t[-1] = horizon
+        i = t.size - 2
+        while i >= 0 and t[i] >= t[i + 1]:
+            t[i] = np.nextafter(t[i + 1] - 1e-13, -np.inf)
+            i -= 1
+    return t, k, n_jittered
+
+
+@given(st.lists(st.tuples(st.integers(-8, 8), st.integers(1, 3)),
+                max_size=30),
+       st.booleans())
+def test_unsorted_and_tied_times_give_the_sorted_jittered_stream(events,
+                                                                 ordered):
+    # times on a grid of eighths of [-1, 1], so ties (at the horizon too)
+    # are common
+    if ordered:
+        events = sorted(events, key=lambda e: e[0])
+    times = np.array([t / 8 for t, _ in events], dtype=float)
+    marks = np.array([k for _, k in events], dtype=np.int64)
+    ref_t, ref_k, ref_n = _stable_sort_and_jitter(times, marks, 1.0)
+    s = EventStream(times, marks, -1.0, 1.0)
+    assert np.array_equal(s.times, ref_t) and np.array_equal(s.marks, ref_k)
+    assert s.n_jittered == ref_n
