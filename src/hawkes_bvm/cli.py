@@ -48,7 +48,7 @@ def main(argv=None) -> int:
         config = load_config(args.config, **overrides)
         out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -29,7 +29,7 @@ class FunctionalSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown functional kind {self.kind!r}")
         if self.l < 1 or self.k < 1:
-            raise ValueError("marks are 1-based")
+            raise ValueError("functional marks are 1-based")
 
     def _a_values(self, n_cells: int) -> np.ndarray:
         a = np.asarray(self.a, dtype=float)
@@ -59,10 +59,11 @@ def config_number(key: str, text: str, kind: type = float):
 
 def parse_functional(text: str) -> FunctionalSpec:
     """Parse config syntax: 'background k', 'squared_l2 l k',
-    'linear l k [weight]' (a finite nonzero constant weight, default 1)."""
+    'linear l k [weight]' (a finite nonzero constant weight, default 1).
+    Every refusal starts with `functional`, the key of this text."""
     parts = text.split()
     if not parts:
-        raise ValueError("empty functional spec")
+        raise ValueError("functional must not be empty")
 
     def num(i: int, to: type = int):
         return config_number("functional", parts[i], to)
@@ -70,22 +71,23 @@ def parse_functional(text: str) -> FunctionalSpec:
     kind = parts[0]
     if kind == "background":
         if len(parts) != 2:
-            raise ValueError("background takes one mark index")
+            raise ValueError("functional background takes one mark index")
         return FunctionalSpec(kind, k=num(1))
     if kind == "squared_l2":
         if len(parts) != 3:
-            raise ValueError("squared_l2 takes two mark indices")
+            raise ValueError("functional squared_l2 takes two mark indices")
         return FunctionalSpec(kind, l=num(1), k=num(2))
     if kind == "linear":
         if len(parts) not in (3, 4):
-            raise ValueError("linear takes two mark indices and an "
-                             "optional constant weight")
+            raise ValueError("functional linear takes two mark indices "
+                             "and an optional constant weight")
         a = num(3, float) if len(parts) == 4 else 1.0
         if not math.isfinite(a) or a == 0.0:
             raise ValueError("functional weight must be finite and "
                              f"nonzero: {parts[3]}")
         return FunctionalSpec(kind, l=num(1), k=num(2), a=a)
-    raise ValueError(f"unknown functional kind {kind!r}")
+    raise ValueError("functional kind must be one of "
+                     f"{', '.join(_KINDS)}: {kind!r}")
 
 
 def _check_indices(spec: FunctionalSpec, K: int) -> None:

@@ -19,10 +19,10 @@ from .grids import Direction
 from .likelihood import LanEstimator
 from .mcmc import (equal_tailed_interval, ess, median, posterior_functional,
                    run_chain)
-from .model import ModelParams
+from .model import KINDS, ModelParams
 from .palm import (PALM_MIN_ANCHORS, bias_term, efficient_estimate,
                    estimate_palm, info_operator_invert, optimal_variance)
-from .priors import PriorSpec
+from .priors import BASIS_KINDS, LINKS, THETA_FAMILIES, PriorSpec
 from .simulate import simulate_thinning
 from .stream import atomic_write
 
@@ -92,28 +92,33 @@ def _count(least: int):
     return _within(int, lambda n: n >= least, f">= {least}")
 
 
+def _one_of(names):
+    return _within(str, names.__contains__, "one of " + ", ".join(names))
+
+
 def _listed(read):
     return lambda key, text: tuple(read(key, v) for v in text.split())
 
 
 _positive = _within(float, lambda x: 0.0 < x < math.inf,
                     "positive and finite")
+_finite = _within(float, math.isfinite, "finite")
 _int = functools.partial(config_number, kind=int)
-_text = lambda key, text: text  # noqa: E731
 
-# every key the program reads but `model_file`: (its default as config
-# text, its reader); ModelParams and PriorSpec check their values further,
-# and config_from_dict the rules that involve two keys
+# every key the program reads: (its default as config text, its reader);
+# ModelParams and PriorSpec check their values further, and
+# config_from_dict the rules that involve two keys
 _KEYS = {
     "K": ("1", _count(1)), "A": ("1.0", _positive), "m": ("1", _count(1)),
-    "kind": ("linear", _text), "nu": ("1.0", _listed(config_number)),
+    "kind": ("linear", _one_of(KINDS)), "nu": ("1.0", _listed(config_number)),
     "h": ("0.0", _listed(config_number)),
-    "prior_basis": ("histogram", _text), "prior_rate": ("1.0", config_number),
-    "prior_jmax": ("32", _int), "prior_theta": ("shifted-exponential", _text),
-    "prior_kappa": ("0.0", config_number), "prior_c1": ("1.0", config_number),
-    "prior_sigma": ("1.0", config_number),
-    "prior_nu_shape": ("2.0", config_number),
-    "prior_nu_rate": ("1.0", config_number), "prior_link": ("identity", _text),
+    "prior_basis": ("histogram", _one_of(BASIS_KINDS)),
+    "prior_rate": ("1.0", _positive), "prior_jmax": ("32", _count(1)),
+    "prior_theta": ("shifted-exponential", _one_of(THETA_FAMILIES)),
+    "prior_kappa": ("0.0", _finite), "prior_c1": ("1.0", _positive),
+    "prior_sigma": ("1.0", _positive), "prior_nu_shape": ("2.0", _positive),
+    "prior_nu_rate": ("1.0", _positive),
+    "prior_link": ("identity", _one_of(LINKS)),
     "functional": ("background 1", lambda key, text: parse_functional(text)),
     "T": ("2000", _listed(_positive)), "R": ("100", _count(1)),
     # an mcmc_burn_in not given is mcmc_iters/5
@@ -139,29 +144,26 @@ def load_config(path: str, **overrides: str) -> ExperimentConfig:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Refuses a key it does not read, reads every key through its row of
-    `_KEYS`, then checks what involves more than one key. The model keys
-    are read also beside a model file, which wins."""
-    unknown = set(raw) - set(_KEYS) - {"model_file"}
+    `_KEYS`, then checks what involves more than one key."""
+    unknown = set(raw) - set(_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     v = {}
     for key, (default, read) in _KEYS.items():
         text = raw.get(key, default)
         v[key] = None if text is None else read(key, text)
-    if "model_file" in raw:
-        with open(raw["model_file"]) as fh:
-            f0 = ModelParams.from_json(fh.read())
-    else:
-        K, m = v["K"], v["m"]
-        if len(v["nu"]) != K:
-            raise ValueError("nu must list K rates")
-        if len(v["h"]) != K * K * m:
-            raise ValueError("h must list K*K*m cell values")
-        f0 = ModelParams(np.array(v["nu"]), np.reshape(v["h"], (K, K, m)),
-                         v["A"], v["kind"])
+    K, m = v["K"], v["m"]
+    if len(v["nu"]) != K:
+        raise ValueError("nu must list K rates")
+    if len(v["h"]) != K * K * m:
+        raise ValueError("h must list K*K*m cell values")
+    f0 = ModelParams(np.array(v["nu"]), np.reshape(v["h"], (K, K, m)),
+                     v["A"], v["kind"])
     _check_indices(v["functional"], f0.K)
     if not v["T"]:
         raise ValueError("T must list at least one horizon")
+    if v["prior_basis"] == "haar" and v["prior_jmax"] < 2:
+        raise ValueError("prior_jmax must be >= 2 for a haar prior_basis")
     if any(j < 1 or v["palm_cells"] % j for j in v["bias_dims"]):
         raise ValueError("each bias_dims entry must be >= 1 and divide "
                          "palm_cells")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -45,6 +44,9 @@ def spectral_radius(rho: np.ndarray | list[float]) -> float:
         np.reshape(entries, (n, n))))))
 
 
+KINDS = ("linear", "relu")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters f = (nu, h) of a (linear or ReLU) Hawkes process.
@@ -72,7 +74,7 @@ class ModelParams:
         # the cell width A/m must be a positive finite number
         if not 0.0 < self.support_end < np.inf:
             raise ValueError("support_end must be positive and finite")
-        if self.kind not in ("linear", "relu"):
+        if self.kind not in KINDS:
             raise ValueError("kind must be 'linear' or 'relu'")
         if self.kind == "linear" and np.any(h < 0):
             raise ValueError("linear model requires nonnegative h")
@@ -106,26 +108,6 @@ class ModelParams:
 
     def rho_plus(self) -> np.ndarray:
         return self.cell_width * np.maximum(self.h, 0.0).sum(axis=2)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "K": self.K,
-            "A": self.support_end,
-            "m": self.n_cells,
-            "kind": self.kind,
-            "nu": self.nu.tolist(),
-            "h": [[self.h[l, k].tolist() for k in range(self.K)]
-                  for l in range(self.K)],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelParams":
-        doc = json.loads(text)
-        h = np.array(doc["h"], dtype=float)
-        if h.shape != (doc["K"], doc["K"], doc["m"]):
-            raise ValueError("h shape inconsistent with K and m")
-        return cls(np.array(doc["nu"], dtype=float), h,
-                   float(doc["A"]), doc.get("kind", "linear"))
 
 
 def stationary_rates(params: ModelParams) -> np.ndarray:

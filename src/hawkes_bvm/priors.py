@@ -174,7 +174,10 @@ def softplus(x):
     return np.logaddexp(0.0, x)
 
 
-_LINKS = {"identity": lambda x: x, "softplus": softplus}
+# the names a prior's basis, coefficient family and link may take
+BASIS_KINDS = ("histogram", "haar")
+THETA_FAMILIES = ("shifted-exponential", "gaussian")
+LINKS = {"identity": lambda x: x, "softplus": softplus}
 
 
 @dataclass(frozen=True)
@@ -200,11 +203,11 @@ class PriorSpec:
     support_end: float = 1.0
 
     def __post_init__(self):
-        if self.theta_family not in ("shifted-exponential", "gaussian"):
+        if self.theta_family not in THETA_FAMILIES:
             raise ValueError("unknown coefficient family")
-        if self.link not in _LINKS:
+        if self.link not in LINKS:
             raise ValueError("unknown link")
-        if self.basis_kind not in ("histogram", "haar"):
+        if self.basis_kind not in BASIS_KINDS:
             raise ValueError("unknown basis kind")
         if self.J_max < 1:
             raise ValueError("need J_max >= 1")
@@ -247,7 +250,7 @@ class PriorSpec:
                     else softplus(theta))
         basis = self.basis(J)
         series = theta.reshape(-1, J) @ basis.matrix
-        return _LINKS[self.link](series).reshape(
+        return LINKS[self.link](series).reshape(
             self.K, self.K, basis.n_cells)
 
     def dim_log_pmf(self, J: int) -> float:
@@ -398,8 +401,7 @@ class RateSchedule:
     j_dim: int
 
 
-def rate_schedule(beta: float, T: float, c_eps: float = 1.0,
-                  c_j: float = 1.0, j0: float = 1.0) -> RateSchedule:
+def rate_schedule(beta: float, T: float) -> RateSchedule:
     """Contraction-rate schedule for a beta-smooth truth at horizon T."""
     if T <= np.e:
         raise ValueError("need T > e")
@@ -408,8 +410,7 @@ def rate_schedule(beta: float, T: float, c_eps: float = 1.0,
                       stacklevel=2)
     lt = np.log(T)
     denom = 2.0 * beta + 1.0
-    eps_bar = c_eps * T ** (-beta / denom) * lt ** (beta / denom)
-    j_bar = c_j * T ** (1.0 / denom) * lt ** ((3.0 * beta + 1.0) / denom)
+    eps_bar = T ** (-beta / denom) * lt ** (beta / denom)
+    j_bar = T ** (1.0 / denom) * lt ** ((3.0 * beta + 1.0) / denom)
     return RateSchedule(float(eps_bar), float(j_bar),
-                        float(lt * eps_bar),
-                        int(np.ceil(j0 * j_bar)))
+                        float(lt * eps_bar), int(np.ceil(j_bar)))

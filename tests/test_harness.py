@@ -133,42 +133,26 @@ def test_cli_bvm_report_identical_from_file_or_flag(tmp_path, in_file,
     assert reports[0] == reports[1]
 
 
-def test_config_model_file(tmp_path):
-    from hawkes_bvm.model import ModelParams
-    p = ModelParams(np.array([2.0]), np.array([[[0.3]]]), 1.0)
-    path = tmp_path / "model.json"
-    path.write_text(p.to_json())
-    cfg = dict(BASE_CFG)
-    cfg.pop("nu"), cfg.pop("h")
-    cfg["model_file"] = str(path)
-    config = config_from_dict(cfg)
-    assert config.f0.nu[0] == 2.0
-    # the file wins over well-formed model keys beside it, even a K and
-    # nu that disagree with it; a malformed one is refused by key
-    config = config_from_dict(dict(cfg, K="2", m="3", nu="1 1", A="5"))
-    assert (config.f0.K, config.f0.n_cells, config.f0.nu[0]) == (1, 1, 2.0)
-    for key, value in (("K", "x"), ("K", "0"), ("A", "0"), ("m", "1.5"),
-                       ("nu", "1 y"), ("h", "z")):
-        with pytest.raises(ValueError, match=f"^{key}[: ]"):
-            config_from_dict(dict(cfg, **{key: value}))
-
-
 # for each row of harness._KEYS, a value just outside its rule and the
-# start of the message that refuses it: the key, but for the text keys
-# that ModelParams, PriorSpec and parse_functional check
+# start of the message that refuses it, which starts with the key
 _OUTSIDE = {
     "K": ("0", "K must be >= 1"), "A": ("inf", "A must be positive"),
-    "m": ("0", "m must be >= 1"), "kind": ("hawkes", "kind must be"),
+    "m": ("0", "m must be >= 1"),
+    "kind": ("hawkes", "kind must be one of linear, relu"),
     "nu": ("1 x", "nu: "), "h": ("0.5 x", "h: "),
-    "prior_basis": ("spline", "unknown basis kind"),
-    "prior_rate": ("x", "prior_rate: "), "prior_jmax": ("1.5", "prior_jmax: "),
-    "prior_theta": ("gamma", "unknown coefficient family"),
-    "prior_kappa": ("x", "prior_kappa: "), "prior_c1": ("x", "prior_c1: "),
-    "prior_sigma": ("x", "prior_sigma: "),
-    "prior_nu_shape": ("x", "prior_nu_shape: "),
-    "prior_nu_rate": ("x", "prior_nu_rate: "),
-    "prior_link": ("exp", "unknown link"),
-    "functional": ("cubic 1", "unknown functional kind"),
+    "prior_basis": ("spline", "prior_basis must be one of histogram, haar"),
+    "prior_rate": ("0", "prior_rate must be positive and finite"),
+    "prior_jmax": ("0", "prior_jmax must be >= 1"),
+    "prior_theta": ("gamma", "prior_theta must be one of "
+                    "shifted-exponential, gaussian"),
+    "prior_kappa": ("inf", "prior_kappa must be finite"),
+    "prior_c1": ("0", "prior_c1 must be positive and finite"),
+    "prior_sigma": ("-1", "prior_sigma must be positive and finite"),
+    "prior_nu_shape": ("nan", "prior_nu_shape must be positive and finite"),
+    "prior_nu_rate": ("inf", "prior_nu_rate must be positive and finite"),
+    "prior_link": ("exp", "prior_link must be one of identity, softplus"),
+    "functional": ("cubic 1", "functional kind must be one of background, "
+                   "squared_l2, linear: 'cubic'"),
     "T": ("0", "T must be positive and finite"), "R": ("0", "R must be >= 1"),
     "mcmc_iters": ("0", "mcmc_iters must be >= 1"),
     "mcmc_burn_in": ("-1", "mcmc_burn_in must be >= 0"),
@@ -192,8 +176,50 @@ def test_every_config_key_reads_its_default_and_refuses_by_key(key):
     if default is not None:  # mcmc_burn_in's default is mcmc_iters/5
         read(key, default)
     value, message = _OUTSIDE[key]
+    assert message.startswith(key)
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         config_from_dict(dict(BASE_CFG, **{key: value}))
+
+
+# for each row of harness._KEYS, another value that a config with the
+# rest of BASE_CFG accepts (with the rows a model of it needs changed too)
+_OTHER = {
+    "K": {"K": "2", "nu": "1 1", "h": "0.1 0 0 0.1"},
+    "A": {"A": "1.5"}, "m": {"m": "2", "h": "0.5 0.5"},
+    "kind": {"kind": "relu"}, "nu": {"nu": "2.0"}, "h": {"h": "0.25"},
+    "prior_basis": {"prior_basis": "haar"}, "prior_rate": {"prior_rate": "3"},
+    "prior_jmax": {"prior_jmax": "8"},
+    "prior_theta": {"prior_theta": "gaussian"},
+    "prior_kappa": {"prior_kappa": "0.5"}, "prior_c1": {"prior_c1": "2.0"},
+    "prior_sigma": {"prior_sigma": "0.5"},
+    "prior_nu_shape": {"prior_nu_shape": "3.0"},
+    "prior_nu_rate": {"prior_nu_rate": "2.0"},
+    "prior_link": {"prior_link": "softplus"},
+    "functional": {"functional": "squared_l2 1 1"}, "T": {"T": "120 240"},
+    "R": {"R": "3"}, "mcmc_iters": {"mcmc_iters": "400"},
+    "mcmc_burn_in": {"mcmc_burn_in": "10"}, "mcmc_thin": {"mcmc_thin": "3"},
+    "p_j": {"p_j": "0.5"}, "palm_cells": {"palm_cells": "8"},
+    "palm_anchors": {"palm_anchors": "400"},
+    "palm_points": {"palm_points": "2000"}, "bias_dims": {"bias_dims": "1 2"},
+    "lan_tsim": {"lan_tsim": "400"}, "lan_points": {"lan_points": "4000"},
+    "seed": {"seed": "4"}, "threads": {"threads": "2"},
+}
+
+
+@pytest.mark.parametrize("key", harness._KEYS)
+def test_config_hash_covers_every_key_but_threads(key):
+    # the hash keys a report to its config: every value but the thread
+    # count, which leaves every output as it is, moves it
+    base = config_from_dict(dict(BASE_CFG)).config_hash()
+    other = config_from_dict(dict(BASE_CFG, **_OTHER[key])).config_hash()
+    assert (other == base) == (key == "threads")
+
+
+def test_config_refuses_haar_prior_without_two_dimensions():
+    with pytest.raises(ValueError, match="^prior_jmax must be >= 2 for a "
+                       "haar prior_basis"):
+        config_from_dict(dict(BASE_CFG, prior_basis="haar", prior_jmax="1"))
+    config_from_dict(dict(BASE_CFG, prior_basis="haar", prior_jmax="2"))
 
 
 def test_config_rejects_bad_h_length():
@@ -511,7 +537,7 @@ def test_readme_config_format_names_every_key_at_its_default():
     # the keys of the fenced blocks and of inline `key = value` spans,
     # but for the format's own
     named = set(shown) | set(re.findall(r"`(\w+) = ", section)) - {"key"}
-    assert named == set(harness._KEYS) | {"model_file"}
+    assert named == set(harness._KEYS)
     # mcmc_burn_in's default is mcmc_iters/5, which the block shows
     assert shown == {key: default or shown[key]
                      for key, (default, _) in harness._KEYS.items()}
@@ -684,12 +710,13 @@ def test_cli_infer_bad_prior_or_thin_exit_code(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     if extra.get("prior_theta") == "truncated-gaussian":
-        assert "unknown coefficient family" in err
+        assert "prior_theta must be one of" in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "infer", "palm", "bvm"])
 @pytest.mark.parametrize("key", ["prior_sigm", "palm_horizon",
-                                 "palm_batches", "invert_tol", "out_dir"])
+                                 "palm_batches", "invert_tol", "out_dir",
+                                 "model_file"])
 def test_cli_refuses_unread_config_keys(tmp_path, capsys, key, command):
     # a typo, or a key the program no longer reads, would otherwise leave
     # its setting at the default without a word

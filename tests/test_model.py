@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -100,19 +99,6 @@ def test_rejects_grid_without_cells():
     # m = 0 divided by zero in rho_plus
     with pytest.raises(ValueError, match="m >= 1"):
         ModelParams(np.array([1.0]), np.zeros((1, 1, 0)), 1.0)
-
-
-def test_json_round_trip():
-    h = np.zeros((2, 2, 3))
-    h[0, 1] = [0.1, 0.2, 0.3]
-    p = ModelParams(np.array([1.0, 2.0]), h, 1.5, "linear")
-    q = ModelParams.from_json(p.to_json())
-    assert np.array_equal(q.nu, p.nu)
-    assert np.array_equal(q.h, p.h)
-    assert q.support_end == p.support_end
-    assert q.kind == p.kind
-    doc = json.loads(p.to_json())
-    assert doc["K"] == 2 and doc["m"] == 3
 
 
 def test_grid_properties():
